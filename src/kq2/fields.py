@@ -242,11 +242,10 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     """
     if not isinstance(spec, RealQuadratic):
         raise InvalidSpec("the regularity oracle covers real quadratic fields only")
-    validate_spec(spec)
+    a_F = a_param(spec)  # validates the spec
     d = spec.d
-    cd = nt.class_numbers(d)
-    dy = nt.dyadic_data(d)
-    eps = nt.fundamental_unit(d)
+    qd = nt.quadratic_data(d)
+    cd, dy, eps = qd.classes, qd.dyadic, qd.unit
 
     reasons: list[str] = []
     if dy.count == 1:
@@ -276,8 +275,7 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     elif dy.generator is not None:
         gen = dy.generator
         conj = nt.QuadUnit(gen.x, -gen.y, gen.denom, d, gen.norm)
-        gens = [gen, conj]
-        units = nt.sign_span_is_full(nt.unit_signature_span(d, gens))
+        units = nt.sign_span_is_full(nt.signature_span([eps, gen, conj]))
         reasons.append(
             "units of independent signs"
             if units
@@ -300,7 +298,7 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     return FieldInvariants(
         r=2,
         c=0,
-        a_F=a_param(spec),
+        a_F=a_F,
         dyadic_count=dy.count,
         pic_odd=pic_odd,
         units_indep_signs=units,

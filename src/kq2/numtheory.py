@@ -241,6 +241,10 @@ def fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
     norm is (-1)^(period length).
     """
     _require_squarefree_d(d)
+    return _fundamental_unit(d, max_steps)
+
+
+def _fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
     s = isqrt(d)
     if d % 4 == 1:
         # reduced element (P0 + sqrt(d))/2 of Z[(1+sqrt(d))/2]: P0 odd in (sqrt(d)-2, sqrt(d))
@@ -271,6 +275,10 @@ def norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None:
     denominators Q_i; scanning one full period is a complete search.
     """
     _require_squarefree_d(d)
+    return _norm_two_element(d, max_steps)
+
+
+def _norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None:
     if d == 2:
         return QuadUnit(0, 1, 1, 2, -2)
     if d == 3:
@@ -341,46 +349,100 @@ def _reduce_form(f: Form, D: int, s: int, max_steps: int = 10000) -> Form:
     raise BoundExceeded(f"form reduction of {f} (D={D}) did not terminate")
 
 
-def _cycle_of(f: Form, D: int, s: int, max_steps: int = 10**6) -> frozenset[Form]:
-    f0 = _reduce_form(f, D, s)
-    cycle = {f0}
-    g = _rho(f0, D, s)
-    steps = 0
-    while g != f0:
-        cycle.add(g)
-        g = _rho(g, D, s)
-        steps += 1
-        if steps > max_steps:
-            raise BoundExceeded(f"cycle through {f0} (D={D}) exceeded {max_steps} forms")
-    return frozenset(cycle)
+def _sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, or None for a non-residue.
 
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
+    Tonelli-Shanks, as in Cohen, GTM 138, Alg. 1.5.1.
+    """
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    e = nu2(p - 1)
+    q = (p - 1) >> e
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    y, r = pow(z, q, p), e
+    x = pow(n, (q - 1) // 2, p)
+    b = n * x * x % p
+    x = n * x % p
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1:
+            m, t = m + 1, t * t % p
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r = t * t % p, m
+        x, b = x * t % p, b * y % p
+    return x
 
 
 def reduced_forms(D: int) -> set[Form]:
-    """All reduced indefinite forms of (nonsquare) discriminant D > 0."""
+    """All reduced indefinite forms of (nonsquare) discriminant D > 0.
+
+    (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
+    sqrt(D) + b, i.e. (s - b + 2)//2 <= |a| <= (s + b)//2 with s =
+    isqrt(D).  For each such b the admissible |a| are the divisors of
+    m_b = (D - b^2)/4 in that interval.  All m_b are factored at once by a
+    quadratic sieve: an odd prime p divides m_b iff b = +-sqrt(D) (mod p),
+    so each root strikes one arithmetic progression of b (Cohen, GTM 138,
+    Sec. 5.6).  D is at most the discriminant 4 * CLASS_NUMBER_BOUND.
+    """
+    if D > 4 * CLASS_NUMBER_BOUND:
+        raise BoundExceeded(f"discriminant {D} exceeds the bound {4 * CLASS_NUMBER_BOUND}")
+    if D < 5 or D % 4 in (2, 3) or isqrt(D) ** 2 == D:
+        raise ValueError(f"{D} is not a nonsquare discriminant")
     s = isqrt(D)
-    forms: set[Form] = set()
-    for b in range(1, s + 1):
-        if (D - b * b) % 4 != 0:
+    b0 = 2 - D % 2  # b = D (mod 2)
+    bs = range(b0, s + 1, 2)
+    rest = [(D - b * b) >> 2 for b in bs]  # m_b, then m_b without its odd sieved primes
+    factors: list[list[tuple[int, int]]] = [[] for _ in bs]
+    limit = isqrt(rest[0])  # m_b is largest at b = b0
+    composite = bytearray(limit + 1)
+    for p in range(3, limit + 1, 2):
+        if composite[p]:
             continue
-        m = (D - b * b) // 4  # = -a*c > 0
-        for a0 in _divisors(m):
-            c0 = m // a0
-            for a, c in ((a0, -c0), (-a0, c0)):
-                f = (a, b, c)
-                if _is_reduced(f, D):
-                    forms.add(f)
+        composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, limit + 1, 2 * p))
+        r = _sqrt_mod_prime(D, p)
+        if r is None:
+            continue
+        half = (p + 1) // 2  # 1/2 (mod p): b0 + 2i = root (mod p) at i = (root - b0)/2
+        for root in (r, p - r) if r else (0,):
+            for i in range((root - b0) * half % p, len(bs), p):
+                m, e = rest[i] // p, 1
+                while m % p == 0:
+                    m, e = m // p, e + 1
+                rest[i] = m
+                factors[i].append((p, e))
+
+    forms: set[Form] = set()
+    for b, left, primes in zip(bs, rest, factors):
+        lo, hi = (s - b + 2) // 2, (s + b) // 2
+        e2 = nu2(left)
+        if e2:
+            primes.append((2, e2))
+        # The cofactor has no prime factor <= sqrt(m_b), so it is prime; above hi
+        # it divides no admissible |a|.
+        if 1 < left >> e2 <= hi:
+            primes.append((left >> e2, 1))
+        divisors = [1]  # the divisors of m_b up to hi
+        for p, e in primes:
+            more = []
+            for a in divisors:
+                for _ in range(e):
+                    a *= p
+                    if a > hi:
+                        break
+                    more.append(a)
+            divisors += more
+        m = (D - b * b) >> 2
+        for a in divisors:
+            if a >= lo:
+                forms.add((a, b, -(m // a)))
+                forms.add((-a, b, m // a))
     return forms
 
 
@@ -390,18 +452,28 @@ def principal_form(D: int) -> Form:
     return (1, b0, (b0 * b0 - D) // 4)
 
 
-def _form_cycles(D: int) -> list[frozenset[Form]]:
+def _form_cycles(D: int) -> tuple[dict[Form, int], int]:
+    """Split the reduced forms of discriminant D into rho-cycles.
+
+    Returns the index form -> cycle number and the number of cycles.
+    """
     s = isqrt(D)
-    remaining = reduced_forms(D)
-    cycles: list[frozenset[Form]] = []
-    while remaining:
-        f = next(iter(remaining))
-        cyc = _cycle_of(f, D, s)
-        if not cyc <= remaining:
-            raise RuntimeError(f"cycle through {f} left the reduced-form set (D={D})")
-        remaining -= cyc
-        cycles.append(cyc)
-    return cycles
+    forms = reduced_forms(D)
+    cycle_of: dict[Form, int] = {}
+    count = 0
+    for f in forms:
+        if f in cycle_of:
+            continue
+        g = f
+        while g not in cycle_of:
+            if g not in forms:
+                raise RuntimeError(f"cycle through {f} left the reduced-form set (D={D})")
+            cycle_of[g] = count
+            g = _rho(g, D, s)
+        if g != f:
+            raise RuntimeError(f"cycle through {f} ran into another cycle (D={D})")
+        count += 1
+    return cycle_of, count
 
 
 def _sqrt_mod_2pow(D: int, e: int) -> int:
@@ -435,6 +507,15 @@ class ClassData:
     dyadic_class_order: int | None
 
 
+@dataclass(frozen=True)
+class QuadraticData:
+    """The invariants of Q(sqrt(d)) that the regularity oracle reads."""
+
+    unit: QuadUnit        # the fundamental unit
+    classes: ClassData
+    dyadic: DyadicData
+
+
 def _dyadic_forms(d: int, D: int, k: int) -> list[Form]:
     """The forms of the primitive ideals of norm 2^k (there are 0, 1 or 2)."""
     a = 1 << k
@@ -450,40 +531,41 @@ def _dyadic_forms(d: int, D: int, k: int) -> list[Form]:
     return out
 
 
-def dyadic_data(d: int) -> DyadicData:
+def _dyadic_data(d: int, D: int, cycle_of: dict[Form, int], h_narrow: int) -> DyadicData:
     """Splitting of 2 and the order of the dyadic ideal class.
 
     Principality of a power of the dyadic prime is decided by reducing its
-    form and testing membership in the principal cycle (narrow) or in the
+    form and looking up its cycle: the principal cycle (narrow) or the
     principal-or-negated-principal cycles (wide).  Explicit norm +-2
     generators are extracted from the continued fraction of sqrt(d) when 2
     is ramified.
     """
-    _require_squarefree_d(d)
-    D = d if d % 4 == 1 else 4 * d
-    s = isqrt(D)
-    princ = _cycle_of(principal_form(D), D, s)
-    b0 = principal_form(D)[1]
-    neg = _cycle_of((-1, b0, (D - b0 * b0) // 4), D, s)
-
     if d % 8 == 5:
         # 2 inert: the dyadic prime is (2) itself
         return DyadicData(1, 1, 1, False, QuadUnit(2, 0, 1, d, 4))
 
+    s = isqrt(D)
+    a, b0, c0 = principal_form(D)
+    princ, neg = cycle_of[(a, b0, c0)], cycle_of[(-a, b0, -c0)]
+
+    def cycle(f: Form) -> int:
+        g = _reduce_form(f, D, s)
+        if g not in cycle_of:
+            raise RuntimeError(f"reduction of {f} is not among the reduced forms (D={D})")
+        return cycle_of[g]
+
     if d % 8 == 1:
         # 2 split: two dyadic primes; walk powers until one is principal
-        cycles = _form_cycles(D)
-        h_narrow = len(cycles)
         order = narrow_order = None
         neg_gen = None
         for k in range(1, h_narrow + 1):
-            reduced = [_reduce_form(f, D, s) for f in _dyadic_forms(d, D, k)]
-            if narrow_order is None and any(f in princ for f in reduced):
+            cycles = {cycle(f) for f in _dyadic_forms(d, D, k)}
+            if narrow_order is None and princ in cycles:
                 narrow_order = k
             if order is None:
-                if any(f in princ for f in reduced):
+                if princ in cycles:
                     order, neg_gen = k, False
-                elif any(f in neg for f in reduced):
+                elif neg in cycles:
                     order, neg_gen = k, True
             if order is not None and narrow_order is not None:
                 break
@@ -492,36 +574,58 @@ def dyadic_data(d: int) -> DyadicData:
         return DyadicData(2, order, narrow_order, neg_gen, None)
 
     # 2 ramified: the square of the dyadic prime is (2)
-    gen = norm_two_element(d)
+    gen = _norm_two_element(d)
     if gen is not None:
-        f = _reduce_form(_dyadic_forms(d, D, 1)[0], D, s)
-        if f not in princ and f not in neg:
+        c = cycle(_dyadic_forms(d, D, 1)[0])
+        if c not in (princ, neg):
             raise RuntimeError(f"norm +-2 element found but form not principal (d={d})")
-        narrow_order = 1 if f in princ else 2
+        narrow_order = 1 if c == princ else 2
         return DyadicData(1, 1, narrow_order, gen.norm < 0, gen)
     return DyadicData(1, 2, 2, False, QuadUnit(2, 0, 1, d, 4))
 
 
-def class_numbers(d: int, bound: int = CLASS_NUMBER_BOUND) -> ClassData:
-    """Class number data for Q(sqrt(d)) via reduced-form cycles.
+def quadratic_data(d: int) -> QuadraticData:
+    """Fundamental unit, class numbers and dyadic data of Q(sqrt(d)).
 
-    The narrow class number is the number of cycles of reduced forms of the
-    field discriminant; the wide class number follows from the norm of the
-    fundamental unit.
+    Each invariant is computed once: d is validated (2 <= d <=
+    CLASS_NUMBER_BOUND, then squarefree), the continued-fraction period is
+    expanded for the fundamental unit, and the reduced forms of the field
+    discriminant are enumerated and split into cycles.  The narrow class
+    number is the number of cycles; the wide one follows from the norm of
+    the fundamental unit; the dyadic data reads the cycle index.
     """
+    if d > CLASS_NUMBER_BOUND:
+        raise BoundExceeded(f"d={d} exceeds the class-number bound {CLASS_NUMBER_BOUND}")
     _require_squarefree_d(d)
-    if d > bound:
-        raise BoundExceeded(f"d={d} exceeds the class-number bound {bound}")
     D = d if d % 4 == 1 else 4 * d
-    h_narrow = len(_form_cycles(D))
-    eps = fundamental_unit(d)
-    if eps.norm == -1:
+    unit = _fundamental_unit(d)
+    cycle_of, h_narrow = _form_cycles(D)
+    if unit.norm == -1:
         h = h_narrow
     else:
         if h_narrow % 2 != 0:
             raise RuntimeError(f"narrow class number parity inconsistent for d={d}")
         h = h_narrow // 2
-    return ClassData(d, D, h, h_narrow, dyadic_data(d).class_order)
+    dyadic = _dyadic_data(d, D, cycle_of, h_narrow)
+    return QuadraticData(unit, ClassData(d, D, h, h_narrow, dyadic.class_order), dyadic)
+
+
+def dyadic_data(d: int) -> DyadicData:
+    """Splitting of 2 in Q(sqrt(d)) and the order of the dyadic ideal class."""
+    return quadratic_data(d).dyadic
+
+
+def class_numbers(d: int) -> ClassData:
+    """Class number data for Q(sqrt(d)) via reduced-form cycles."""
+    return quadratic_data(d).classes
+
+
+def signature_span(elements) -> set[tuple[int, int]]:
+    """Subgroup of {+-1}^2 spanned by the signs of -1 and of the elements."""
+    span = {(1, 1)}
+    for v in {(-1, -1), *(g.sign_vector() for g in elements)}:
+        span |= {(v[0] * w[0], v[1] * w[1]) for w in span}
+    return span
 
 
 def unit_signature_span(d: int, dyadic_generators=()) -> set[tuple[int, int]]:
@@ -531,13 +635,7 @@ def unit_signature_span(d: int, dyadic_generators=()) -> set[tuple[int, int]]:
     S-unit generators.  The full four-element group means the field has
     units of independent signs.
     """
-    vectors = {(-1, -1), fundamental_unit(d).sign_vector()}
-    for g in dyadic_generators:
-        vectors.add(g.sign_vector())
-    span = {(1, 1)}
-    for v in vectors:
-        span |= {(v[0] * w[0], v[1] * w[1]) for w in span}
-    return span
+    return signature_span([fundamental_unit(d), *dyadic_generators])
 
 
 def sign_span_is_full(span: set[tuple[int, int]]) -> bool:

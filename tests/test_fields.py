@@ -110,6 +110,31 @@ def test_narrow_and_wide_characterizations_agree(d):
     assert via_narrow == via_units == inv.two_regular
 
 
+# One d per class mod 8: split (145), ramified with a norm -2 element (34),
+# ramified (35, 30, 15) and inert with a norm +1 fundamental unit (21).
+@pytest.mark.parametrize("d", [145, 34, 35, 21, 30, 15])
+def test_oracle_computes_each_invariant_once(monkeypatch, d):
+    calls = {}
+
+    def count(name):
+        fn = getattr(nt, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(nt, name, counted)
+
+    names = ("quadratic_data", "reduced_forms", "fundamental_unit", "_cf_reduced_period")
+    for name in names:
+        count(name)
+    f.two_regular_oracle(f.RealQuadratic(d))
+    assert calls["quadratic_data"] == 1
+    assert calls["reduced_forms"] == 1
+    assert calls["_cf_reduced_period"] == 1  # the one period expansion
+    assert calls.get("fundamental_unit", 0) <= 1
+
+
 def test_oracle_rejects_non_quadratic():
     with pytest.raises(InvalidSpec):
         f.two_regular_oracle(Q)

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kq2 import numtheory as nt
-from kq2.errors import BadModulus, EvenQ, NonPositive
+from kq2.errors import BadModulus, BoundExceeded, EvenQ, NonPositive
 
 
 def slow_two_part(n):
@@ -200,10 +201,15 @@ def test_class_numbers_examples():
     assert nt.class_numbers(6).discriminant == 24
 
 
+# Larger fields, one to two per class of d mod 8 (two with h odd), where
+# the sieve's progressions and cofactors differ most from trial division.
+LARGE_CLASS_NUMBER_D = (10001, 10066, 10011, 99901, 99854, 10087)
+
+
 def test_class_numbers_against_analytic_formula():
-    for d in range(2, 201):
-        if not nt.squarefree_part(d)[0]:
-            continue
+    small = [d for d in range(2, 201) if nt.squarefree_part(d)[0]]
+    assert {d % 8 for d in LARGE_CLASS_NUMBER_D} == {1, 2, 3, 5, 6, 7}
+    for d in small + list(LARGE_CLASS_NUMBER_D):
         cd = nt.class_numbers(d)
         approx = analytic_class_number(d)
         assert abs(approx - cd.h) < 1e-6, (d, cd.h, approx)
@@ -212,6 +218,74 @@ def test_class_numbers_against_analytic_formula():
             assert cd.h_narrow == cd.h
         else:
             assert cd.h_narrow == 2 * cd.h
+
+
+def _divisors(n: int) -> list[int]:
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            if i != n // i:
+                out.append(n // i)
+        i += 1
+    return out
+
+
+def reference_reduced_forms(D):
+    """The trial-division enumeration that the sieve in reduced_forms
+    replaced, kept as a brute-force reference."""
+    s = math.isqrt(D)
+    forms = set()
+    for b in range(1, s + 1):
+        if (D - b * b) % 4 != 0:
+            continue
+        m = (D - b * b) // 4  # = -a*c > 0
+        for a0 in _divisors(m):
+            c0 = m // a0
+            for a, c in ((a0, -c0), (-a0, c0)):
+                f = (a, b, c)
+                if nt._is_reduced(f, D):
+                    forms.add(f)
+    return forms
+
+
+def field_discriminant(d):
+    return d if d % 4 == 1 else 4 * d
+
+
+def test_reduced_forms_match_reference_small():
+    for d in range(2, 3000):
+        if nt.squarefree_part(d)[0]:
+            D = field_discriminant(d)
+            assert nt.reduced_forms(D) == reference_reduced_forms(D), d
+
+
+def seeded_large_d(seed=2009, per_class=2, low=10**5, high=10**6):
+    rng = random.Random(seed)
+    out = {r: [] for r in (1, 2, 3, 5, 6, 7)}
+    while any(len(v) < per_class for v in out.values()):
+        d = rng.randrange(low, high + 1)
+        r = d % 8
+        if r in out and len(out[r]) < per_class and nt.squarefree_part(d)[0]:
+            out[r].append(d)
+    return sorted(d for v in out.values() for d in v)
+
+
+@pytest.mark.parametrize("d", seeded_large_d())
+def test_reduced_forms_match_reference_large(d):
+    D = field_discriminant(d)
+    assert nt.reduced_forms(D) == reference_reduced_forms(D)
+
+
+def test_sqrt_mod_prime():
+    for p in (3, 5, 7, 13, 17, 97, 193, 257, 7681):  # 7681 - 1 = 2^9 * 15
+        squares = {x * x % p for x in range(p)}
+        for n in range(0, p, max(1, p // 200)):
+            r = nt._sqrt_mod_prime(n, p)
+            assert (r is not None) == (n in squares), (n, p)
+            if r is not None:
+                assert r * r % p == n, (n, p)
 
 
 def brute_force_norm_pm2(d):
@@ -289,14 +363,33 @@ def test_signature_span_is_subgroup_containing_identity(d):
 
 
 def test_bound_errors():
-    from kq2.errors import BoundExceeded
-
     with pytest.raises(BoundExceeded):
         nt.class_numbers(10**6 + 3)
     with pytest.raises(BoundExceeded):
         nt.factorize(10**12 + 1)
     with pytest.raises(BoundExceeded):
         nt.fundamental_unit(94, max_steps=3)  # period 16 exceeds the cap
+
+
+def test_class_number_bound_checked_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorized or enumerated above the bound")
+
+    monkeypatch.setattr(nt, "factorize", refuse)
+    monkeypatch.setattr(nt, "_sqrt_mod_prime", refuse)
+    above = nt.CLASS_NUMBER_BOUND + 1  # 101 * 9901, squarefree, = 1 (mod 8)
+    for fn in (nt.dyadic_data, nt.class_numbers, nt.quadratic_data):
+        for d in (above, 10**9 + 1):
+            with pytest.raises(BoundExceeded):
+                fn(d)
+    with pytest.raises(BoundExceeded):
+        nt.reduced_forms(4 * nt.CLASS_NUMBER_BOUND + 1)
+
+
+def test_reduced_forms_rejects_non_discriminants():
+    for D in (-4, 0, 1, 4, 7, 10, 16):
+        with pytest.raises(ValueError):
+            nt.reduced_forms(D)
 
 
 def test_quad_unit_validation():
