@@ -17,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import EvenQ, TruncationMismatch, TruncationTooSmall
+from .errors import BoundExceeded, EvenQ, TruncationMismatch, TruncationTooSmall
+
+# Largest q accepted: the exact expansion grows faster than q^2 in bignum work.
+Q_BOUND = 5001
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ def geometric_inverse(n_trunc: int) -> TruncSeries:
 def _check_q(q: int) -> None:
     if q % 2 == 0 or q < 3:
         raise EvenQ(f"q must be odd and >= 3, got {q}")
+    if q > Q_BOUND:
+        raise BoundExceeded(f"q must be <= {Q_BOUND}, got {q}")
 
 
 def bracket(q: int, n_trunc: int) -> TruncSeries:

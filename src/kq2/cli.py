@@ -18,10 +18,9 @@ import sys
 
 from . import adams, tables, verify
 from .abgroup import format_group, group_to_json
-from .errors import DegreeOutOfRange, KQ2Error
+from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error
 from .fields import (
     FieldSpec,
-    FieldSyntaxError,
     RealQuadratic,
     a_param,
     find_q,
@@ -38,6 +37,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
+
+# table and verify build rows for every degree up to --n-max
+N_MAX_BOUND = 10**4
+
+_KBAR_NOTE = (
+    "Kbar in degree 7 mod 8 uses the even-index torsion order w(4k+4); "
+    "this resolution is asserted by the verification suite"
+)
 
 
 class _UsageError(Exception):
@@ -61,8 +68,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("group", help="one group of one theory")
-    p.add_argument("--theory", required=True, help=", ".join(tables.THEORY_NAMES))
-    p.add_argument("--n", type=int, default=None, help="degree (omit for W, W', W1)")
+    p.add_argument("--theory", required=True, help=", ".join(tables.THEORIES))
+    degreeless = ", ".join(name for name, tag in tables.THEORIES.items() if not tag.needs_degree)
+    p.add_argument("--n", type=int, default=None, help=f"degree (omit for {degreeless})")
     add_common(p)
 
     p = sub.add_parser("table", help="groups of several theories for degrees 0..n-max")
@@ -113,6 +121,16 @@ def _generic_note(spec: FieldSpec, notes: list[str]) -> None:
         notes.append("generic field description is unverified; table values assume 2-regularity")
 
 
+def _check_n_max(n_max: int) -> None:
+    if n_max > N_MAX_BOUND:
+        raise BoundExceeded(f"--n-max must be <= {N_MAX_BOUND}, got {n_max}")
+
+
+def _kbar_note(tags, degrees, notes: list[str]) -> None:
+    if any(tag.name == "Kbar" for tag in tags) and any(map(tables.k_bar_uses_resolved_order, degrees)):
+        notes.append(_KBAR_NOTE)
+
+
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -127,14 +145,11 @@ def _cmd_group(args) -> int:
     tag = TheoryTag.parse(args.theory)
     _generic_note(spec, notes)
     q = _resolve_q(args, spec, notes)
-    if args.n is not None and args.n == -1 and not tag.allows_degree_minus_one:
-        raise _UsageError(f"n = -1 is only defined for KQ+ and KQ-, not {tag.name}")
+    if args.n == -1 and not tag.allows_degree_minus_one:
+        low = " and ".join(name for name, t in tables.THEORIES.items() if t.allows_degree_minus_one)
+        raise _UsageError(f"n = -1 is only defined for {low}, not {tag.name}")
     g = tables.query(tag, args.n, spec, q)
-    if tag.name == "Kbar" and args.n is not None and tables.k_bar_uses_resolved_order(args.n):
-        notes.append(
-            "Kbar in degree 7 mod 8 uses the even-index torsion order w(4k+4); "
-            "this resolution is asserted by the verification suite"
-        )
+    _kbar_note([tag], [args.n], notes)
     payload = {
         "query": {"command": "group", "theory": tag.name, "n": args.n, "field": args.field},
         "field": _field_meta(spec),
@@ -158,6 +173,7 @@ def _cmd_table(args) -> int:
         raise _UsageError(f"theories without a degree axis cannot be tabulated: {no_degree}")
     if args.n_max < 0:
         raise _UsageError("--n-max must be >= 0")
+    _check_n_max(args.n_max)
     _generic_note(spec, notes)
     q = _resolve_q(args, spec, notes)
     rows = []
@@ -169,11 +185,7 @@ def _cmd_table(args) -> int:
             except DegreeOutOfRange:
                 groups.append(None)  # theory not defined in this degree
         rows.append((n, groups))
-    if any(tag.name == "Kbar" for tag in tags) and args.n_max >= 7:
-        notes.append(
-            "Kbar in degree 7 mod 8 uses the even-index torsion order w(4k+4); "
-            "this resolution is asserted by the verification suite"
-        )
+    _kbar_note(tags, range(args.n_max + 1), notes)
 
     def cell(g):
         return "-" if g is None else format_group(g)
@@ -209,8 +221,8 @@ def _cmd_table(args) -> int:
 def _cmd_regular(args) -> int:
     spec = parse_field(args.field)
     notes: list[str] = []
-    verdict, reason = is_two_regular(spec)
-    reasons = [reason]
+    criterion, reason = is_two_regular(spec)
+    verdict, reasons = criterion, [reason]
     oracle_data = None
     if args.oracle:
         if not isinstance(spec, RealQuadratic):
@@ -226,7 +238,7 @@ def _cmd_regular(args) -> int:
         }
         verdict = inv.two_regular
         reasons = [r for r in inv.reasons]
-        if inv.two_regular != is_two_regular(spec)[0]:
+        if inv.two_regular != criterion:
             notes.append("oracle verdict disagrees with the closed-form criterion")
     failing = [r for r in reasons if "fail" in r or "even order" in r or "two dyadic" in r]
     if verdict:
@@ -258,6 +270,7 @@ def _cmd_find_q(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_n_max(args.n_max)
     spec = parse_field(args.field)
     notes: list[str] = []
     q = _resolve_q(args, spec, notes)
@@ -285,8 +298,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_adams(args) -> int:
     series = adams.bracket(args.q, 2 * args.q)
-    odd = adams.check_obstruction(args.q)
     coeff = series[2 * args.q]
+    odd = coeff % 2 == 1
     human = [
         f"q = {args.q}: coefficient of u^{2 * args.q} is {coeff} "
         f"({'odd' if odd else 'even'}); realification factorization "
@@ -330,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FieldSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KQ2Error as exc:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, subtract_summand
 from .errors import (
@@ -170,6 +172,12 @@ def _d0(c: _Ctx) -> FgAb2:
     return Z(1) if c.n == 0 else ZERO
 
 
+def _from_degree_8(c: _Ctx) -> FgAb2:
+    if c.n == 0:
+        raise DegreeOutOfRange("k_bar is tabulated for n >= 1")
+    return ZERO
+
+
 _TABLE_ROWS = {
     # hermitian K of R_F, orthogonal column
     "kq_rf+": (
@@ -245,6 +253,17 @@ _TABLE_ROWS = {
         lambda c: C(2),
         lambda c: Z(1),
         lambda c: C(c.t()),
+    ),
+    # one-real-place building block, algebraic
+    "k_bar": (
+        lambda c: _from_degree_8(c),
+        lambda c: direct_sum(Z(1), C(2)),
+        lambda c: C(2),
+        lambda c: C(2 * w(4 * c.k + 2, c.a)),
+        lambda c: ZERO,
+        lambda c: Z(1),
+        lambda c: ZERO,
+        lambda c: C(w(4 * c.k + 4, c.a)),
     ),
     # one-real-place building block, V-theory
     "v_bar+": (
@@ -346,20 +365,7 @@ def k_bar(n: int, q: int | None, a: int) -> FgAb2:
     """
     if n < 0:
         raise NegativeDegree(f"k_bar needs n >= 0, got {n}")
-    if n == 0:
-        raise DegreeOutOfRange("k_bar is tabulated for n >= 1")
-    row, k = n % 8, n // 8
-    if row == 1:
-        return direct_sum(Z(1), C(2))
-    if row == 2:
-        return C(2)
-    if row == 3:
-        return C(2 * w(4 * k + 2, a))
-    if row == 5:
-        return Z(1)
-    if row == 7:
-        return C(w(4 * k + 4, a))
-    return ZERO
+    return _eval_row("k_bar", _Ctx(n=n, k=n // 8, r=1, a=a, q=q))
 
 
 def k_bar_uses_resolved_order(n: int) -> bool:
@@ -380,8 +386,7 @@ def witt(spec: FieldSpec) -> FgAb2:
 
 def cowitt(spec: FieldSpec) -> FgAb2:
     """CoWitt group; isomorphic to the Witt group in the 2-regular case."""
-    require_two_regular(spec)
-    return direct_sum(Z(real_embeddings(spec)), C(2))
+    return witt(spec)
 
 
 def w1(spec: FieldSpec) -> FgAb2:
@@ -454,100 +459,72 @@ def forgetful_rank_image_index(eps: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Theory-name dispatch (shared by the CLI)
-
-THEORY_NAMES = (
-    "K", "KQ+", "KQ-", "V+", "V-", "U+", "U-",
-    "W", "W'", "W1",
-    "Kbar", "KQbar+", "KQbar-", "Vbar+", "Vbar-",
-    "KO", "KU", "KFq", "KQFq+", "KQFq-",
-)
+# Theory registry (shared by the CLI)
 
 _ALIASES = {"WPRIME": "W'", "W′": "W'"}
 
 
 @dataclass(frozen=True)
 class TheoryTag:
-    """A parsed theory name: base theory, sign, and variant flags."""
+    """One theory of the registry: its name, its evaluator
+    ``evaluate(n, spec, q)``, its sign, and its q and degree rules."""
 
     name: str
+    evaluate: Callable[[int | None, FieldSpec, int | None], FgAb2]
+    eps: int | None = None
+    needs_q: bool = False
+    needs_degree: bool = True
+    allows_degree_minus_one: bool = False
 
     @classmethod
     def parse(cls, text: str) -> "TheoryTag":
-        canon = {n.upper(): n for n in THEORY_NAMES}
         key = text.strip().upper()
         key = _ALIASES.get(key, key)
-        if key not in canon:
-            raise ValueError(f"unknown theory {text!r}; expected one of {', '.join(THEORY_NAMES)}")
-        return cls(canon[key])
+        for name, tag in THEORIES.items():
+            if name.upper() == key:
+                return tag
+        raise ValueError(f"unknown theory {text!r}; expected one of {', '.join(THEORIES)}")
 
-    @property
-    def eps(self) -> int | None:
-        if self.name.endswith("+"):
-            return 1
-        if self.name.endswith("-"):
-            return -1
-        return None
 
-    @property
-    def barred(self) -> bool:
-        return "bar" in self.name
+def _signed(name: str, evaluate, **rules) -> tuple[TheoryTag, TheoryTag]:
+    """The orthogonal and symplectic entries of ``name``; ``evaluate`` takes
+    the sign first."""
+    return tuple(
+        TheoryTag(name + sign, partial(evaluate, eps), eps, **rules)
+        for sign, eps in (("+", 1), ("-", -1))
+    )
 
-    @property
-    def needs_degree(self) -> bool:
-        return self.name not in ("W", "W'", "W1")
 
-    @property
-    def needs_q(self) -> bool:
-        return self.name in ("Kbar", "KQbar+", "KQbar-", "KFq", "KQFq+", "KQFq-")
-
-    @property
-    def allows_degree_minus_one(self) -> bool:
-        return self.name in ("KQ+", "KQ-")
+THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
+    TheoryTag("K", lambda n, spec, q: k_rf(n, spec)),
+    *_signed("KQ", lambda eps, n, spec, q: kq_rf(n, eps, spec, q), allows_degree_minus_one=True),
+    *_signed("V", lambda eps, n, spec, q: v_rf(n, eps, spec)),
+    *_signed("U", lambda eps, n, spec, q: u_rf(n, eps, spec)),
+    TheoryTag("W", lambda n, spec, q: witt(spec), needs_degree=False),
+    TheoryTag("W'", lambda n, spec, q: cowitt(spec), needs_degree=False),
+    TheoryTag("W1", lambda n, spec, q: w1(spec), needs_degree=False),
+    # the stored Kbar rows do not read q
+    TheoryTag("Kbar", lambda n, spec, q: k_bar(n, q, a_param(spec))),
+    *_signed("KQbar", lambda eps, n, spec, q: kq_bar(n, eps, q), needs_q=True),
+    *_signed("Vbar", lambda eps, n, spec, q: v_bar(n, eps)),
+    TheoryTag("KO", lambda n, spec, q: ko(n)),
+    TheoryTag("KU", lambda n, spec, q: ku(n)),
+    TheoryTag("KFq", lambda n, spec, q: k_fq(n, q), needs_q=True),
+    *_signed("KQFq", lambda eps, n, spec, q: kq_fq(n, eps, q), needs_q=True),
+)}
 
 
 def query(tag: TheoryTag, n: int | None, spec: FieldSpec, q: int | None) -> FgAb2:
-    """Evaluate one theory at one degree.  Degree rules follow the theory:
-    only KQ+- accept n = -1 (via the low-degree computation)."""
-    name = tag.name
-    if name == "W":
-        return witt(spec)
-    if name == "W'":
-        return cowitt(spec)
-    if name == "W1":
-        return w1(spec)
+    """Evaluate one theory at one degree, under the degree and q rules of
+    its registry entry; n = -1 goes to the low-degree computation."""
+    if not tag.needs_degree:
+        return tag.evaluate(n, spec, q)
     if n is None:
-        raise ValueError(f"theory {name} needs a degree")
-    if name in ("KQ+", "KQ-") and n == -1:
-        return low_dim(spec, tag.eps or 1)[-1]
+        raise ValueError(f"theory {tag.name} needs a degree")
+    if tag.allows_degree_minus_one and n == -1:
+        return low_dim(spec, tag.eps)[-1]
     if n < 0:
-        raise NegativeDegree(f"theory {name} needs n >= 0, got {n}")
-    if name == "K":
-        return k_rf(n, spec)
-    if name in ("KQ+", "KQ-"):
-        return kq_rf(n, tag.eps, spec, q)
-    if name in ("V+", "V-"):
-        return v_rf(n, tag.eps, spec)
-    if name in ("U+", "U-"):
-        return u_rf(n, tag.eps, spec)
-    if name == "Kbar":
-        return k_bar(n, q, a_param(spec))
-    if name in ("KQbar+", "KQbar-"):
-        if q is None:
-            raise ValueError(f"theory {name} needs q")
-        return kq_bar(n, tag.eps, q)
-    if name in ("Vbar+", "Vbar-"):
-        return v_bar(n, tag.eps)
-    if name == "KO":
-        return ko(n)
-    if name == "KU":
-        return ku(n)
-    if name == "KFq":
-        if q is None:
-            raise ValueError("theory KFq needs q")
-        return k_fq(n, q)
-    if name in ("KQFq+", "KQFq-"):
-        if q is None:
-            raise ValueError(f"theory {name} needs q")
-        return kq_fq(n, tag.eps, q)
-    raise ValueError(f"unhandled theory {name}")
+        raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
+    if tag.needs_q and q is None:
+        raise ValueError(f"theory {tag.name} needs q")
+    return tag.evaluate(n, spec, q)

@@ -1,7 +1,10 @@
 import json
 
-from kq2 import tables as tb
-from kq2.cli import main
+import pytest
+
+from kq2 import adams, tables as tb, verify
+from kq2.adams import Q_BOUND
+from kq2.cli import N_MAX_BOUND, main
 
 
 def run(capsys, *argv):
@@ -183,3 +186,41 @@ def test_determinism(capsys):
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
     assert (code1, out1) == (code2, out2)
+
+
+def test_adams_builds_the_bracket_once(capsys, monkeypatch):
+    calls = []
+    original = adams.bracket
+    monkeypatch.setattr(adams, "bracket", lambda *a: calls.append(a) or original(*a))
+    code, out, _ = run(capsys, "adams", "--q", "5")
+    assert code == 0 and "(odd)" in out
+    assert len(calls) == 1
+
+
+def _refuse(*args):
+    raise AssertionError("work started above the bound")
+
+
+@pytest.mark.parametrize("argv, target, name", [
+    (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "query"),
+    (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
+    (("adams", "--q", str(Q_BOUND + 2)), adams, "binomial_power"),
+])
+def test_input_bounds_exit_2_before_work(capsys, monkeypatch, argv, target, name):
+    monkeypatch.setattr(target, name, _refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "BoundExceeded" in err
+
+
+def test_negative_n_max_is_a_usage_error(capsys):
+    for command in ("table", "verify"):
+        code, _, _ = run(capsys, command, "--n-max", "-1", "--field", "Q")
+        assert code == 1
+
+
+def test_group_help_lists_every_theory(capsys):
+    with pytest.raises(SystemExit):
+        main(["group", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ", ".join(tb.THEORIES) in help_text

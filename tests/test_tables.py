@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from kq2 import tables as tb
-from kq2.abgroup import C, C2, Z, ZERO, direct_sum, n_copies, parse_group
+from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, parse_group
 from kq2.errors import (
     DegreeOutOfRange,
     EvenN,
@@ -9,7 +11,7 @@ from kq2.errors import (
     NotTwoRegular,
     OddM,
 )
-from kq2.fields import Generic, Rationals, RealQuadratic, find_q
+from kq2.fields import Generic, Rationals, RealQuadratic, find_q, parse_field
 
 Q = Rationals()
 D6 = RealQuadratic(6)
@@ -209,9 +211,43 @@ def test_theory_dispatch():
         tb.query(tb.TheoryTag.parse("K"), None, Q, None)
 
 
+def test_registry_names_parse():
+    for name, tag in tb.THEORIES.items():
+        assert tb.TheoryTag.parse(name.lower()) is tag
+    for alias in ("WPRIME", "W′", " wprime "):
+        assert tb.TheoryTag.parse(alias) is tb.THEORIES["W'"]
+
+
 def test_fault_injection_is_scoped():
     clean = tb.kq_bar(4, -1, 3)
     with tb.fault_injection("kq_bar-", 4):
         assert tb.kq_bar(4, -1, 3) != clean
     assert tb.kq_bar(4, -1, 3) == clean
-    assert len(tb.fault_sites()) == 72
+    assert len(tb.fault_sites()) == 80
+
+
+GOLDEN_SHA256 = "b632186f138d284c63a48c08627ecc8020e65ffa5018494dddbd58e1f18655b4"
+GOLDEN_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+",
+                 "generic r=3 a=2 regular")
+
+
+def _golden_lines():
+    """One line per (field, q, theory, n): the formatted group or the type
+    of the exception query raised."""
+    for text in GOLDEN_FIELDS:
+        spec = parse_field(text)
+        for q in (find_q(spec), None):
+            for name, tag in sorted(tb.THEORIES.items()):
+                degrees = [None] if not tag.needs_degree else []
+                for n in degrees + list(range(-1, 41)):
+                    try:
+                        out = format_group(tb.query(tag, n, spec, q))
+                    except Exception as exc:
+                        out = type(exc).__name__
+                    yield f"{text}|{q}|{name}|{n}|{out}"
+
+
+def test_query_golden_digest():
+    """Pins every theory's value or error on six fields, with and without q."""
+    blob = "\n".join(_golden_lines()).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
