@@ -22,13 +22,13 @@ from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error
 from .fields import (
     FieldSpec,
     RealQuadratic,
-    a_param,
+    ResolvedField,
     find_q,
-    is_two_regular,
+    find_q_for_a,
     is_unverified_generic,
     parse_field,
-    real_embeddings,
     require_admissible_q,
+    resolve,
     two_regular_oracle,
 )
 from .tables import TheoryTag
@@ -96,13 +96,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _field_meta(spec: FieldSpec) -> dict:
-    regular, _ = is_two_regular(spec)
+def _field_meta(field: ResolvedField) -> dict:
     return {
-        "label": str(spec),
-        "r": real_embeddings(spec),
-        "a_F": a_param(spec),
-        "two_regular": regular,
+        "label": str(field),
+        "r": field.r,
+        "a_F": field.a,
+        "two_regular": field.regular,
     }
 
 
@@ -148,11 +147,12 @@ def _cmd_group(args) -> int:
     if args.n == -1 and not tag.allows_degree_minus_one:
         low = " and ".join(name for name, t in tables.THEORIES.items() if t.allows_degree_minus_one)
         raise _UsageError(f"n = -1 is only defined for {low}, not {tag.name}")
-    g = tables.query(tag, args.n, spec, q)
+    field = resolve(spec)
+    g = tables.query(tag, args.n, field, q)
     _kbar_note([tag], [args.n], notes)
     payload = {
         "query": {"command": "group", "theory": tag.name, "n": args.n, "field": args.field},
-        "field": _field_meta(spec),
+        "field": _field_meta(field),
         "q": q,
         "result": {**group_to_json(g), "formatted": format_group(g)},
         "notes": notes,
@@ -176,12 +176,13 @@ def _cmd_table(args) -> int:
     _check_n_max(args.n_max)
     _generic_note(spec, notes)
     q = _resolve_q(args, spec, notes)
+    field = resolve(spec)
     rows = []
     for n in range(0, args.n_max + 1):
         groups = []
         for tag in tags:
             try:
-                groups.append(tables.query(tag, n, spec, q))
+                groups.append(tables.query(tag, n, field, q))
             except DegreeOutOfRange:
                 groups.append(None)  # theory not defined in this degree
         rows.append((n, groups))
@@ -199,7 +200,7 @@ def _cmd_table(args) -> int:
     payload = {
         "query": {"command": "table", "theories": [t.name for t in tags],
                   "n_max": args.n_max, "field": args.field},
-        "field": _field_meta(spec),
+        "field": _field_meta(field),
         "q": q,
         "results": [
             {
@@ -220,9 +221,9 @@ def _cmd_table(args) -> int:
 
 def _cmd_regular(args) -> int:
     spec = parse_field(args.field)
+    field = resolve(spec)
     notes: list[str] = []
-    criterion, reason = is_two_regular(spec)
-    verdict, reasons = criterion, [reason]
+    verdict, reasons, failing = field.regular, [field.reason], []
     oracle_data = None
     if args.oracle:
         if not isinstance(spec, RealQuadratic):
@@ -237,17 +238,16 @@ def _cmd_regular(args) -> int:
             "reasons": list(inv.reasons),
         }
         verdict = inv.two_regular
-        reasons = [r for r in inv.reasons]
-        if inv.two_regular != criterion:
+        reasons, failing = list(inv.reasons), list(inv.failing)
+        if inv.two_regular != field.regular:
             notes.append("oracle verdict disagrees with the closed-form criterion")
-    failing = [r for r in reasons if "fail" in r or "even order" in r or "two dyadic" in r]
     if verdict:
         human = [f"2-regular: {'; '.join(reasons)}"]
     else:
         human = [f"not 2-regular: {'; '.join(failing or reasons)}"]
     payload = {
         "query": {"command": "regular", "field": args.field, "oracle": args.oracle},
-        "field": _field_meta(spec),
+        "field": _field_meta(field),
         "result": {"two_regular": verdict, "reasons": reasons, "oracle": oracle_data},
         "notes": notes,
     }
@@ -256,16 +256,16 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_find_q(args) -> int:
-    spec = parse_field(args.field)
-    q = find_q(spec)
+    field = resolve(parse_field(args.field))
+    q = find_q_for_a(field.a)
     payload = {
         "query": {"command": "find-q", "field": args.field},
-        "field": _field_meta(spec),
+        "field": _field_meta(field),
         "q": q,
         "result": {"q": q, "admissibility": "congruence-admissible"},
         "notes": [],
     }
-    _emit(args, payload, [f"q = {q} (congruence-admissible for {spec})"])
+    _emit(args, payload, [f"q = {q} (congruence-admissible for {field})"])
     return EXIT_OK
 
 
@@ -274,7 +274,8 @@ def _cmd_verify(args) -> int:
     spec = parse_field(args.field)
     notes: list[str] = []
     q = _resolve_q(args, spec, notes)
-    reports = verify.run_all(spec, q, args.n_max)
+    field = resolve(spec)
+    reports = verify.run_all(field, q, args.n_max)
     failures = [rep for rep in reports if not rep.passed]
     human = [f"# {verify.REPORT_HEADER}"]
     human += [f"# {note}" for note in notes]
@@ -286,7 +287,7 @@ def _cmd_verify(args) -> int:
     human.append(f"{len(reports) - len(failures)}/{len(reports)} checks passed")
     payload = {
         "query": {"command": "verify", "field": args.field, "n_max": args.n_max},
-        "field": _field_meta(spec),
+        "field": _field_meta(field),
         "q": q,
         "header": verify.REPORT_HEADER,
         "results": verify.reports_to_json(reports),

@@ -90,6 +90,8 @@ class FieldInvariants:
     narrow_pic_odd: bool | None
     two_regular: bool
     reasons: tuple[str, ...] = field(default_factory=tuple)
+    # the reasons of the conditions that are known to fail
+    failing: tuple[str, ...] = field(default_factory=tuple)
 
 
 def validate_spec(spec: FieldSpec) -> None:
@@ -128,6 +130,10 @@ def validate_spec(spec: FieldSpec) -> None:
 
 def real_embeddings(spec: FieldSpec) -> int:
     validate_spec(spec)
+    return _real_embeddings(spec)
+
+
+def _real_embeddings(spec: FieldSpec) -> int:
     if isinstance(spec, Rationals):
         return 1
     if isinstance(spec, RealQuadratic):
@@ -143,6 +149,10 @@ def a_param(spec: FieldSpec) -> int:
     """The 2-adic size parameter a_F (= 2 except in the 2-power cyclotomic
     tower, where it grows, and for Q(sqrt 2) where it is 3)."""
     validate_spec(spec)
+    return _a_param(spec)
+
+
+def _a_param(spec: FieldSpec) -> int:
     if isinstance(spec, Rationals):
         return 2
     if isinstance(spec, RealQuadratic):
@@ -220,10 +230,38 @@ def is_unverified_generic(spec: FieldSpec) -> bool:
     return isinstance(spec, Generic) and spec.regular_claim is None
 
 
-def require_two_regular(spec: FieldSpec) -> None:
-    regular, reason = is_two_regular(spec)
-    if not regular:
-        raise NotTwoRegular(f"{spec} is not 2-regular: {reason}")
+@dataclass(frozen=True)
+class ResolvedField:
+    """A field spec validated once, with its parameters r and a_F and its
+    2-regularity verdict; it prints as the spec."""
+
+    spec: FieldSpec
+    r: int
+    a: int
+    regular: bool
+    reason: str
+
+    def __str__(self) -> str:
+        return str(self.spec)
+
+
+FieldLike = Union[FieldSpec, ResolvedField]
+
+
+def resolve(spec: FieldLike) -> ResolvedField:
+    """The resolved record of a spec (a record is returned unchanged)."""
+    if isinstance(spec, ResolvedField):
+        return spec
+    regular, reason = is_two_regular(spec)  # validates the spec
+    return ResolvedField(spec, _real_embeddings(spec), _a_param(spec), regular, reason)
+
+
+def require_two_regular(spec: FieldLike) -> ResolvedField:
+    """The resolved record of a 2-regular field; raises NotTwoRegular."""
+    resolved = resolve(spec)
+    if not resolved.regular:
+        raise NotTwoRegular(f"{resolved} is not 2-regular: {resolved.reason}")
+    return resolved
 
 
 def bokstedt_cartesian(spec: FieldSpec) -> bool:
@@ -242,24 +280,33 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     """
     if not isinstance(spec, RealQuadratic):
         raise InvalidSpec("the regularity oracle covers real quadratic fields only")
-    a_F = a_param(spec)  # validates the spec
     d = spec.d
-    qd = nt.quadratic_data(d)
+    nt.check_class_number_bound(d)  # before the factorization in validate_spec
+    validate_spec(spec)
+    qd = nt._quadratic_data(d)
     cd, dy, eps = qd.classes, qd.dyadic, qd.unit
 
     reasons: list[str] = []
+    failing: list[str] = []
+
+    def note(reason: str, holds: bool | None) -> None:
+        reasons.append(reason)
+        if holds is False:
+            failing.append(reason)
+
     if dy.count == 1:
-        reasons.append("unique dyadic prime")
+        note("unique dyadic prime", True)
     else:
-        reasons.append(f"two dyadic primes (d = {d} splits 2, d = 1 mod 8)")
+        note(f"two dyadic primes (d = {d} splits 2, d = 1 mod 8)", False)
 
     pic_odd: bool | None = None
     if dy.class_order is not None:
         pic_order = cd.h // dy.class_order
         pic_odd = pic_order % 2 == 1
-        reasons.append(
+        note(
             f"Pic(R_F) has {'odd' if pic_odd else 'even'} order {pic_order}"
-            f" (h = {cd.h}, dyadic class order {dy.class_order})"
+            f" (h = {cd.h}, dyadic class order {dy.class_order})",
+            pic_odd,
         )
 
     narrow_pic_odd: bool | None = None
@@ -271,26 +318,23 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     # dyadic S-units; mixed signs exist iff some generator has negative norm.
     if eps.norm == -1:
         units = True
-        reasons.append("fundamental unit has norm -1 (independent signs)")
+        note("fundamental unit has norm -1 (independent signs)", units)
     elif dy.generator is not None:
         gen = dy.generator
         conj = nt.QuadUnit(gen.x, -gen.y, gen.denom, d, gen.norm)
         units = nt.sign_span_is_full(nt.signature_span([eps, gen, conj]))
-        reasons.append(
+        note(
             "units of independent signs"
             if units
-            else "units of independent signs fail (all 2-unit generators totally positive up to sign)"
+            else "units of independent signs fail (all 2-unit generators totally positive up to sign)",
+            units,
         )
     elif dy.generator_norm_negative is not None:
         units = dy.generator_norm_negative
-        reasons.append(
-            "units of independent signs"
-            if units
-            else "units of independent signs fail"
-        )
+        note("units of independent signs" if units else "units of independent signs fail", units)
     else:
         units = None
-        reasons.append("unit signature search undecided")
+        note("unit signature search undecided", units)
 
     two_regular = dy.count == 1 and pic_odd is True and units is True
     if two_regular:
@@ -298,13 +342,14 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     return FieldInvariants(
         r=2,
         c=0,
-        a_F=a_F,
+        a_F=_a_param(spec),
         dyadic_count=dy.count,
         pic_odd=pic_odd,
         units_indep_signs=units,
         narrow_pic_odd=narrow_pic_odd,
         two_regular=two_regular,
         reasons=tuple(reasons),
+        failing=tuple(failing),
     )
 
 
@@ -315,7 +360,11 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
 def is_admissible_q(q: int, spec: FieldSpec) -> bool:
     """Congruence admissibility: q prime, q = +-1 (mod 2^a) but not
     (mod 2^(a+1)), where a is the field's 2-adic size parameter."""
-    a = a_param(spec)
+    return is_admissible_q_for_a(q, a_param(spec))
+
+
+def is_admissible_q_for_a(q: int, a: int) -> bool:
+    """Congruence admissibility of q for the parameter a."""
     if q < 3 or not nt.is_prime(q):
         return False
     m, m2 = 1 << a, 1 << (a + 1)
@@ -325,13 +374,17 @@ def is_admissible_q(q: int, spec: FieldSpec) -> bool:
 
 
 def find_q_for_a(a: int, limit: int = 10**7) -> int:
-    """Smallest congruence-admissible prime for the parameter a."""
+    """Smallest congruence-admissible prime for the parameter a.
+
+    For a >= 2 the admissible residues are 2^a - 1 and 2^a + 1 modulo
+    2^(a+1); only those are tried, in increasing order.  For a < 2 no
+    residue is admissible."""
     m, m2 = 1 << a, 1 << (a + 1)
-    q = 3
-    while q < limit:
-        if q % m in (1, m - 1) and q % m2 not in (1, m2 - 1) and nt.is_prime(q):
-            return q
-        q += 2
+    if a >= 2:
+        for low in range(m - 1, limit, m2):
+            for q in (low, low + 2):
+                if q < limit and nt.is_prime(q):
+                    return q
     raise InadmissibleQ(f"no admissible prime below {limit} for a = {a}")
 
 

@@ -594,9 +594,19 @@ def quadratic_data(d: int) -> QuadraticData:
     number is the number of cycles; the wide one follows from the norm of
     the fundamental unit; the dyadic data reads the cycle index.
     """
+    check_class_number_bound(d)
+    _require_squarefree_d(d)
+    return _quadratic_data(d)
+
+
+def check_class_number_bound(d: int) -> None:
+    """Raise BoundExceeded for d > CLASS_NUMBER_BOUND (no factorization)."""
     if d > CLASS_NUMBER_BOUND:
         raise BoundExceeded(f"d={d} exceeds the class-number bound {CLASS_NUMBER_BOUND}")
-    _require_squarefree_d(d)
+
+
+def _quadratic_data(d: int) -> QuadraticData:
+    """quadratic_data for a d already known to be squarefree and in bounds."""
     D = d if d % 4 == 1 else 4 * d
     unit = _fundamental_unit(d)
     cycle_of, h_narrow = _form_cycles(D)

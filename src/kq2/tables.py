@@ -25,7 +25,7 @@ from .errors import (
     NegativeDegree,
     OddM,
 )
-from .fields import FieldSpec, a_param, real_embeddings, require_two_regular
+from .fields import FieldLike, require_two_regular, resolve
 from .numtheory import nu2, val2_q_power
 
 
@@ -297,35 +297,38 @@ def _eval_row(table: str, ctx: _Ctx) -> FgAb2:
     return g
 
 
-def _rf_ctx(n: int, spec: FieldSpec, q: int | None) -> _Ctx:
-    require_two_regular(spec)
+def _rf_ctx(n: int, spec: FieldLike, q: int | None) -> _Ctx:
+    field = require_two_regular(spec)
     if n < 0:
         raise NegativeDegree(f"table degree must be >= 0, got {n}")
-    return _Ctx(n=n, k=n // 8, r=real_embeddings(spec), a=a_param(spec), q=q)
+    return _Ctx(n=n, k=n // 8, r=field.r, a=field.a, q=q)
 
 
 # ---------------------------------------------------------------------------
 # Theories over the 2-integers of a 2-regular field
+#
+# Every function that reads the field takes a spec or its resolved record
+# (fields.resolve); a record skips the re-validation in each call.
 
 
-def k_rf(n: int, spec: FieldSpec) -> FgAb2:
+def k_rf(n: int, spec: FieldLike) -> FgAb2:
     """2-primary algebraic K-groups of the 2-integers of the field."""
     return _eval_row("k_rf", _rf_ctx(n, spec, None))
 
 
-def kq_rf(n: int, eps: int, spec: FieldSpec, q: int | None = None) -> FgAb2:
+def kq_rf(n: int, eps: int, spec: FieldLike, q: int | None = None) -> FgAb2:
     """2-primary hermitian K-groups of the 2-integers of the field."""
     _check_eps(eps)
     return _eval_row("kq_rf+" if eps == 1 else "kq_rf-", _rf_ctx(n, spec, q))
 
 
-def v_rf(n: int, eps: int, spec: FieldSpec) -> FgAb2:
+def v_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
     """Homotopy of the fiber of the forgetful map, hermitian to algebraic."""
     _check_eps(eps)
     return _eval_row("v_rf+" if eps == 1 else "v_rf-", _rf_ctx(n, spec, None))
 
 
-def u_rf(n: int, eps: int, spec: FieldSpec) -> FgAb2:
+def u_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
     """Homotopy of the fiber of the hyperbolic map; the sign-swapped
     V-theory shifted one degree down."""
     _check_eps(eps)
@@ -378,42 +381,39 @@ def k_bar_uses_resolved_order(n: int) -> bool:
 # Witt-type groups and square classes
 
 
-def witt(spec: FieldSpec) -> FgAb2:
+def witt(spec: FieldLike) -> FgAb2:
     """Witt group of the 2-integers: Z^r + Z/2 for 2-regular fields."""
-    require_two_regular(spec)
-    return direct_sum(Z(real_embeddings(spec)), C(2))
+    return direct_sum(Z(require_two_regular(spec).r), C(2))
 
 
-def cowitt(spec: FieldSpec) -> FgAb2:
+def cowitt(spec: FieldLike) -> FgAb2:
     """CoWitt group; isomorphic to the Witt group in the 2-regular case."""
     return witt(spec)
 
 
-def w1(spec: FieldSpec) -> FgAb2:
+def w1(spec: FieldLike) -> FgAb2:
     """Degree-1 Witt group: the 2-torsion of Pic plus Z/2, and Pic is odd
     for 2-regular fields."""
     require_two_regular(spec)
     return C(2)
 
 
-def square_classes(spec: FieldSpec) -> FgAb2:
+def square_classes(spec: FieldLike) -> FgAb2:
     """Square classes of the 2-unit group: (Z/2)^(r+1)."""
-    require_two_regular(spec)
-    return C2(real_embeddings(spec) + 1)
+    return C2(require_two_regular(spec).r + 1)
 
 
 # ---------------------------------------------------------------------------
 # Low degrees and endomorphism classifications
 
 
-def low_dim(spec: FieldSpec, eps: int) -> dict[int, FgAb2]:
+def low_dim(spec: FieldLike, eps: int) -> dict[int, FgAb2]:
     """Hermitian K-groups in degrees -1, 0, 1 from first principles."""
     _check_eps(eps)
-    require_two_regular(spec)
+    field = require_two_regular(spec)
     if eps == -1:
         return {-1: ZERO, 0: Z(1), 1: ZERO}
-    r = real_embeddings(spec)
-    return {-1: ZERO, 0: kq_rf(0, 1, spec), 1: C2(r + 2)}
+    return {-1: ZERO, 0: kq_rf(0, 1, field), 1: C2(field.r + 2)}
 
 
 HF_MULTIPLY_BY_2 = "MultiplyBy2"
@@ -467,10 +467,11 @@ _ALIASES = {"WPRIME": "W'", "W′": "W'"}
 @dataclass(frozen=True)
 class TheoryTag:
     """One theory of the registry: its name, its evaluator
-    ``evaluate(n, spec, q)``, its sign, and its q and degree rules."""
+    ``evaluate(n, spec, q)`` (spec: a field spec or its resolved record),
+    its sign, and its q and degree rules."""
 
     name: str
-    evaluate: Callable[[int | None, FieldSpec, int | None], FgAb2]
+    evaluate: Callable[[int | None, FieldLike, int | None], FgAb2]
     eps: int | None = None
     needs_q: bool = False
     needs_degree: bool = True
@@ -504,7 +505,7 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("W'", lambda n, spec, q: cowitt(spec), needs_degree=False),
     TheoryTag("W1", lambda n, spec, q: w1(spec), needs_degree=False),
     # the stored Kbar rows do not read q
-    TheoryTag("Kbar", lambda n, spec, q: k_bar(n, q, a_param(spec))),
+    TheoryTag("Kbar", lambda n, spec, q: k_bar(n, q, resolve(spec).a)),
     *_signed("KQbar", lambda eps, n, spec, q: kq_bar(n, eps, q), needs_q=True),
     *_signed("Vbar", lambda eps, n, spec, q: v_bar(n, eps)),
     TheoryTag("KO", lambda n, spec, q: ko(n)),
@@ -514,7 +515,7 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
 )}
 
 
-def query(tag: TheoryTag, n: int | None, spec: FieldSpec, q: int | None) -> FgAb2:
+def query(tag: TheoryTag, n: int | None, spec: FieldLike, q: int | None) -> FgAb2:
     """Evaluate one theory at one degree, under the degree and q rules of
     its registry entry; n = -1 goes to the low-degree computation."""
     if not tag.needs_degree:

@@ -32,11 +32,10 @@ from .abgroup import (
 )
 from .errors import InadmissibleQ
 from .fields import (
-    FieldSpec,
-    a_param,
-    find_q,
-    is_admissible_q,
-    real_embeddings,
+    FieldLike,
+    ResolvedField,
+    find_q_for_a,
+    is_admissible_q_for_a,
     require_two_regular,
 )
 
@@ -83,30 +82,31 @@ def _equality_report(name: str, cases: Iterable[tuple[dict, FgAb2, FgAb2]], deta
     return CheckReport(name, True, f"{details} ({checked} cases)")
 
 
-def _prepare(spec: FieldSpec, q: int | None) -> int:
-    require_two_regular(spec)
+def _prepare(spec: FieldLike, q: int | None) -> tuple[ResolvedField, int]:
+    """The resolved 2-regular field and its admissible q (the smallest one
+    if q is None)."""
+    field = require_two_regular(spec)
     if q is None:
-        return find_q(spec)
-    if not is_admissible_q(q, spec):
-        raise InadmissibleQ(f"q = {q} is not congruence-admissible for {spec}")
-    return q
+        return field, find_q_for_a(field.a)
+    if not is_admissible_q_for_a(q, field.a):
+        raise InadmissibleQ(f"q = {q} is not congruence-admissible for {field}")
+    return field, q
 
 
-def check_splittings(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
+def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies."""
-    q = _prepare(spec, q)
+    field, q = _prepare(spec, q)
     if n_max < 8:
         raise ValueError(f"n_max must be >= 8, got {n_max}")
-    r = real_embeddings(spec)
-    a = a_param(spec)
+    r, a = field.r, field.a
     degrees = range(0, n_max + 1)
 
     def cases_a():
         for n in degrees:
             yield (
                 {"identity": "KQ+", "n": n, "r": r},
-                tb.kq_rf(n, 1, spec, q),
+                tb.kq_rf(n, 1, field, q),
                 direct_sum(tb.kq_bar(n, 1, q), n_copies(r - 1, tb.ko(n))),
             )
 
@@ -114,7 +114,7 @@ def check_splittings(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> 
         for n in degrees:
             yield (
                 {"identity": "KQ-", "n": n, "r": r},
-                tb.kq_rf(n, -1, spec, q),
+                tb.kq_rf(n, -1, field, q),
                 direct_sum(tb.kq_bar(n, -1, q), n_copies(r - 1, tb.ko(n + 6))),
             )
 
@@ -122,7 +122,7 @@ def check_splittings(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> 
         for n in degrees:
             yield (
                 {"identity": "V+", "n": n, "r": r},
-                tb.v_rf(n, 1, spec),
+                tb.v_rf(n, 1, field),
                 direct_sum(tb.v_bar(n, 1), n_copies(2 * (r - 1), tb.ko(n))),
             )
 
@@ -130,7 +130,7 @@ def check_splittings(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> 
         for n in degrees:
             yield (
                 {"identity": "V-", "n": n, "r": r},
-                tb.v_rf(n, -1, spec),
+                tb.v_rf(n, -1, field),
                 direct_sum(tb.v_bar(n, -1), n_copies(r - 1, tb.ku(n))),
             )
 
@@ -139,7 +139,7 @@ def check_splittings(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> 
             if n >= 1:
                 yield (
                     {"identity": "K", "n": n, "r": r},
-                    tb.k_rf(n, spec),
+                    tb.k_rf(n, field),
                     direct_sum(tb.k_bar(n, q, a), n_copies(r - 1, tb.ko(n - 1))),
                 )
 
@@ -156,28 +156,26 @@ def check_splittings(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> 
     ]
 
 
-def _mv_window(spec: FieldSpec, q: int, eps: int, n_lo: int, n_hi: int) -> ExactWindow:
+def _mv_window(r: int, q: int, eps: int, n_lo: int, n_hi: int) -> ExactWindow:
     """One stretch of the Mayer-Vietoris sequence for the pullback that
     defines the barred theory, ordered as it appears in the sequence:
 
         ... -> r * KQ_{n+1}(C) -> KQbar_n -> KQ_n(Fq) + r * KQ_n(R)
             -> r * KQ_n(C) -> ...
     """
-    r = real_embeddings(spec)
     groups: list[FgAb2] = []
     for n in range(n_hi, n_lo - 1, -1):
         groups.append(n_copies(r, tb.kq_top(n + 1, eps, "C")))
-        groups.append(direct_sum(tb.kq_bar(n, eps, q), _split_summand(spec, eps, n)))
+        groups.append(direct_sum(tb.kq_bar(n, eps, q), _split_summand(r, eps, n)))
         groups.append(direct_sum(tb.kq_fq(n, eps, q), n_copies(r, tb.kq_top(n, eps, "R"))))
     return ExactWindow(tuple(groups), bounded=False)
 
 
-def _split_summand(spec: FieldSpec, eps: int, n: int) -> FgAb2:
-    r = real_embeddings(spec)
+def _split_summand(r: int, eps: int, n: int) -> FgAb2:
     return n_copies(r - 1, tb.ko(n) if eps == 1 else tb.ko(n + 6))
 
 
-def check_les(spec: FieldSpec, q: int | None = None) -> list[CheckReport]:
+def check_les(spec: FieldLike, q: int | None = None) -> list[CheckReport]:
     """Exact-sequence necessary conditions.
 
     (a) the Mayer-Vietoris rank Euler characteristic vanishes over a full
@@ -186,14 +184,14 @@ def check_les(spec: FieldSpec, q: int | None = None) -> list[CheckReport]:
         the rank/order consistency test;
     (c) the all-finite vertical window in degrees 3 mod 8 telescopes.
     """
-    q = _prepare(spec, q)
-    r = real_embeddings(spec)
+    field, q = _prepare(spec, q)
+    r = field.r
     reports: list[CheckReport] = []
 
     for eps in (1, -1):
         failure = None
         for n_lo in (1, 9):
-            window = _mv_window(spec, q, eps, n_lo, n_lo + 7)
+            window = _mv_window(r, q, eps, n_lo, n_lo + 7)
             if not exact_window_check(window):
                 failure = {
                     "eps": eps,
@@ -212,7 +210,7 @@ def check_les(spec: FieldSpec, q: int | None = None) -> list[CheckReport]:
 
     # degree-1 sequence: 0 -> r*K_2(C) -> K_1(R_F) -> r*K_1(R) + K_1(Fq) -> 0
     a_grp = n_copies(r, tb.ku(2))
-    b_grp = tb.k_rf(1, spec)
+    b_grp = tb.k_rf(1, field)
     c_grp = direct_sum(C2(r), tb.k_fq(1, q))
     passed = ses_consistent(a_grp, b_grp, c_grp)
     reports.append(
@@ -230,8 +228,8 @@ def check_les(spec: FieldSpec, q: int | None = None) -> list[CheckReport]:
     for label, (a2, b2, c2) in {
         "coWitt discriminant sequence (2-integers row)": (
             Z(r),
-            tb.cowitt(spec),
-            tb.square_classes(spec),
+            tb.cowitt(field),
+            tb.square_classes(field),
         ),
         "coWitt discriminant sequence (archimedean/residue row)": (
             Z(r),
@@ -285,8 +283,6 @@ def check_les(spec: FieldSpec, q: int | None = None) -> list[CheckReport]:
 def check_t_w(a_range: Iterable[int], n_max: int = 400) -> CheckReport:
     """The identity t(n, q) = w((n+1)/2, a) for admissible q and
     n = 3 (mod 4)."""
-    from .fields import find_q_for_a
-
     checked = 0
     for a in a_range:
         q = find_q_for_a(a)
@@ -308,15 +304,15 @@ def check_t_w(a_range: Iterable[int], n_max: int = 400) -> CheckReport:
     )
 
 
-def _check_extras(spec: FieldSpec, q: int, n_max: int) -> list[CheckReport]:
-    r = real_embeddings(spec)
+def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]:
+    r = field.r
     reports: list[CheckReport] = []
 
     reports.append(
         _equality_report(
             "V+ is 2r copies of KO",
             (
-                ({"n": n, "r": r}, tb.v_rf(n, 1, spec), n_copies(2 * r, tb.ko(n)))
+                ({"n": n, "r": r}, tb.v_rf(n, 1, field), n_copies(2 * r, tb.ko(n)))
                 for n in range(0, n_max + 1)
             ),
             f"n <= {n_max}",
@@ -326,7 +322,7 @@ def _check_extras(spec: FieldSpec, q: int, n_max: int) -> list[CheckReport]:
         _equality_report(
             "U-theory is sign-swapped V-theory shifted by one",
             (
-                ({"n": n, "eps": eps}, tb.u_rf(n, eps, spec), tb.v_rf(n - 1, -eps, spec))
+                ({"n": n, "eps": eps}, tb.u_rf(n, eps, field), tb.v_rf(n - 1, -eps, field))
                 for n in range(1, n_max + 1)
                 for eps in (1, -1)
             ),
@@ -337,7 +333,7 @@ def _check_extras(spec: FieldSpec, q: int, n_max: int) -> list[CheckReport]:
         _equality_report(
             "V-theory 8-periodicity",
             (
-                ({"n": n, "eps": eps}, tb.v_rf(n, eps, spec), tb.v_rf(n + 8, eps, spec))
+                ({"n": n, "eps": eps}, tb.v_rf(n, eps, field), tb.v_rf(n + 8, eps, field))
                 for n in range(0, n_max + 1)
                 for eps in (1, -1)
             ),
@@ -357,9 +353,9 @@ def _check_extras(spec: FieldSpec, q: int, n_max: int) -> list[CheckReport]:
 
     def low_dim_cases():
         for eps in (1, -1):
-            ld = tb.low_dim(spec, eps)
+            ld = tb.low_dim(field, eps)
             for n in (0, 1):
-                yield ({"n": n, "eps": eps}, ld[n], tb.kq_rf(n, eps, spec, q))
+                yield ({"n": n, "eps": eps}, ld[n], tb.kq_rf(n, eps, field, q))
 
     reports.append(
         _equality_report(
@@ -371,13 +367,13 @@ def _check_extras(spec: FieldSpec, q: int, n_max: int) -> list[CheckReport]:
     return reports
 
 
-def run_all(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
+def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """Full consistency suite for one 2-regular field."""
-    q = _prepare(spec, q)
-    reports = check_splittings(spec, q, n_max)
-    reports += check_les(spec, q)
-    reports += [check_t_w([a_param(spec)], min(4 * n_max, 400))]
-    reports += _check_extras(spec, q, n_max)
+    field, q = _prepare(spec, q)
+    reports = check_splittings(field, q, n_max)
+    reports += check_les(field, q)
+    reports += [check_t_w([field.a], min(4 * n_max, 400))]
+    reports += _check_extras(field, q, n_max)
     return sorted(reports, key=lambda rep: rep.name)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kq2 import adams, tables as tb, verify
+from kq2 import adams, numtheory as nt, tables as tb, verify
 from kq2.adams import Q_BOUND
 from kq2.cli import N_MAX_BOUND, main
 
@@ -45,6 +45,13 @@ def test_regular_oracle(capsys):
     code, out, _ = run(capsys, "regular", "--field", "Q(sqrt 10)", "--oracle")
     assert code == 0
     assert out.startswith("2-regular:")
+
+
+def test_regular_oracle_prints_only_the_failing_conditions(capsys):
+    _, out, _ = run(capsys, "regular", "--field", "Q(sqrt 17)", "--oracle")
+    assert out == "not 2-regular: two dyadic primes (d = 17 splits 2, d = 1 mod 8)\n"
+    _, out, _ = run(capsys, "regular", "--field", "Q(sqrt 34)", "--oracle", "--json")
+    assert json.loads(out)["result"]["oracle"]["reasons"][0] == "unique dyadic prime"
 
 
 def test_group_on_irregular_field_exits_2(capsys):
@@ -224,3 +231,34 @@ def test_group_help_lists_every_theory(capsys):
         main(["group", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert ", ".join(tb.THEORIES) in help_text
+
+
+DEGREE_THEORIES = ",".join(name for name, tag in tb.THEORIES.items() if tag.needs_degree)
+
+
+def _factorize_calls(capsys, monkeypatch, *argv):
+    calls = []
+    original = nt.factorize
+    monkeypatch.setattr(nt, "factorize", lambda *a: calls.append(a) or original(*a))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
+
+
+# the field is resolved once per command, so the number of factorizations
+# does not grow with the number of table cells or verify cases
+@pytest.mark.parametrize("field", ["Q(zeta 11)+", "Q(sqrt 6)", "Q(sqrt 999999999989)"])
+def test_table_factorizes_independently_of_n_max(capsys, monkeypatch, field):
+    counts = [
+        _factorize_calls(capsys, monkeypatch, "table", "--n-max", n_max, "--theories", DEGREE_THEORIES,
+                         "--field", field)
+        for n_max in ("8", "64")
+    ]
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("field", ["Q(zeta 11)+", "Q(sqrt 6)", "Q(sqrt 999999999989)"])
+def test_verify_factorizes_independently_of_n_max(capsys, monkeypatch, field):
+    counts = [_factorize_calls(capsys, monkeypatch, "verify", "--n-max", n_max, "--field", field)
+              for n_max in ("64", "128")]
+    assert counts[0] == counts[1]

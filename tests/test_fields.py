@@ -3,6 +3,7 @@ import pytest
 from kq2 import fields as f
 from kq2 import numtheory as nt
 from kq2.errors import (
+    BoundExceeded,
     InadmissibleQ,
     InvalidSpec,
     NotPrimitiveRoot,
@@ -125,11 +126,12 @@ def test_oracle_computes_each_invariant_once(monkeypatch, d):
 
         monkeypatch.setattr(nt, name, counted)
 
-    names = ("quadratic_data", "reduced_forms", "fundamental_unit", "_cf_reduced_period")
+    names = ("_quadratic_data", "reduced_forms", "fundamental_unit", "_cf_reduced_period", "factorize")
     for name in names:
         count(name)
     f.two_regular_oracle(f.RealQuadratic(d))
-    assert calls["quadratic_data"] == 1
+    assert calls["_quadratic_data"] == 1
+    assert calls["factorize"] == 1  # the one squarefree test of d
     assert calls["reduced_forms"] == 1
     assert calls["_cf_reduced_period"] == 1  # the one period expansion
     assert calls.get("fundamental_unit", 0) <= 1
@@ -187,3 +189,99 @@ def test_parse_field_errors():
         f.parse_field("Q[sqrt 6]")
     with pytest.raises(InvalidSpec):
         f.parse_field("Q(sqrt 12)")
+
+
+def _find_q_linear(a, limit=10**7):
+    """Reference: the scan over every odd q that find_q_for_a replaced."""
+    m, m2 = 1 << a, 1 << (a + 1)
+    q = 3
+    while q < limit:
+        if q % m in (1, m - 1) and q % m2 not in (1, m2 - 1) and nt.is_prime(q):
+            return q
+        q += 2
+    raise InadmissibleQ(f"no admissible prime below {limit} for a = {a}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InadmissibleQ as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("a", range(2, 21))
+def test_find_q_residue_walk_matches_linear_scan(a):
+    assert _outcome(f.find_q_for_a, a) == _outcome(_find_q_linear, a)
+
+
+# limits just at and above the first admissible prime, and one with none below
+@pytest.mark.parametrize("a, limit", [(3, 7), (3, 8), (2, 3), (2, 4), (4, 17), (4, 18), (6, 191), (6, 192),
+                                      (20, 10**6), (1, 100)])
+def test_find_q_residue_walk_respects_the_limit(a, limit):
+    assert _outcome(f.find_q_for_a, a, limit) == _outcome(_find_q_linear, a, limit)
+
+
+def test_find_q_without_a_residue_below_the_limit_tests_no_prime(monkeypatch):
+    def refuse(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(nt, "is_prime", refuse)
+    with pytest.raises(InadmissibleQ, match="for a = 40"):
+        f.find_q_for_a(40)
+
+
+# one spec of every family
+FAMILY_SPECS = [
+    Q,
+    f.RealQuadratic(6),
+    f.RealQuadratic(34),
+    f.MaxRealCyclo2(4),
+    f.MaxRealCycloOdd(11),
+    f.Generic(r=3, a=2, regular_claim=True),
+    f.Generic(r=2, a=3),
+]
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=str)
+def test_resolve_reads_the_spec_once(spec):
+    field = f.resolve(spec)
+    assert f.resolve(field) is field
+    assert str(field) == str(spec)
+    assert field.spec is spec
+    assert (field.r, field.a) == (f.real_embeddings(spec), f.a_param(spec))
+    assert (field.regular, field.reason) == f.is_two_regular(spec)
+
+
+def test_resolve_keeps_the_errors_of_the_criterion():
+    with pytest.raises(InvalidSpec):
+        f.resolve(f.RealQuadratic(12))
+    with pytest.raises(NotPrimitiveRoot):
+        f.resolve(f.MaxRealCycloOdd(7))
+    # the parameters alone do not need the criterion
+    assert f.a_param(f.MaxRealCycloOdd(7)) == 2
+    assert f.real_embeddings(f.MaxRealCycloOdd(7)) == 3
+
+
+def test_require_two_regular_on_a_record():
+    with pytest.raises(NotTwoRegular, match=r"^Q\(sqrt 34\) is not 2-regular: "):
+        f.require_two_regular(f.resolve(f.RealQuadratic(34)))
+    field = f.resolve(f.RealQuadratic(6))
+    assert f.require_two_regular(field) is field
+
+
+def test_oracle_failing_matches_the_reason_keywords():
+    # the keyword match that the CLI used before the oracle listed its failures
+    for d in range(2, 400):
+        if nt.squarefree_part(d)[0]:
+            inv = f.two_regular_oracle(f.RealQuadratic(d))
+            keyed = tuple(r for r in inv.reasons if "fail" in r or "even order" in r or "two dyadic" in r)
+            assert inv.failing == keyed, d
+
+
+def test_oracle_bound_comes_before_any_factorization(monkeypatch):
+    def refuse(n, *args):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(nt, "factorize", refuse)
+    with pytest.raises(BoundExceeded):
+        f.two_regular_oracle(f.RealQuadratic(4 * 10**6))  # not squarefree, above the bound

@@ -11,7 +11,7 @@ from kq2.errors import (
     NotTwoRegular,
     OddM,
 )
-from kq2.fields import Generic, Rationals, RealQuadratic, find_q, parse_field
+from kq2.fields import Generic, Rationals, RealQuadratic, find_q, parse_field, resolve
 
 Q = Rationals()
 D6 = RealQuadratic(6)
@@ -117,16 +117,20 @@ def test_witt_groups():
 
 
 def test_not_two_regular_is_loud():
-    bad = RealQuadratic(34)
-    for fn in (
-        lambda: tb.k_rf(1, bad),
-        lambda: tb.kq_rf(1, 1, bad),
-        lambda: tb.v_rf(1, 1, bad),
-        lambda: tb.witt(bad),
-        lambda: tb.low_dim(bad, 1),
-    ):
-        with pytest.raises(NotTwoRegular):
-            fn()
+    for bad in (RealQuadratic(34), resolve(RealQuadratic(34))):
+        for fn in (
+            lambda: tb.k_rf(1, bad),
+            lambda: tb.kq_rf(1, 1, bad),
+            lambda: tb.v_rf(1, 1, bad),
+            lambda: tb.witt(bad),
+            lambda: tb.w1(bad),
+            lambda: tb.square_classes(bad),
+            lambda: tb.low_dim(bad, 1),
+        ):
+            with pytest.raises(NotTwoRegular):
+                fn()
+        # the building block does not read the regularity verdict
+        assert tb.query(tb.THEORIES["Kbar"], 3, bad, 3) == tb.k_bar(3, 3, 2)
 
 
 def test_low_dim():
@@ -251,3 +255,24 @@ def test_query_golden_digest():
     """Pins every theory's value or error on six fields, with and without q."""
     blob = "\n".join(_golden_lines()).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("text", GOLDEN_FIELDS)
+def test_table_functions_agree_on_spec_and_record(text):
+    spec = parse_field(text)
+    field, q = resolve(spec), find_q(spec)
+    for fn in (tb.witt, tb.cowitt, tb.w1, tb.square_classes):
+        assert fn(field) == fn(spec)
+    for eps in (1, -1):
+        assert tb.low_dim(field, eps) == tb.low_dim(spec, eps)
+    for n in range(0, 17):
+        assert tb.k_rf(n, field) == tb.k_rf(n, spec)
+        for eps in (1, -1):
+            assert tb.kq_rf(n, eps, field, q) == tb.kq_rf(n, eps, spec, q)
+            assert tb.v_rf(n, eps, field) == tb.v_rf(n, eps, spec)
+            if n >= 1:
+                assert tb.u_rf(n, eps, field) == tb.u_rf(n, eps, spec)
+        for tag in tb.THEORIES.values():
+            if tag.needs_degree and n >= 1:
+                assert tb.query(tag, n, field, q) == tb.query(tag, n, spec, q)
+

@@ -9,6 +9,7 @@ from kq2.fields import (
     MaxRealCycloOdd,
     Rationals,
     RealQuadratic,
+    resolve,
 )
 
 REGRESSION_SPECS = (
@@ -56,6 +57,11 @@ def test_check_splittings_example_values():
     spec2 = Generic(r=2, a=2, regular_claim=True)
     assert tb.v_rf(1, 1, spec2) == C2(4)
     assert direct_sum(tb.v_bar(1, 1), n_copies(2, tb.ko(1))) == C2(4)
+
+
+@pytest.mark.parametrize("spec", [Rationals(), RealQuadratic(6), MaxRealCyclo2(4)], ids=str)
+def test_run_all_agrees_on_spec_and_record(spec):
+    assert vf.run_all(resolve(spec), None, 32) == vf.run_all(spec, None, 32)
 
 
 def test_failing_report_needs_counterexample():
