@@ -15,7 +15,17 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import numtheory as nt
-from .errors import InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular
+from .errors import BoundExceeded, InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular
+
+
+# MaxRealCyclo2 accepts b <= B_BOUND (r = 2^(b-2) real embeddings); the
+# field-reading tables accept r <= R_BOUND (their groups hold about r summands)
+B_BOUND = 64
+R_BOUND = 1024
+
+
+# Each family checks its own invariants on construction, so a spec object
+# that exists is valid.
 
 
 @dataclass(frozen=True)
@@ -30,15 +40,27 @@ class RealQuadratic:
 
     d: int
 
+    def __post_init__(self) -> None:
+        if self.d < 2:
+            raise InvalidSpec(f"d must be >= 2, got {self.d}")
+        if not nt.squarefree_part(self.d)[0]:
+            raise InvalidSpec(f"d must be squarefree, got {self.d}")
+
     def __str__(self) -> str:
         return f"Q(sqrt {self.d})"
 
 
 @dataclass(frozen=True)
 class MaxRealCyclo2:
-    """Maximal real subfield of the 2^b-th cyclotomic field, b >= 2."""
+    """Maximal real subfield of the 2^b-th cyclotomic field, 2 <= b <= B_BOUND."""
 
     b: int
+
+    def __post_init__(self) -> None:
+        if self.b < 2:
+            raise InvalidSpec(f"b must be >= 2, got {self.b}")
+        if self.b > B_BOUND:
+            raise BoundExceeded(f"b must be <= {B_BOUND}, got {self.b}")
 
     def __str__(self) -> str:
         return f"Q(zeta 2^{self.b})+"
@@ -50,6 +72,13 @@ class MaxRealCycloOdd:
     power with 2 a primitive root modulo m."""
 
     m: int
+
+    def __post_init__(self) -> None:
+        m = self.m
+        if m < 3 or m % 2 == 0:
+            raise InvalidSpec(f"m must be an odd prime power >= 3, got {m}")
+        if len(set(nt.factorize(m))) != 1:
+            raise InvalidSpec(f"m must be a prime power, got {m}")
 
     def __str__(self) -> str:
         return f"Q(zeta {self.m})+"
@@ -68,6 +97,16 @@ class Generic:
     a: int
     c: int = 0
     regular_claim: Union[bool, tuple, None] = None
+
+    def __post_init__(self) -> None:
+        if self.r < 1:
+            raise InvalidSpec(f"generic spec needs r >= 1, got {self.r}")
+        if self.a < 2:
+            raise InvalidSpec(f"generic spec needs a >= 2, got {self.a}")
+        if self.c < 0:
+            raise InvalidSpec(f"generic spec needs c >= 0, got {self.c}")
+        if isinstance(self.regular_claim, tuple) and len(self.regular_claim) != 3:
+            raise InvalidSpec("regular_claim triple must have three entries")
 
     def __str__(self) -> str:
         suffix = " regular" if self.regular_claim is True else ""
@@ -94,46 +133,11 @@ class FieldInvariants:
     failing: tuple[str, ...] = field(default_factory=tuple)
 
 
-def validate_spec(spec: FieldSpec) -> None:
-    if isinstance(spec, Rationals):
-        return
-    if isinstance(spec, RealQuadratic):
-        if spec.d < 2:
-            raise InvalidSpec(f"d must be >= 2, got {spec.d}")
-        squarefree, _ = nt.squarefree_part(spec.d)
-        if not squarefree:
-            raise InvalidSpec(f"d must be squarefree, got {spec.d}")
-        return
-    if isinstance(spec, MaxRealCyclo2):
-        if spec.b < 2:
-            raise InvalidSpec(f"b must be >= 2, got {spec.b}")
-        return
-    if isinstance(spec, MaxRealCycloOdd):
-        m = spec.m
-        if m < 3 or m % 2 == 0:
-            raise InvalidSpec(f"m must be an odd prime power >= 3, got {m}")
-        if len(set(nt.factorize(m))) != 1:
-            raise InvalidSpec(f"m must be a prime power, got {m}")
-        return
-    if isinstance(spec, Generic):
-        if spec.r < 1:
-            raise InvalidSpec(f"generic spec needs r >= 1, got {spec.r}")
-        if spec.a < 2:
-            raise InvalidSpec(f"generic spec needs a >= 2, got {spec.a}")
-        if spec.c < 0:
-            raise InvalidSpec(f"generic spec needs c >= 0, got {spec.c}")
-        if isinstance(spec.regular_claim, tuple) and len(spec.regular_claim) != 3:
-            raise InvalidSpec("regular_claim triple must have three entries")
-        return
-    raise InvalidSpec(f"unknown field spec {spec!r}")
+def _unknown(spec) -> InvalidSpec:
+    return InvalidSpec(f"unknown field spec {spec!r}")
 
 
 def real_embeddings(spec: FieldSpec) -> int:
-    validate_spec(spec)
-    return _real_embeddings(spec)
-
-
-def _real_embeddings(spec: FieldSpec) -> int:
     if isinstance(spec, Rationals):
         return 1
     if isinstance(spec, RealQuadratic):
@@ -142,26 +146,23 @@ def _real_embeddings(spec: FieldSpec) -> int:
         return 2 ** (spec.b - 2)
     if isinstance(spec, MaxRealCycloOdd):
         return nt.euler_phi(spec.m) // 2
-    return spec.r
+    if isinstance(spec, Generic):
+        return spec.r
+    raise _unknown(spec)
 
 
 def a_param(spec: FieldSpec) -> int:
     """The 2-adic size parameter a_F (= 2 except in the 2-power cyclotomic
     tower, where it grows, and for Q(sqrt 2) where it is 3)."""
-    validate_spec(spec)
-    return _a_param(spec)
-
-
-def _a_param(spec: FieldSpec) -> int:
-    if isinstance(spec, Rationals):
+    if isinstance(spec, (Rationals, MaxRealCycloOdd)):
         return 2
     if isinstance(spec, RealQuadratic):
         return 3 if spec.d == 2 else 2
     if isinstance(spec, MaxRealCyclo2):
         return spec.b
-    if isinstance(spec, MaxRealCycloOdd):
-        return 2
-    return spec.a
+    if isinstance(spec, Generic):
+        return spec.a
+    raise _unknown(spec)
 
 
 def _quadratic_criterion(d: int) -> tuple[bool, str]:
@@ -188,7 +189,6 @@ def is_two_regular(spec: FieldSpec) -> tuple[bool, str]:
     Generic specs are trusted: a missing claim counts as unverified-regular
     so that table queries stay possible (callers should flag this).
     """
-    validate_spec(spec)
     if isinstance(spec, Rationals):
         return True, "the rationals are 2-regular"
     if isinstance(spec, MaxRealCyclo2):
@@ -207,7 +207,8 @@ def is_two_regular(spec: FieldSpec) -> tuple[bool, str]:
         if nt.is_sophie_germain_type(m) and m % 8 != 7:
             return True, f"m = {m} and (m-1)/2 both prime with m != 7 (mod 8)"
         return False, f"m = {m} is outside the certified list"
-    # Generic
+    if not isinstance(spec, Generic):
+        raise _unknown(spec)
     claim = spec.regular_claim
     if claim is None:
         return True, "generic spec without verification data (treated as claimed regular)"
@@ -232,8 +233,8 @@ def is_unverified_generic(spec: FieldSpec) -> bool:
 
 @dataclass(frozen=True)
 class ResolvedField:
-    """A field spec validated once, with its parameters r and a_F and its
-    2-regularity verdict; it prints as the spec."""
+    """A field spec with its parameters r and a_F and its 2-regularity
+    verdict, computed once; it prints as the spec."""
 
     spec: FieldSpec
     r: int
@@ -252,15 +253,18 @@ def resolve(spec: FieldLike) -> ResolvedField:
     """The resolved record of a spec (a record is returned unchanged)."""
     if isinstance(spec, ResolvedField):
         return spec
-    regular, reason = is_two_regular(spec)  # validates the spec
-    return ResolvedField(spec, _real_embeddings(spec), _a_param(spec), regular, reason)
+    regular, reason = is_two_regular(spec)
+    return ResolvedField(spec, real_embeddings(spec), a_param(spec), regular, reason)
 
 
 def require_two_regular(spec: FieldLike) -> ResolvedField:
-    """The resolved record of a 2-regular field; raises NotTwoRegular."""
+    """The resolved record of a 2-regular field with r <= R_BOUND; raises
+    NotTwoRegular or BoundExceeded."""
     resolved = resolve(spec)
     if not resolved.regular:
         raise NotTwoRegular(f"{resolved} is not 2-regular: {resolved.reason}")
+    if resolved.r > R_BOUND:
+        raise BoundExceeded(f"tables need r <= {R_BOUND}, got r = {resolved.r} for {resolved}")
     return resolved
 
 
@@ -281,8 +285,7 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     if not isinstance(spec, RealQuadratic):
         raise InvalidSpec("the regularity oracle covers real quadratic fields only")
     d = spec.d
-    nt.check_class_number_bound(d)  # before the factorization in validate_spec
-    validate_spec(spec)
+    nt.check_class_number_bound(d)
     qd = nt._quadratic_data(d)
     cd, dy, eps = qd.classes, qd.dyadic, qd.unit
 
@@ -342,7 +345,7 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     return FieldInvariants(
         r=2,
         c=0,
-        a_F=_a_param(spec),
+        a_F=a_param(spec),
         dyadic_count=dy.count,
         pic_odd=pic_odd,
         units_indep_signs=units,
@@ -360,11 +363,7 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
 def is_admissible_q(q: int, spec: FieldSpec) -> bool:
     """Congruence admissibility: q prime, q = +-1 (mod 2^a) but not
     (mod 2^(a+1)), where a is the field's 2-adic size parameter."""
-    return is_admissible_q_for_a(q, a_param(spec))
-
-
-def is_admissible_q_for_a(q: int, a: int) -> bool:
-    """Congruence admissibility of q for the parameter a."""
+    a = a_param(spec)
     if q < 3 or not nt.is_prime(q):
         return False
     m, m2 = 1 << a, 1 << (a + 1)
@@ -421,29 +420,20 @@ def parse_field(text: str) -> FieldSpec:
         return Rationals()
     m = _QUAD_RE.match(text)
     if m:
-        spec: FieldSpec = RealQuadratic(int(m.group(1)))
-        validate_spec(spec)
-        return spec
+        return RealQuadratic(int(m.group(1)))
     m = _CYCLO2_RE.match(text)
     if m:
-        spec = MaxRealCyclo2(int(m.group(1)))
-        validate_spec(spec)
-        return spec
+        return MaxRealCyclo2(int(m.group(1)))
     m = _CYCLO_RE.match(text)
     if m:
         n = int(m.group(1))
         if n >= 4 and n & (n - 1) == 0:
-            spec = MaxRealCyclo2(n.bit_length() - 1)
-        else:
-            spec = MaxRealCycloOdd(n)
-        validate_spec(spec)
-        return spec
+            return MaxRealCyclo2(n.bit_length() - 1)
+        return MaxRealCycloOdd(n)
     m = _GENERIC_RE.match(text)
     if m:
         claim = True if m.group(3) else None
-        spec = Generic(r=int(m.group(1)), a=int(m.group(2)), regular_claim=claim)
-        validate_spec(spec)
-        return spec
+        return Generic(r=int(m.group(1)), a=int(m.group(2)), regular_claim=claim)
     raise FieldSyntaxError(
         f"cannot parse field {text!r}; expected Q, Q(sqrt D), Q(zeta 2^B)+, "
         f"Q(zeta M)+, or generic r=R a=A [regular]"

@@ -308,7 +308,7 @@ def _rf_ctx(n: int, spec: FieldLike, q: int | None) -> _Ctx:
 # Theories over the 2-integers of a 2-regular field
 #
 # Every function that reads the field takes a spec or its resolved record
-# (fields.resolve); a record skips the re-validation in each call.
+# (fields.resolve); a record skips re-deciding 2-regularity in each call.
 
 
 def k_rf(n: int, spec: FieldLike) -> FgAb2:

@@ -35,7 +35,7 @@ from .fields import (
     FieldLike,
     ResolvedField,
     find_q_for_a,
-    is_admissible_q_for_a,
+    is_admissible_q,
     require_two_regular,
 )
 
@@ -88,7 +88,7 @@ def _prepare(spec: FieldLike, q: int | None) -> tuple[ResolvedField, int]:
     field = require_two_regular(spec)
     if q is None:
         return field, find_q_for_a(field.a)
-    if not is_admissible_q_for_a(q, field.a):
+    if not is_admissible_q(q, field.spec):
         raise InadmissibleQ(f"q = {q} is not congruence-admissible for {field}")
     return field, q
 

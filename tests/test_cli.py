@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kq2 import adams, numtheory as nt, tables as tb, verify
+from kq2 import adams, fields, numtheory as nt, tables as tb, verify
 from kq2.adams import Q_BOUND
 from kq2.cli import N_MAX_BOUND, main
 
@@ -212,6 +212,12 @@ def _refuse(*args):
     (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "query"),
     (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
     (("adams", "--q", str(Q_BOUND + 2)), adams, "binomial_power"),
+    (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "real_embeddings"),
+    (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "real_embeddings"),
+    (("group", "--theory", "KQ+", "--n", "1", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"),
+     tb, "_eval_row"),
+    (("table", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
+    (("verify", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
 ])
 def test_input_bounds_exit_2_before_work(capsys, monkeypatch, argv, target, name):
     monkeypatch.setattr(target, name, _refuse)
@@ -262,3 +268,28 @@ def test_verify_factorizes_independently_of_n_max(capsys, monkeypatch, field):
     counts = [_factorize_calls(capsys, monkeypatch, "verify", "--n-max", n_max, "--field", field)
               for n_max in ("64", "128")]
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (("regular", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), 0, "2-regular: caller claims"),
+    (("find-q", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), 0, "q = 3 "),
+    (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND})+"), 0, f'"r": {2 ** (fields.B_BOUND - 2)}'),
+    # accepted, but no admissible q lies below the search limit for a = B_BOUND
+    (("find-q", "--field", f"Q(zeta 2^{fields.B_BOUND})+"), 2, "InadmissibleQ"),
+])
+def test_regular_and_find_q_take_large_fields(capsys, argv, code, stream):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert stream in (out if code == 0 else err)
+
+
+# the spec is checked once, when parse_field builds it
+@pytest.mark.parametrize("argv", [
+    ("group", "--theory", "KQ+", "--n", "3"),
+    ("table", "--n-max", "8"),
+    ("verify", "--n-max", "16"),
+    ("regular",),
+    ("find-q",),
+])
+def test_each_command_factorizes_a_large_d_once(capsys, monkeypatch, argv):
+    assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(sqrt 999999999989)") == 1

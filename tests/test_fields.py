@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kq2 import fields as f
@@ -32,16 +34,17 @@ def test_a_param():
 
 
 def test_validate_spec():
+    # each family checks its invariants on construction
     with pytest.raises(InvalidSpec):
-        f.validate_spec(f.RealQuadratic(12))  # not squarefree
+        f.RealQuadratic(12)  # not squarefree
     with pytest.raises(InvalidSpec):
-        f.validate_spec(f.RealQuadratic(1))
+        f.RealQuadratic(1)
     with pytest.raises(InvalidSpec):
-        f.validate_spec(f.MaxRealCyclo2(1))
+        f.MaxRealCyclo2(1)
     with pytest.raises(InvalidSpec):
-        f.validate_spec(f.MaxRealCycloOdd(15))  # not a prime power
+        f.MaxRealCycloOdd(15)  # not a prime power
     with pytest.raises(InvalidSpec):
-        f.validate_spec(f.Generic(r=0, a=2))
+        f.Generic(r=0, a=2)
 
 
 def test_two_regular_criterion_examples():
@@ -126,12 +129,13 @@ def test_oracle_computes_each_invariant_once(monkeypatch, d):
 
         monkeypatch.setattr(nt, name, counted)
 
+    spec = f.RealQuadratic(d)  # the one squarefree test of d
     names = ("_quadratic_data", "reduced_forms", "fundamental_unit", "_cf_reduced_period", "factorize")
     for name in names:
         count(name)
-    f.two_regular_oracle(f.RealQuadratic(d))
+    f.two_regular_oracle(spec)
     assert calls["_quadratic_data"] == 1
-    assert calls["factorize"] == 1  # the one squarefree test of d
+    assert calls.get("factorize", 0) == 0  # the spec was checked on construction
     assert calls["reduced_forms"] == 1
     assert calls["_cf_reduced_period"] == 1  # the one period expansion
     assert calls.get("fundamental_unit", 0) <= 1
@@ -282,6 +286,35 @@ def test_oracle_bound_comes_before_any_factorization(monkeypatch):
     def refuse(n, *args):
         raise AssertionError("factorize called")
 
+    spec = f.RealQuadratic(1000003)  # a prime above the bound
     monkeypatch.setattr(nt, "factorize", refuse)
     with pytest.raises(BoundExceeded):
-        f.two_regular_oracle(f.RealQuadratic(4 * 10**6))  # not squarefree, above the bound
+        f.two_regular_oracle(spec)
+
+
+def test_a_spec_is_checked_on_replace():
+    with pytest.raises(InvalidSpec):
+        dataclasses.replace(f.RealQuadratic(6), d=12)
+
+
+@pytest.mark.parametrize("fn", [f.real_embeddings, f.a_param, f.is_two_regular, f.resolve],
+                         ids=lambda fn: fn.__name__)
+def test_a_non_spec_is_an_invalid_spec(fn):
+    with pytest.raises(InvalidSpec, match="unknown field spec"):
+        fn("Q(sqrt 6)")
+
+
+def test_b_bound_comes_before_the_embedding_count():
+    assert f.real_embeddings(f.MaxRealCyclo2(f.B_BOUND)) == 2 ** (f.B_BOUND - 2)
+    with pytest.raises(BoundExceeded, match=f"b must be <= {f.B_BOUND}"):
+        f.MaxRealCyclo2(f.B_BOUND + 1)
+
+
+def test_r_bound_holds_for_tables_only():
+    at, above = (f.Generic(r=r, a=2, regular_claim=True) for r in (f.R_BOUND, f.R_BOUND + 1))
+    assert f.require_two_regular(at).r == f.R_BOUND
+    assert f.resolve(above).regular and f.find_q(above) == 3
+    with pytest.raises(BoundExceeded, match=f"r <= {f.R_BOUND}"):
+        f.require_two_regular(above)
+    with pytest.raises(BoundExceeded):
+        f.require_two_regular(f.MaxRealCyclo2(13))  # r = 2^11
