@@ -31,7 +31,6 @@ from .fields import (
     Rationals,
     RealQuadratic,
     a_param,
-    bokstedt_cartesian,
     find_q,
     is_admissible_q,
     is_two_regular,
@@ -59,7 +58,6 @@ __all__ = [
     "Z",
     "ZERO",
     "a_param",
-    "bokstedt_cartesian",
     "direct_sum",
     "exact_window_check",
     "find_q",

@@ -298,8 +298,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_adams(args) -> int:
-    series = adams.bracket(args.q, 2 * args.q)
-    coeff = series[2 * args.q]
+    coeffs = adams.bracket(args.q)
+    coeff = coeffs[2 * args.q]
     odd = coeff % 2 == 1
     human = [
         f"q = {args.q}: coefficient of u^{2 * args.q} is {coeff} "
@@ -307,14 +307,14 @@ def _cmd_adams(args) -> int:
         f"{'impossible' if odd else 'NOT excluded'}"
     ]
     if args.dump_coeffs:
-        human.append("coefficients: " + " ".join(str(c) for c in series.coeffs))
+        human.append("coefficients: " + " ".join(str(c) for c in coeffs))
     payload = {
         "query": {"command": "adams", "q": args.q},
         "result": {
             "obstruction": odd,
             "top_coefficient": coeff,
-            "constant_term": series[0],
-            "coeffs": list(series.coeffs) if args.dump_coeffs else None,
+            "constant_term": coeffs[0],
+            "coeffs": list(coeffs) if args.dump_coeffs else None,
         },
         "notes": [],
     }

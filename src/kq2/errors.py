@@ -65,10 +65,3 @@ class DegreeOutOfRange(KQ2Error):
 class EmptyWindow(KQ2Error):
     """An exact-sequence window must contain at least one group."""
 
-
-class TruncationMismatch(KQ2Error):
-    """Series operands must share one truncation degree."""
-
-
-class TruncationTooSmall(KQ2Error):
-    """Requested truncation cannot hold the full polynomial."""

@@ -18,7 +18,8 @@ from . import numtheory as nt
 from .errors import BoundExceeded, InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular
 
 
-# MaxRealCyclo2 accepts b <= B_BOUND (r = 2^(b-2) real embeddings); the
+# MaxRealCyclo2 accepts b <= B_BOUND (r = 2^(b-2) real embeddings, a_F = b)
+# and Generic accepts a <= B_BOUND, so 2^a stays a small integer; the
 # field-reading tables accept r <= R_BOUND (their groups hold about r summands)
 B_BOUND = 64
 R_BOUND = 1024
@@ -103,6 +104,8 @@ class Generic:
             raise InvalidSpec(f"generic spec needs r >= 1, got {self.r}")
         if self.a < 2:
             raise InvalidSpec(f"generic spec needs a >= 2, got {self.a}")
+        if self.a > B_BOUND:
+            raise BoundExceeded(f"generic spec needs a <= {B_BOUND}, got {self.a}")
         if self.c < 0:
             raise InvalidSpec(f"generic spec needs c >= 0, got {self.c}")
         if isinstance(self.regular_claim, tuple) and len(self.regular_claim) != 3:
@@ -266,12 +269,6 @@ def require_two_regular(spec: FieldLike) -> ResolvedField:
     if resolved.r > R_BOUND:
         raise BoundExceeded(f"tables need r <= {R_BOUND}, got r = {resolved.r} for {resolved}")
     return resolved
-
-
-def bokstedt_cartesian(spec: FieldSpec) -> bool:
-    """Whether the K-theory pullback square for the field is cartesian;
-    this is equivalent to 2-regularity."""
-    return is_two_regular(spec)[0]
 
 
 def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:

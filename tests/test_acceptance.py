@@ -181,7 +181,7 @@ def test_criterion_9_parity_obstruction():
     with budget("9", 5.0):
         for q in range(3, 200, 2):
             assert ad.check_obstruction(q), q
-            assert ad.bracket(q, 2 * q)[0] == 3 * (q**4 - 1), q
+            assert ad.bracket(q)[0] == 3 * (q**4 - 1), q
 
 
 def test_criterion_10_number_theory_oracles():

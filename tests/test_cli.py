@@ -211,13 +211,15 @@ def _refuse(*args):
 @pytest.mark.parametrize("argv, target, name", [
     (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "query"),
     (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
-    (("adams", "--q", str(Q_BOUND + 2)), adams, "binomial_power"),
+    (("adams", "--q", str(Q_BOUND + 2)), adams, "_expand"),
     (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "real_embeddings"),
     (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "real_embeddings"),
     (("group", "--theory", "KQ+", "--n", "1", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"),
      tb, "_eval_row"),
     (("table", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
     (("verify", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
+    (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "real_embeddings"),
+    (("find-q", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "find_q_for_a"),
 ])
 def test_input_bounds_exit_2_before_work(capsys, monkeypatch, argv, target, name):
     monkeypatch.setattr(target, name, _refuse)
@@ -276,6 +278,8 @@ def test_verify_factorizes_independently_of_n_max(capsys, monkeypatch, field):
     (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND})+"), 0, f'"r": {2 ** (fields.B_BOUND - 2)}'),
     # accepted, but no admissible q lies below the search limit for a = B_BOUND
     (("find-q", "--field", f"Q(zeta 2^{fields.B_BOUND})+"), 2, "InadmissibleQ"),
+    (("regular", "--field", f"generic r=1 a={fields.B_BOUND} regular"), 0, "2-regular: caller claims"),
+    (("find-q", "--field", f"generic r=1 a={fields.B_BOUND} regular"), 2, "InadmissibleQ"),
 ])
 def test_regular_and_find_q_take_large_fields(capsys, argv, code, stream):
     got, out, err = run(capsys, *argv)

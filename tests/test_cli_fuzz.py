@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings, strategies as st
 
-from kq2 import cli, fields, tables
+from kq2 import adams, cli, fields, tables
 
 VALID_FIELDS = [
     "Q", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 16)+", "Q(zeta 11)+",
@@ -19,6 +19,7 @@ INVALID_FIELDS = [
 ABOVE_BOUNDS = [
     f"Q(zeta 2^{fields.B_BOUND + 1})+", f"Q(zeta {2 ** (fields.B_BOUND + 1)})+", "Q(zeta 2^20000)+",
     f"generic r={fields.R_BOUND + 1} a=2 regular", f"generic r={fields.R_BOUND + 1} a=2",
+    f"generic r=1 a={fields.B_BOUND + 1} regular",
 ]
 
 field_texts = st.one_of(
@@ -58,7 +59,8 @@ def argvs(draw) -> list[str]:
         "regular": {"--oracle": st.just(None), "--field": field_texts, "--json": st.just(None)},
         "find-q": {"--field": field_texts, "--json": st.just(None)},
         "verify": {"--n-max": n_max, **common},
-        "adams": {"--q": st.integers(-3, 101), "--dump-coeffs": st.just(None), "--json": st.just(None)},
+        "adams": {"--q": st.integers(-3, adams.Q_BOUND + 2), "--dump-coeffs": st.just(None),
+                  "--json": st.just(None)},
     }[command]
     return [command] + _options(draw, extra)
 

@@ -77,7 +77,6 @@ def test_criterion_agrees_with_oracle(d):
     crit, _ = f.is_two_regular(f.RealQuadratic(d))
     inv = f.two_regular_oracle(f.RealQuadratic(d))
     assert inv.two_regular == crit
-    assert f.bokstedt_cartesian(f.RealQuadratic(d)) == crit
     if inv.two_regular:
         assert inv.dyadic_count == 1
         assert inv.pic_odd is True
@@ -308,6 +307,13 @@ def test_b_bound_comes_before_the_embedding_count():
     assert f.real_embeddings(f.MaxRealCyclo2(f.B_BOUND)) == 2 ** (f.B_BOUND - 2)
     with pytest.raises(BoundExceeded, match=f"b must be <= {f.B_BOUND}"):
         f.MaxRealCyclo2(f.B_BOUND + 1)
+
+
+def test_generic_a_bound_comes_before_any_power_of_two():
+    at = f.Generic(r=1, a=f.B_BOUND, regular_claim=True)
+    assert f.a_param(at) == f.B_BOUND and not f.is_admissible_q(3, at)
+    with pytest.raises(BoundExceeded, match=f"a <= {f.B_BOUND}"):
+        f.Generic(r=1, a=f.B_BOUND + 1)
 
 
 def test_r_bound_holds_for_tables_only():
