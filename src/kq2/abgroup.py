@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import EmptyWindow
 
@@ -29,7 +30,8 @@ class FgAb2:
 
     ``rank`` counts infinite cyclic summands; ``torsion`` lists the orders
     of the cyclic 2-torsion summands, each a power of two >= 2, ascending.
-    Two values are equal iff their canonical forms coincide.
+    Two values are equal iff their canonical forms coincide.  Values are
+    immutable, so the constructors below share them freely.
     """
 
     rank: int = 0
@@ -63,16 +65,21 @@ class FgAb2:
 ZERO = FgAb2(0, ())
 
 
+# One shared value per argument.  The input bounds (N_MAX_BOUND, R_BOUND,
+# B_BOUND, Q_BOUND) keep the set of distinct arguments small.
+@cache
 def Z(rank: int) -> FgAb2:
     """Free abelian group of the given rank."""
     return FgAb2(rank, ())
 
 
+@cache
 def C(order: int) -> FgAb2:
     """Cyclic group of the given 2-power order."""
     return FgAb2(0, (order,))
 
 
+@cache
 def C2(copies: int) -> FgAb2:
     """(Z/2)^copies."""
     return FgAb2(0, (2,) * copies)
@@ -81,19 +88,24 @@ def C2(copies: int) -> FgAb2:
 def direct_sum(*groups: FgAb2) -> FgAb2:
     """Direct sum; rank adds and torsion multisets merge.
 
-    Associative and commutative with neutral element the zero group.
+    Associative and commutative with neutral element the zero group; a sum
+    with at most one nonzero operand returns that operand (or ZERO).
     """
-    rank = sum(g.rank for g in groups)
+    nonzero = [g for g in groups if g.rank or g.torsion]
+    if len(nonzero) <= 1:
+        return nonzero[0] if nonzero else ZERO
     torsion: list[int] = []
-    for g in groups:
+    for g in nonzero:
         torsion.extend(g.torsion)
-    return FgAb2(rank, tuple(torsion))
+    return FgAb2(sum(g.rank for g in nonzero), tuple(torsion))
 
 
 def n_copies(k: int, g: FgAb2) -> FgAb2:
     """k-fold direct sum of g; k = 0 gives the zero group."""
     if k < 0:
         raise ValueError(f"copy count must be nonnegative, got {k}")
+    if k == 1 or g.is_zero:
+        return g
     return FgAb2(k * g.rank, g.torsion * k)
 
 
@@ -201,7 +213,3 @@ def parse_group(text: str) -> FgAb2:
 def group_to_json(g: FgAb2) -> dict:
     """JSON shape {"rank": <int>, "torsion": [<int>...]} with torsion ascending."""
     return {"rank": g.rank, "torsion": list(g.torsion)}
-
-
-def group_from_json(data: dict) -> FgAb2:
-    return FgAb2(int(data["rank"]), tuple(int(t) for t in data["torsion"]))

@@ -120,7 +120,9 @@ def _generic_note(spec: FieldSpec, notes: list[str]) -> None:
         notes.append("generic field description is unverified; table values assume 2-regularity")
 
 
-def _check_n_max(n_max: int) -> None:
+def _check_n_max(n_max: int, least: int) -> None:
+    if n_max < least:
+        raise _UsageError(f"--n-max must be >= {least}")
     if n_max > N_MAX_BOUND:
         raise BoundExceeded(f"--n-max must be <= {N_MAX_BOUND}, got {n_max}")
 
@@ -130,9 +132,43 @@ def _kbar_note(tags, degrees, notes: list[str]) -> None:
         notes.append(_KBAR_NOTE)
 
 
+def _dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed
+    trees.  A container met again at the same nesting depth reuses the
+    pieces rendered the first time, so a table that repeats a few group
+    dicts in every row pays per group."""
+    out: list[str] = []
+    memo: dict[tuple[int, int], tuple[object, int, int]] = {}  # holding o keeps its id unique
+
+    def enc(o, depth: int) -> None:
+        if not isinstance(o, (dict, list, tuple)) or not o:
+            out.append(json.dumps(o))
+            return
+        key = (id(o), depth)
+        if key in memo:
+            _, first, last = memo[key]
+            out.extend(out[first:last])
+            return
+        start, pad = len(out), "\n" + "  " * (depth + 1)
+        if isinstance(o, dict):
+            if not all(isinstance(k, str) for k in o):
+                raise TypeError("JSON object keys must be str")
+            items, brackets = [(json.dumps(k) + ": ", o[k]) for k in sorted(o)], "{}"
+        else:
+            items, brackets = [("", v) for v in o], "[]"
+        for i, (label, v) in enumerate(items):
+            out.append(("," if i else brackets[0]) + pad + label)
+            enc(v, depth + 1)
+        out.append(pad[:-2] + brackets[1])
+        memo[key] = (o, start, len(out))
+
+    enc(obj, 0)
+    return "".join(out)
+
+
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in human_lines:
             print(line)
@@ -171,9 +207,7 @@ def _cmd_table(args) -> int:
     no_degree = [tag.name for tag in tags if not tag.needs_degree]
     if no_degree:
         raise _UsageError(f"theories without a degree axis cannot be tabulated: {no_degree}")
-    if args.n_max < 0:
-        raise _UsageError("--n-max must be >= 0")
-    _check_n_max(args.n_max)
+    _check_n_max(args.n_max, 0)
     _generic_note(spec, notes)
     q = _resolve_q(args, spec, notes)
     field = resolve(spec)
@@ -187,35 +221,27 @@ def _cmd_table(args) -> int:
                 groups.append(None)  # theory not defined in this degree
         rows.append((n, groups))
     _kbar_note(tags, range(args.n_max + 1), notes)
-
-    def cell(g):
-        return "-" if g is None else format_group(g)
-
+    # the tables are 8-periodic, so a few distinct groups fill every cell
+    distinct = dict.fromkeys(g for _, groups in rows for g in groups)
+    text = {g: "-" if g is None else format_group(g) for g in distinct}
+    if args.json:
+        as_json = {g: None if g is None else {**group_to_json(g), "formatted": text[g]} for g in distinct}
+        _emit(args, {
+            "query": {"command": "table", "theories": [t.name for t in tags],
+                      "n_max": args.n_max, "field": args.field},
+            "field": _field_meta(field),
+            "q": q,
+            "results": [{"n": n, "groups": {tag.name: as_json[g] for tag, g in zip(tags, groups)}}
+                        for n, groups in rows],
+            "notes": notes,
+        }, [])
+        return EXIT_OK
     header = ["n"] + [tag.name for tag in tags]
-    table_rows = [[str(n)] + [cell(g) for g in groups] for n, groups in rows]
+    table_rows = [[str(n)] + [text[g] for g in groups] for n, groups in rows]
     widths = [max(len(row[i]) for row in [header] + table_rows) for i in range(len(header))]
     human = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
              for row in [header] + table_rows]
-    human += [f"# {note}" for note in notes]
-    payload = {
-        "query": {"command": "table", "theories": [t.name for t in tags],
-                  "n_max": args.n_max, "field": args.field},
-        "field": _field_meta(field),
-        "q": q,
-        "results": [
-            {
-                "n": n,
-                "groups": {
-                    tag.name: None if g is None
-                    else {**group_to_json(g), "formatted": format_group(g)}
-                    for tag, g in zip(tags, groups)
-                },
-            }
-            for n, groups in rows
-        ],
-        "notes": notes,
-    }
-    _emit(args, payload, human)
+    _emit(args, {}, human + [f"# {note}" for note in notes])
     return EXIT_OK
 
 
@@ -270,7 +296,7 @@ def _cmd_find_q(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_n_max(args.n_max)
+    _check_n_max(args.n_max, verify.N_MAX_LEAST)
     spec = parse_field(args.field)
     notes: list[str] = []
     q = _resolve_q(args, spec, notes)

@@ -267,18 +267,14 @@ def _fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
     return QuadUnit(x, y, denom, d, norm)
 
 
-def norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None:
-    """An integral element of Q(sqrt(d)) of norm +-2, or None if none exists.
+def _norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None:
+    """An integral element of Q(sqrt(d)) of norm +-2, or None if none exists,
+    for a squarefree d >= 2 (the caller checks d).
 
     For d >= 5 every primitive solution of |x^2 - d y^2| = 2 < sqrt(d) shows
     up among the convergents of sqrt(d), whose values enumerate the cycle of
     denominators Q_i; scanning one full period is a complete search.
     """
-    _require_squarefree_d(d)
-    return _norm_two_element(d, max_steps)
-
-
-def _norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None:
     if d == 2:
         return QuadUnit(0, 1, 1, 2, -2)
     if d == 3:
@@ -636,16 +632,6 @@ def signature_span(elements) -> set[tuple[int, int]]:
     for v in {(-1, -1), *(g.sign_vector() for g in elements)}:
         span |= {(v[0] * w[0], v[1] * w[1]) for w in span}
     return span
-
-
-def unit_signature_span(d: int, dyadic_generators=()) -> set[tuple[int, int]]:
-    """Subgroup of {+-1}^2 spanned by the signs of the 2-unit generators.
-
-    -1 and the fundamental unit are always included; callers add the dyadic
-    S-unit generators.  The full four-element group means the field has
-    units of independent signs.
-    """
-    return signature_span([fundamental_unit(d), *dyadic_generators])
 
 
 def sign_span_is_full(span: set[tuple[int, int]]) -> bool:

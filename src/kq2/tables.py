@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, subtract_summand
 from .errors import (
@@ -154,8 +154,7 @@ def fault_sites() -> list[tuple[str, int]]:
     return [(name, row) for name in sorted(_TABLE_ROWS) for row in range(8)]
 
 
-@dataclass(frozen=True)
-class _Ctx:
+class _Ctx(NamedTuple):
     n: int
     k: int
     r: int

@@ -44,6 +44,8 @@ REPORT_HEADER = (
     "are not modeled, so a pass certifies mutual consistency of the tables, "
     "not their derivation"
 )
+# the splittings are checked over at least one full period in n
+N_MAX_LEAST = 8
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> 
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies."""
     field, q = _prepare(spec, q)
-    if n_max < 8:
-        raise ValueError(f"n_max must be >= 8, got {n_max}")
+    if n_max < N_MAX_LEAST:
+        raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
     r, a = field.r, field.a
     degrees = range(0, n_max + 1)
 

@@ -11,7 +11,6 @@ from kq2.abgroup import (
     direct_sum,
     exact_window_check,
     format_group,
-    group_from_json,
     group_to_json,
     n_copies,
     parse_group,
@@ -127,6 +126,11 @@ def test_format_examples():
 @given(groups)
 def test_format_parse_round_trip(g):
     assert parse_group(format_group(g)) == g
+
+
+def group_from_json(data: dict) -> FgAb2:
+    """Reference inverse of group_to_json."""
+    return FgAb2(int(data["rank"]), tuple(int(t) for t in data["torsion"]))
 
 
 @given(groups)

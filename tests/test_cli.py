@@ -1,10 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
-from kq2 import adams, fields, numtheory as nt, tables as tb, verify
+from kq2 import abgroup, adams, cli, fields, numtheory as nt, tables as tb, verify
 from kq2.adams import Q_BOUND
-from kq2.cli import N_MAX_BOUND, main
+from kq2.cli import N_MAX_BOUND, _dumps, main
 
 
 def run(capsys, *argv):
@@ -234,6 +235,17 @@ def test_negative_n_max_is_a_usage_error(capsys):
         assert code == 1
 
 
+# verify needs a full period of degrees; a smaller --n-max is refused before
+# the field is parsed, so it is a usage error whatever the field
+@pytest.mark.parametrize("n_max", [-(10**6), -8, -1, 0, 1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("field", ["Q(sqrt 34)", "generic r=1 a=30 regular", "Q"])
+def test_verify_small_n_max_is_a_usage_error_before_field_work(capsys, monkeypatch, n_max, field):
+    monkeypatch.setattr(cli, "parse_field", _refuse)
+    code, out, err = run(capsys, "verify", "--n-max", str(n_max), "--field", field)
+    assert (code, out) == (1, "")
+    assert f"--n-max must be >= {verify.N_MAX_LEAST}" in err
+
+
 def test_group_help_lists_every_theory(capsys):
     with pytest.raises(SystemExit):
         main(["group", "--help"])
@@ -297,3 +309,68 @@ def test_regular_and_find_q_take_large_fields(capsys, argv, code, stream):
 ])
 def test_each_command_factorizes_a_large_d_once(capsys, monkeypatch, argv):
     assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(sqrt 999999999989)") == 1
+
+
+# table and verify pay per distinct group, not per cell
+
+def test_table_json_formats_each_distinct_group_once(capsys, monkeypatch):
+    calls = []
+    original = abgroup.format_group
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(abgroup, "format_group", counting)
+    monkeypatch.setattr(cli, "format_group", counting)
+    code, out, _ = run(capsys, "table", "--json", "--n-max", "64", "--theories", DEGREE_THEORIES,
+                       "--field", "Q(zeta 11)+")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    cells = [g for row in payload["results"] for g in row["groups"].values() if g is not None]
+    assert len(cells) > 1000
+    assert len(calls) == len({g["formatted"] for g in cells})
+
+
+def test_verify_builds_few_groups(capsys, monkeypatch):
+    built = []
+    original = abgroup.FgAb2.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    for constructor in (abgroup.Z, abgroup.C, abgroup.C2):
+        constructor.cache_clear()
+    monkeypatch.setattr(abgroup.FgAb2, "__post_init__", counting)
+    code, _, _ = run(capsys, "verify", "--n-max", "350", "--field", "Q(zeta 11)+")
+    assert code == 0
+    # about 3,430 when each Z, C and C2 value is built once; one group per table
+    # cell and per direct sum would be over 11,000
+    assert len(built) <= 3500
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200)
+                | st.integers(-(2**200), -(2**64)) | st.text()
+                | st.sampled_from(["", "W\u2032", "\u00e9\u00fc", "\U0001f600", "\x00\n\"\\", "Z/2"]))
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(json_trees, json_trees)
+def test_dumps_matches_json_dumps(tree, shared):
+    # shared sits at three depths, twice at depth 2
+    obj = {"tree": tree, "a": shared, "b": [shared, {"c": shared}, shared], "empty": [{}, [], ()]}
+    for value in (tree, obj):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("key", [1, None, True, 1.5, (1, 2)])
+def test_dumps_rejects_non_str_keys(key):
+    with pytest.raises(TypeError):
+        _dumps({"groups": [{key: "Z"}]})

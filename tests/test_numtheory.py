@@ -299,7 +299,7 @@ def brute_force_norm_pm2(d):
 
 @pytest.mark.parametrize("d", [d for d in range(2, 120) if nt.squarefree_part(d)[0]])
 def test_norm_two_element_complete(d):
-    got = nt.norm_two_element(d)
+    got = nt._norm_two_element(d)
     expected = brute_force_norm_pm2(d)
     assert (got is None) == (expected is None)
     if got is not None:
@@ -345,16 +345,16 @@ def test_split_dyadic_order_against_brute_force(d):
 
 def test_unit_signature_span_examples():
     full = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert nt.unit_signature_span(2, [nt.QuadUnit(1, 1, 1, 2, -1)]) == full
+    assert nt.signature_span([nt.fundamental_unit(2), nt.QuadUnit(1, 1, 1, 2, -1)]) == full
     gens7 = [nt.QuadUnit(8, 3, 1, 7, 1), nt.QuadUnit(3, 1, 1, 7, 2)]
-    assert nt.unit_signature_span(7, gens7) == {(1, 1), (-1, -1)}
-    assert nt.unit_signature_span(10, [nt.QuadUnit(3, 1, 1, 10, -1)]) == full
+    assert nt.signature_span([nt.fundamental_unit(7), *gens7]) == {(1, 1), (-1, -1)}
+    assert nt.signature_span([nt.fundamental_unit(10), nt.QuadUnit(3, 1, 1, 10, -1)]) == full
 
 
 @given(st.sampled_from([d for d in range(2, 60) if nt.squarefree_part(d)[0]]))
 def test_signature_span_is_subgroup_containing_identity(d):
-    gen = nt.norm_two_element(d)
-    span = nt.unit_signature_span(d, [gen] if gen else [])
+    gen = nt._norm_two_element(d)
+    span = nt.signature_span([nt.fundamental_unit(d), *([gen] if gen else [])])
     assert (1, 1) in span
     assert (-1, -1) in span  # -1 is always a unit
     for v in span:
