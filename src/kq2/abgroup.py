@@ -14,18 +14,17 @@ Z/2 + Z/2 + Z/2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import EmptyWindow
+from .record import Record
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-@dataclass(frozen=True)
-class FgAb2:
+class FgAb2(Record):
     """A finitely generated abelian group modulo odd torsion.
 
     ``rank`` counts infinite cyclic summands; ``torsion`` lists the orders
@@ -34,8 +33,23 @@ class FgAb2:
     immutable, so the constructors below share them freely.
     """
 
-    rank: int = 0
-    torsion: tuple[int, ...] = ()
+    rank: int
+    torsion: tuple[int, ...]
+
+    # Built thousands of times per command and used as a dict key, so the
+    # record's generic __init__, __eq__ and __hash__ are specialised here.
+    def __init__(self, rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if type(other) is not FgAb2:
+            return NotImplemented
+        return self.rank == other.rank and self.torsion == other.torsion
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.torsion))
 
     def __post_init__(self) -> None:
         if self.rank < 0:
@@ -139,8 +153,7 @@ def ses_consistent(a: FgAb2, b: FgAb2, c: FgAb2) -> bool:
     return tb % ta == 0 and (ta * tc) % tb == 0
 
 
-@dataclass(frozen=True)
-class ExactWindow:
+class ExactWindow(Record):
     """Consecutive terms of an exact sequence.
 
     ``bounded`` means the window is flanked by zero groups (or by maps that

@@ -7,16 +7,17 @@ Exit codes:
   0  success
   1  usage or parse error
   2  domain error (not 2-regular, inadmissible q, bound exceeded, ...)
-  3  verification failure
+  3  verification failure, or any failed internal self-check (RuntimeError)
+
+json, verify and adams are imported only where used, to keep start-up short.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import adams, tables, verify
+from . import tables
 from .abgroup import format_group, group_to_json
 from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error
 from .fields import (
@@ -137,6 +138,7 @@ def _dumps(obj) -> str:
     trees.  A container met again at the same nesting depth reuses the
     pieces rendered the first time, so a table that repeats a few group
     dicts in every row pays per group."""
+    import json
     out: list[str] = []
     memo: dict[tuple[int, int], tuple[object, int, int]] = {}  # holding o keeps its id unique
 
@@ -296,6 +298,7 @@ def _cmd_find_q(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     _check_n_max(args.n_max, verify.N_MAX_LEAST)
     spec = parse_field(args.field)
     notes: list[str] = []
@@ -324,6 +327,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_adams(args) -> int:
+    from . import adams
     coeffs = adams.bracket(args.q)
     coeff = coeffs[2 * args.q]
     odd = coeff % 2 == 1
@@ -376,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     except KQ2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def entrypoint() -> None:

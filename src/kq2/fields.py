@@ -11,11 +11,10 @@ parity, unit signatures) using the exact machinery in :mod:`kq2.numtheory`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Union
 
 from . import numtheory as nt
 from .errors import BoundExceeded, InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular
+from .record import Record
 
 
 # MaxRealCyclo2 accepts b <= B_BOUND (r = 2^(b-2) real embeddings, a_F = b)
@@ -29,14 +28,12 @@ R_BOUND = 1024
 # that exists is valid.
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Rationals(Record):
     def __str__(self) -> str:
         return "Q"
 
 
-@dataclass(frozen=True)
-class RealQuadratic:
+class RealQuadratic(Record):
     """Q(sqrt(d)) for squarefree d >= 2."""
 
     d: int
@@ -51,8 +48,7 @@ class RealQuadratic:
         return f"Q(sqrt {self.d})"
 
 
-@dataclass(frozen=True)
-class MaxRealCyclo2:
+class MaxRealCyclo2(Record):
     """Maximal real subfield of the 2^b-th cyclotomic field, 2 <= b <= B_BOUND."""
 
     b: int
@@ -67,8 +63,7 @@ class MaxRealCyclo2:
         return f"Q(zeta 2^{self.b})+"
 
 
-@dataclass(frozen=True)
-class MaxRealCycloOdd:
+class MaxRealCycloOdd(Record):
     """Maximal real subfield of the m-th cyclotomic field, m an odd prime
     power with 2 a primitive root modulo m."""
 
@@ -85,8 +80,7 @@ class MaxRealCycloOdd:
         return f"Q(zeta {self.m})+"
 
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(Record):
     """A totally real field given by its invariants.
 
     ``regular_claim`` is either a boolean, or a triple of booleans
@@ -97,7 +91,7 @@ class Generic:
     r: int
     a: int
     c: int = 0
-    regular_claim: Union[bool, tuple, None] = None
+    regular_claim: bool | tuple | None = None
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -116,11 +110,10 @@ class Generic:
         return f"generic r={self.r} a={self.a}{suffix}"
 
 
-FieldSpec = Union[Rationals, RealQuadratic, MaxRealCyclo2, MaxRealCycloOdd, Generic]
+FieldSpec = Rationals | RealQuadratic | MaxRealCyclo2 | MaxRealCycloOdd | Generic
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
+class FieldInvariants(Record):
     """Invariant bundle for a field; None encodes "unknown"."""
 
     r: int
@@ -131,9 +124,9 @@ class FieldInvariants:
     units_indep_signs: bool | None
     narrow_pic_odd: bool | None
     two_regular: bool
-    reasons: tuple[str, ...] = field(default_factory=tuple)
+    reasons: tuple[str, ...] = ()
     # the reasons of the conditions that are known to fail
-    failing: tuple[str, ...] = field(default_factory=tuple)
+    failing: tuple[str, ...] = ()
 
 
 def _unknown(spec) -> InvalidSpec:
@@ -234,8 +227,7 @@ def is_unverified_generic(spec: FieldSpec) -> bool:
     return isinstance(spec, Generic) and spec.regular_claim is None
 
 
-@dataclass(frozen=True)
-class ResolvedField:
+class ResolvedField(Record):
     """A field spec with its parameters r and a_F and its 2-regularity
     verdict, computed once; it prints as the spec."""
 
@@ -249,7 +241,7 @@ class ResolvedField:
         return str(self.spec)
 
 
-FieldLike = Union[FieldSpec, ResolvedField]
+FieldLike = FieldSpec | ResolvedField
 
 
 def resolve(spec: FieldLike) -> ResolvedField:

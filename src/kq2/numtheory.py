@@ -9,10 +9,10 @@ oracle against which the closed-form regularity criteria are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import BadModulus, BoundExceeded, EvenQ, NonPositive, Undecided
+from .record import Record
 
 TRIAL_DIVISION_BOUND = 10**12
 CLASS_NUMBER_BOUND = 10**6
@@ -167,8 +167,7 @@ def _sign_embedding(x: int, y: int, d: int) -> int:
     return 1 if norm < 0 else -1  # x < 0 < y
 
 
-@dataclass(frozen=True)
-class QuadUnit:
+class QuadUnit(Record):
     """Element (x + y*sqrt(d))/denom of a real quadratic field.
 
     Used both for fundamental units (norm +-1) and dyadic S-unit generators
@@ -481,8 +480,7 @@ def _sqrt_mod_2pow(D: int, e: int) -> int:
     return r % (1 << e)
 
 
-@dataclass(frozen=True)
-class DyadicData:
+class DyadicData(Record):
     """Behaviour of the prime 2 in Q(sqrt(d)) and the ideal class it spans."""
 
     count: int                      # number of dyadic primes (1 or 2)
@@ -492,8 +490,7 @@ class DyadicData:
     generator: QuadUnit | None      # explicit S-unit generator when available
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(Record):
     """Class numbers of Q(sqrt(d)) and the dyadic class order."""
 
     d: int
@@ -503,8 +500,7 @@ class ClassData:
     dyadic_class_order: int | None
 
 
-@dataclass(frozen=True)
-class QuadraticData:
+class QuadraticData(Record):
     """The invariants of Q(sqrt(d)) that the regularity oracle reads."""
 
     unit: QuadUnit        # the fundamental unit

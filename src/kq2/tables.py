@@ -13,10 +13,10 @@ closed-form tables can be perturbed by an extra Z/2 summand.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
 
 from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, subtract_summand
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .fields import FieldLike, require_two_regular, resolve
 from .numtheory import nu2, val2_q_power
+from .record import Record
 
 
 def w(m: int, a: int) -> int:
@@ -154,12 +155,8 @@ def fault_sites() -> list[tuple[str, int]]:
     return [(name, row) for name in sorted(_TABLE_ROWS) for row in range(8)]
 
 
-class _Ctx(NamedTuple):
-    n: int
-    k: int
-    r: int
-    a: int
-    q: int | None
+class _Ctx(namedtuple("_Ctx", "n k r a q")):
+    __slots__ = ()
 
     def t(self) -> int:
         if self.q is None:
@@ -463,8 +460,7 @@ def forgetful_rank_image_index(eps: int) -> int:
 _ALIASES = {"WPRIME": "W'", "W′": "W'"}
 
 
-@dataclass(frozen=True)
-class TheoryTag:
+class TheoryTag(Record):
     """One theory of the registry: its name, its evaluator
     ``evaluate(n, spec, q)`` (spec: a field spec or its resolved record),
     its sign, and its q and degree rules."""

@@ -14,8 +14,7 @@ single-row perturbation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import tables as tb
 from .abgroup import (
@@ -38,6 +37,7 @@ from .fields import (
     is_admissible_q,
     require_two_regular,
 )
+from .record import Record
 
 REPORT_HEADER = (
     "consistency suite: compares isomorphism classes only; connecting maps "
@@ -48,8 +48,7 @@ REPORT_HEADER = (
 N_MAX_LEAST = 8
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     name: str
     passed: bool
     details: str

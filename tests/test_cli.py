@@ -374,3 +374,14 @@ def test_dumps_matches_json_dumps(tree, shared):
 def test_dumps_rejects_non_str_keys(key):
     with pytest.raises(TypeError):
         _dumps({"groups": [{key: "Z"}]})
+
+
+def test_a_failed_self_check_is_an_internal_error(capsys, monkeypatch):
+    def broken(D):
+        raise RuntimeError(f"cycle through (1, 1, -1) ran into another cycle (D={D})")
+
+    monkeypatch.setattr(nt, "_form_cycles", broken)
+    code, out, err = run(capsys, "regular", "--oracle", "--field", "Q(sqrt 5)")
+    assert code == cli.EXIT_VERIFY == 3
+    assert out == ""
+    assert err == "internal error: cycle through (1, 1, -1) ran into another cycle (D=5)\n"

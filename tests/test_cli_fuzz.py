@@ -1,9 +1,11 @@
 """Fuzz the exit-code contract: any argv ends in 0, 1, 2 or 3, with no
-exception escaping ``cli.main``."""
+exception escaping ``cli.main``, within a time bound per command."""
 
 import io
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kq2 import adams, cli, fields, tables
@@ -37,6 +39,16 @@ theory_names = st.one_of(
 common = {"--field": field_texts, "--q": st.integers(-3, 101), "--json": st.just(None)}
 # always drawn, so that most group and table commands get past argparse
 REQUIRED = {"--theory", "--n-max"}
+# a command that runs longer fails its example, not the whole test run
+COMMAND_SECONDS = 5
+
+
+class CommandTimeout(BaseException):
+    """Raised by the interval timer; a BaseException so cli.main cannot catch it."""
+
+
+def _on_alarm(signum, frame):
+    raise CommandTimeout()
 
 
 def _options(draw, spec: dict) -> list[str]:
@@ -69,8 +81,16 @@ def argvs(draw) -> list[str]:
 @given(argvs())
 def test_every_argv_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, COMMAND_SECONDS)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except CommandTimeout:
+        pytest.fail(f"{argv} ran longer than {COMMAND_SECONDS} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.getvalue().startswith("usage error: ") and out.getvalue() == ""

@@ -292,8 +292,19 @@ def test_oracle_bound_comes_before_any_factorization(monkeypatch):
 
 
 def test_a_spec_is_checked_on_replace():
+    # a spec is changed only by building a new one, which checks itself;
+    # dataclasses.replace is no unchecked copy route, and no field can be
+    # assigned or deleted in place
+    spec = f.RealQuadratic(6)
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec, d=12)
+    with pytest.raises(AttributeError):
+        spec.d = 12
+    with pytest.raises(AttributeError):
+        del spec.d
+    assert spec == f.RealQuadratic(6)
     with pytest.raises(InvalidSpec):
-        dataclasses.replace(f.RealQuadratic(6), d=12)
+        f.RealQuadratic(12)
 
 
 @pytest.mark.parametrize("fn", [f.real_embeddings, f.a_param, f.is_two_regular, f.resolve],

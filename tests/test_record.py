@@ -1,0 +1,112 @@
+"""The contract of kq2's immutable records (``kq2.record.Record``): the
+construction, equality, hash and repr that ``@dataclass(frozen=True)`` gave
+them, checked against a frozen dataclass with the same fields."""
+
+import dataclasses
+import itertools
+
+import pytest
+
+from kq2 import abgroup, fields as f, numtheory as nt, tables as tb, verify as vf
+from kq2.errors import InvalidSpec
+from kq2.record import Record
+
+# two unequal values of every record class (one for Rationals), each built
+# fresh on every call
+SAMPLES = {
+    abgroup.FgAb2: lambda: [abgroup.FgAb2(1, (2,)), abgroup.FgAb2(0, (4, 2))],
+    abgroup.ExactWindow: lambda: [abgroup.ExactWindow((abgroup.Z(1),)),
+                                  abgroup.ExactWindow((abgroup.Z(1), abgroup.C(2)), bounded=False)],
+    f.Rationals: lambda: [f.Rationals()],
+    f.RealQuadratic: lambda: [f.RealQuadratic(5), f.RealQuadratic(6)],
+    f.MaxRealCyclo2: lambda: [f.MaxRealCyclo2(5), f.MaxRealCyclo2(4)],
+    f.MaxRealCycloOdd: lambda: [f.MaxRealCycloOdd(11), f.MaxRealCycloOdd(9)],
+    f.Generic: lambda: [f.Generic(r=2, a=3), f.Generic(2, 3, regular_claim=True)],
+    f.FieldInvariants: lambda: [f.two_regular_oracle(f.RealQuadratic(d)) for d in (5, 34)],
+    f.ResolvedField: lambda: [f.resolve(f.RealQuadratic(5)), f.resolve(f.Rationals())],
+    tb.TheoryTag: lambda: [tb.TheoryTag("K", tb.k_rf), tb.TheoryTag("KQ+", tb.kq_rf, 1, needs_q=True)],
+    vf.CheckReport: lambda: [vf.CheckReport("a", True, "x"), vf.CheckReport("b", True, "x")],
+    nt.QuadUnit: lambda: [nt.QuadUnit(3, 1, 1, 7, 2), nt.QuadUnit(1, 1, 1, 2, -1)],
+    nt.DyadicData: lambda: [nt._quadratic_data(d).dyadic for d in (5, 34)],
+    nt.ClassData: lambda: [nt._quadratic_data(d).classes for d in (5, 34)],
+    nt.QuadraticData: lambda: [nt._quadratic_data(d) for d in (5, 34)],
+}
+
+
+def _dataclass_twin(record):
+    """The same values in a frozen dataclass with the same name and fields."""
+    cls = type(record)
+    twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+    return twin(*(getattr(record, name) for name in cls._fields))
+
+
+def test_every_record_class_has_samples():
+    assert set(Record.__subclasses__()) == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_equality_and_hash_agree(cls):
+    first, again = SAMPLES[cls](), SAMPLES[cls]()
+    for x, y in zip(first, again):
+        assert x is not y and x == y and not x != y and hash(x) == hash(y)
+    for x, y in itertools.combinations(first, 2):
+        assert x != y and not x == y
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_repr_and_hash_are_those_of_a_frozen_dataclass(cls):
+    for x in SAMPLES[cls]():
+        twin = _dataclass_twin(x)
+        assert repr(x) == repr(twin)
+        assert hash(x) == hash(twin)
+        assert x != twin and twin != x
+
+
+def test_repr_examples():
+    assert repr(abgroup.FgAb2(1, (2,))) == "FgAb2(rank=1, torsion=(2,))"
+    assert repr(f.Generic(2, 3)) == "Generic(r=2, a=3, c=0, regular_claim=None)"
+    assert repr(f.Rationals()) == "Rationals()"
+
+
+def test_records_of_different_classes_never_compare_equal():
+    assert f.RealQuadratic(5) != f.MaxRealCyclo2(5)
+    assert f.Rationals() == f.Rationals()
+    values = [(cls, x) for cls in SAMPLES for x in SAMPLES[cls]()]
+    for (cls_x, x), (cls_y, y) in itertools.combinations(values, 2):
+        if cls_x is not cls_y:
+            assert x != y and y != x
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_no_record_equals_a_tuple(cls):
+    assert abgroup.FgAb2(1, (2,)) != (1, (2,))
+    for x in SAMPLES[cls]():
+        values = tuple(getattr(x, name) for name in cls._fields)
+        assert x != values and values != x
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    for x in SAMPLES[cls]():
+        for name in cls._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+
+
+def test_construction_by_position_keyword_and_default():
+    assert f.Generic(2, 3) == f.Generic(r=2, a=3, c=0, regular_claim=None) == f.Generic(a=3, r=2)
+    assert abgroup.FgAb2() == abgroup.FgAb2(torsion=()) == abgroup.ZERO
+    assert f.FieldInvariants(1, 0, 2, None, None, None, None, True).reasons == ()
+    for args, kwargs in [((2,), {}), ((2, 3, 0, None, 1), {}), ((2, 3), {"r": 2}), ((2, 3), {"x": 1})]:
+        with pytest.raises(TypeError):
+            f.Generic(*args, **kwargs)
+
+
+def test_keyword_construction_is_validated():
+    with pytest.raises(InvalidSpec):
+        f.RealQuadratic(d=12)
+    with pytest.raises(ValueError):
+        abgroup.FgAb2(rank=0, torsion=(3,))
+    assert abgroup.FgAb2(torsion=(4, 2)).torsion == (2, 4)
