@@ -51,13 +51,3 @@ def bracket(q: int) -> tuple[int, ...]:
     if q > Q_BOUND:
         raise BoundExceeded(f"q must be <= {Q_BOUND}, got {q}")
     return _expand(q)
-
-
-def check_obstruction(q: int) -> bool:
-    """True iff the u^(2q) coefficient of the bracket is odd.
-
-    The discarded prefactor (1-u)^(-q) has odd constant term, so it cannot
-    make an odd coefficient even; oddness here proves the operator is not
-    in the image of realification (which doubles every coefficient).
-    """
-    return bracket(q)[2 * q] % 2 == 1

@@ -5,9 +5,10 @@ output goes to stdout; ``--json`` switches to documented JSON envelopes.
 
 Exit codes:
   0  success
-  1  usage or parse error
+  1  usage or parse error (errors.UsageError)
   2  domain error (not 2-regular, inadmissible q, bound exceeded, ...)
-  3  verification failure, or any failed internal self-check (RuntimeError)
+  3  verification failure, or any failed internal self-check (RuntimeError
+     or any other ValueError)
 
 json, verify and adams are imported only where used, to keep start-up short.
 """
@@ -19,7 +20,7 @@ import sys
 
 from . import tables
 from .abgroup import format_group, group_to_json
-from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error
+from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error, UsageError
 from .fields import (
     FieldSpec,
     RealQuadratic,
@@ -48,14 +49,10 @@ _KBAR_NOTE = (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; remap to our contract
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -123,7 +120,7 @@ def _generic_note(spec: FieldSpec, notes: list[str]) -> None:
 
 def _check_n_max(n_max: int, least: int) -> None:
     if n_max < least:
-        raise _UsageError(f"--n-max must be >= {least}")
+        raise UsageError(f"--n-max must be >= {least}")
     if n_max > N_MAX_BOUND:
         raise BoundExceeded(f"--n-max must be <= {N_MAX_BOUND}, got {n_max}")
 
@@ -184,7 +181,7 @@ def _cmd_group(args) -> int:
     q = _resolve_q(args, spec, notes)
     if args.n == -1 and not tag.allows_degree_minus_one:
         low = " and ".join(name for name, t in tables.THEORIES.items() if t.allows_degree_minus_one)
-        raise _UsageError(f"n = -1 is only defined for {low}, not {tag.name}")
+        raise UsageError(f"n = -1 is only defined for {low}, not {tag.name}")
     field = resolve(spec)
     g = tables.query(tag, args.n, field, q)
     _kbar_note([tag], [args.n], notes)
@@ -205,10 +202,10 @@ def _cmd_table(args) -> int:
     notes: list[str] = []
     tags = [TheoryTag.parse(name) for name in args.theories.split(",") if name.strip()]
     if not tags:
-        raise _UsageError("no theories given")
+        raise UsageError("no theories given")
     no_degree = [tag.name for tag in tags if not tag.needs_degree]
     if no_degree:
-        raise _UsageError(f"theories without a degree axis cannot be tabulated: {no_degree}")
+        raise UsageError(f"theories without a degree axis cannot be tabulated: {no_degree}")
     _check_n_max(args.n_max, 0)
     _generic_note(spec, notes)
     q = _resolve_q(args, spec, notes)
@@ -255,7 +252,7 @@ def _cmd_regular(args) -> int:
     oracle_data = None
     if args.oracle:
         if not isinstance(spec, RealQuadratic):
-            raise _UsageError("--oracle is available for real quadratic fields only")
+            raise UsageError("--oracle is available for real quadratic fields only")
         inv = two_regular_oracle(spec)
         oracle_data = {
             "dyadic_count": inv.dyadic_count,
@@ -366,21 +363,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KQ2Error as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

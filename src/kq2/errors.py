@@ -1,8 +1,14 @@
-"""Typed domain errors.
+"""Typed domain errors, and the usage error.
 
-The CLI maps every subclass of :class:`KQ2Error` to exit code 2; see
-``cli.py`` for the full exit-code contract.
+The CLI maps :class:`UsageError` to exit code 1 and every subclass of
+:class:`KQ2Error` to exit code 2; see ``cli.py`` for the full exit-code
+contract.
 """
+
+
+class UsageError(ValueError):
+    """A request the caller got wrong (unparseable text, an unknown theory,
+    a missing degree or q), as opposed to a domain error."""
 
 
 class KQ2Error(Exception):

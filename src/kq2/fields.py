@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from . import numtheory as nt
-from .errors import BoundExceeded, InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular
+from .errors import BoundExceeded, InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular, UsageError
 from .record import Record
 
 
@@ -22,6 +22,8 @@ from .record import Record
 # field-reading tables accept r <= R_BOUND (their groups hold about r summands)
 B_BOUND = 64
 R_BOUND = 1024
+# find_q_for_a searches the primes below this limit
+Q_SEARCH_BOUND = 10**7
 
 
 # Each family checks its own invariants on construction, so a spec object
@@ -83,15 +85,13 @@ class MaxRealCycloOdd(Record):
 class Generic(Record):
     """A totally real field given by its invariants.
 
-    ``regular_claim`` is either a boolean, or a triple of booleans
-    (unique dyadic prime, odd Picard group, units of independent signs),
-    or None for an unverified description.
+    ``regular_claim`` is the caller's 2-regularity claim, or None for an
+    unverified description.
     """
 
     r: int
     a: int
-    c: int = 0
-    regular_claim: bool | tuple | None = None
+    regular_claim: bool | None = None
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -100,10 +100,6 @@ class Generic(Record):
             raise InvalidSpec(f"generic spec needs a >= 2, got {self.a}")
         if self.a > B_BOUND:
             raise BoundExceeded(f"generic spec needs a <= {B_BOUND}, got {self.a}")
-        if self.c < 0:
-            raise InvalidSpec(f"generic spec needs c >= 0, got {self.c}")
-        if isinstance(self.regular_claim, tuple) and len(self.regular_claim) != 3:
-            raise InvalidSpec("regular_claim triple must have three entries")
 
     def __str__(self) -> str:
         suffix = " regular" if self.regular_claim is True else ""
@@ -114,11 +110,9 @@ FieldSpec = Rationals | RealQuadratic | MaxRealCyclo2 | MaxRealCycloOdd | Generi
 
 
 class FieldInvariants(Record):
-    """Invariant bundle for a field; None encodes "unknown"."""
+    """The regularity oracle's verdict on a real quadratic field and the
+    invariants behind it; None encodes "unknown"."""
 
-    r: int
-    c: int
-    a_F: int
     dyadic_count: int | None
     pic_odd: bool | None
     units_indep_signs: bool | None
@@ -208,18 +202,6 @@ def is_two_regular(spec: FieldSpec) -> tuple[bool, str]:
     claim = spec.regular_claim
     if claim is None:
         return True, "generic spec without verification data (treated as claimed regular)"
-    if isinstance(claim, tuple):
-        dyadic_one, pic_odd, units = (bool(v) for v in claim)
-        if dyadic_one and pic_odd and units:
-            return True, "caller-supplied invariants satisfy the regularity test"
-        failing = []
-        if not dyadic_one:
-            failing.append("more than one dyadic prime")
-        if not pic_odd:
-            failing.append("Pic(R_F) has even order")
-        if not units:
-            failing.append("units of independent signs fail")
-        return False, "; ".join(failing)
     return (True, "caller claims 2-regular") if claim else (False, "caller claims not 2-regular")
 
 
@@ -331,18 +313,8 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     two_regular = dy.count == 1 and pic_odd is True and units is True
     if two_regular:
         reasons.append("2-regular")
-    return FieldInvariants(
-        r=2,
-        c=0,
-        a_F=a_param(spec),
-        dyadic_count=dy.count,
-        pic_odd=pic_odd,
-        units_indep_signs=units,
-        narrow_pic_odd=narrow_pic_odd,
-        two_regular=two_regular,
-        reasons=tuple(reasons),
-        failing=tuple(failing),
-    )
+    return FieldInvariants(dy.count, pic_odd, units, narrow_pic_odd, two_regular,
+                           tuple(reasons), tuple(failing))
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +333,20 @@ def is_admissible_q(q: int, spec: FieldSpec) -> bool:
     return q % m2 not in (1, m2 - 1)
 
 
-def find_q_for_a(a: int, limit: int = 10**7) -> int:
-    """Smallest congruence-admissible prime for the parameter a.
+def find_q_for_a(a: int) -> int:
+    """Smallest congruence-admissible prime below Q_SEARCH_BOUND for the
+    parameter a.
 
     For a >= 2 the admissible residues are 2^a - 1 and 2^a + 1 modulo
     2^(a+1); only those are tried, in increasing order.  For a < 2 no
     residue is admissible."""
     m, m2 = 1 << a, 1 << (a + 1)
     if a >= 2:
-        for low in range(m - 1, limit, m2):
+        for low in range(m - 1, Q_SEARCH_BOUND, m2):
             for q in (low, low + 2):
-                if q < limit and nt.is_prime(q):
+                if q < Q_SEARCH_BOUND and nt.is_prime(q):
                     return q
-    raise InadmissibleQ(f"no admissible prime below {limit} for a = {a}")
+    raise InadmissibleQ(f"no admissible prime below {Q_SEARCH_BOUND} for a = {a}")
 
 
 def find_q(spec: FieldSpec) -> int:
@@ -397,8 +370,16 @@ _CYCLO_RE = re.compile(r"^Q\(\s*zeta\s*(\d+)\s*\)\+$")
 _GENERIC_RE = re.compile(r"^generic\s+r=(\d+)\s+a=(\d+)(\s+regular)?$")
 
 
-class FieldSyntaxError(ValueError):
-    """Unparseable field text (a usage error, not a domain error)."""
+class FieldSyntaxError(UsageError):
+    """Unparseable field text."""
+
+
+def _number(digits: str) -> int:
+    """int(digits), with int()'s digit limit reported as a usage error."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise FieldSyntaxError(f"cannot parse field: {exc}") from None
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -409,20 +390,20 @@ def parse_field(text: str) -> FieldSpec:
         return Rationals()
     m = _QUAD_RE.match(text)
     if m:
-        return RealQuadratic(int(m.group(1)))
+        return RealQuadratic(_number(m.group(1)))
     m = _CYCLO2_RE.match(text)
     if m:
-        return MaxRealCyclo2(int(m.group(1)))
+        return MaxRealCyclo2(_number(m.group(1)))
     m = _CYCLO_RE.match(text)
     if m:
-        n = int(m.group(1))
+        n = _number(m.group(1))
         if n >= 4 and n & (n - 1) == 0:
             return MaxRealCyclo2(n.bit_length() - 1)
         return MaxRealCycloOdd(n)
     m = _GENERIC_RE.match(text)
     if m:
         claim = True if m.group(3) else None
-        return Generic(r=int(m.group(1)), a=int(m.group(2)), regular_claim=claim)
+        return Generic(r=_number(m.group(1)), a=_number(m.group(2)), regular_claim=claim)
     raise FieldSyntaxError(
         f"cannot parse field {text!r}; expected Q, Q(sqrt D), Q(zeta 2^B)+, "
         f"Q(zeta M)+, or generic r=R a=A [regular]"

@@ -16,6 +16,7 @@ from .record import Record
 
 TRIAL_DIVISION_BOUND = 10**12
 CLASS_NUMBER_BOUND = 10**6
+# caps every continued-fraction walk and every form reduction
 CF_STEP_BOUND = 10**6
 
 
@@ -88,12 +89,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
-    """Prime factor multiset of n by trial division (1 <= n <= bound)."""
+def factorize(n: int) -> tuple[int, ...]:
+    """Prime factor multiset of n by trial division (1 <= n <= TRIAL_DIVISION_BOUND)."""
     if n < 1:
         raise NonPositive(f"factorize requires n >= 1, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"{n} exceeds the trial-division bound {bound}")
+    if n > TRIAL_DIVISION_BOUND:
+        raise BoundExceeded(f"{n} exceeds the trial-division bound {TRIAL_DIVISION_BOUND}")
     factors: list[int] = []
     for p in (2, 3):
         while n % p == 0:
@@ -113,9 +114,9 @@ def factorize(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def squarefree_part(n: int, bound: int = TRIAL_DIVISION_BOUND) -> tuple[bool, tuple[int, ...]]:
+def squarefree_part(n: int) -> tuple[bool, tuple[int, ...]]:
     """(is n squarefree, prime factor multiset of n)."""
-    factors = factorize(n, bound)
+    factors = factorize(n)
     squarefree = len(factors) == len(set(factors))
     return squarefree, factors
 
@@ -212,7 +213,7 @@ def _require_squarefree_d(d: int) -> None:
         raise ValueError(f"d must be squarefree, got {d}")
 
 
-def _cf_reduced_period(P0: int, Q0: int, d: int, max_steps: int = CF_STEP_BOUND) -> list[int]:
+def _cf_reduced_period(P0: int, Q0: int, d: int) -> list[int]:
     """Partial quotients over one period of the purely periodic continued
     fraction of the reduced irrational (P0 + sqrt(d))/Q0.
 
@@ -228,11 +229,11 @@ def _cf_reduced_period(P0: int, Q0: int, d: int, max_steps: int = CF_STEP_BOUND)
         Q = (d - P * P) // Q
         if (P, Q) == (P0, Q0):
             return quotients
-        if len(quotients) >= max_steps:
-            raise BoundExceeded(f"continued-fraction period of ({P0}+sqrt({d}))/{Q0} exceeds {max_steps}")
+        if len(quotients) >= CF_STEP_BOUND:
+            raise BoundExceeded(f"continued-fraction period of ({P0}+sqrt({d}))/{Q0} exceeds {CF_STEP_BOUND}")
 
 
-def fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
+def fundamental_unit(d: int) -> QuadUnit:
     """Fundamental unit > 1 of the maximal order of Q(sqrt(d)).
 
     Expands the continued fraction of a reduced generator of the maximal
@@ -240,10 +241,10 @@ def fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
     norm is (-1)^(period length).
     """
     _require_squarefree_d(d)
-    return _fundamental_unit(d, max_steps)
+    return _fundamental_unit(d)
 
 
-def _fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
+def _fundamental_unit(d: int) -> QuadUnit:
     s = isqrt(d)
     if d % 4 == 1:
         # reduced element (P0 + sqrt(d))/2 of Z[(1+sqrt(d))/2]: P0 odd in (sqrt(d)-2, sqrt(d))
@@ -251,7 +252,7 @@ def _fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
         Q0 = 2
     else:
         P0, Q0 = s, 1
-    quotients = _cf_reduced_period(P0, Q0, d, max_steps)
+    quotients = _cf_reduced_period(P0, Q0, d)
     q_prev, q_curr = 1, 0  # q_{-2}, q_{-1}
     for a in quotients:
         q_prev, q_curr = q_curr, a * q_curr + q_prev
@@ -266,7 +267,7 @@ def _fundamental_unit(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit:
     return QuadUnit(x, y, denom, d, norm)
 
 
-def _norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None:
+def _norm_two_element(d: int) -> QuadUnit | None:
     """An integral element of Q(sqrt(d)) of norm +-2, or None if none exists,
     for a squarefree d >= 2 (the caller checks d).
 
@@ -283,7 +284,7 @@ def _norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None
     p_prev, p_curr = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_curr = 1, 0  # q_{-2}, q_{-1}
     seen_states: set[tuple[int, int]] = set()
-    for _ in range(max_steps):
+    for _ in range(CF_STEP_BOUND):
         a = (P + s) // Q
         p_prev, p_curr = p_curr, a * p_curr + p_prev
         q_prev, q_curr = q_curr, a * q_curr + q_prev
@@ -298,7 +299,7 @@ def _norm_two_element(d: int, max_steps: int = CF_STEP_BOUND) -> QuadUnit | None
         if (P, Q) in seen_states:
             return None
         seen_states.add((P, Q))
-    raise BoundExceeded(f"continued fraction of sqrt({d}) exceeded {max_steps} steps")
+    raise BoundExceeded(f"continued fraction of sqrt({d}) exceeded {CF_STEP_BOUND} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +337,8 @@ def _rho(f: Form, D: int, s: int) -> Form:
     return (c, b2, c2)
 
 
-def _reduce_form(f: Form, D: int, s: int, max_steps: int = 10000) -> Form:
-    for _ in range(max_steps):
+def _reduce_form(f: Form, D: int, s: int) -> Form:
+    for _ in range(CF_STEP_BOUND):
         if _is_reduced(f, D):
             return f
         f = _rho(f, D, s)
@@ -491,13 +492,12 @@ class DyadicData(Record):
 
 
 class ClassData(Record):
-    """Class numbers of Q(sqrt(d)) and the dyadic class order."""
+    """Class numbers of Q(sqrt(d))."""
 
     d: int
     discriminant: int
     h: int
     h_narrow: int
-    dyadic_class_order: int | None
 
 
 class QuadraticData(Record):
@@ -608,18 +608,7 @@ def _quadratic_data(d: int) -> QuadraticData:
         if h_narrow % 2 != 0:
             raise RuntimeError(f"narrow class number parity inconsistent for d={d}")
         h = h_narrow // 2
-    dyadic = _dyadic_data(d, D, cycle_of, h_narrow)
-    return QuadraticData(unit, ClassData(d, D, h, h_narrow, dyadic.class_order), dyadic)
-
-
-def dyadic_data(d: int) -> DyadicData:
-    """Splitting of 2 in Q(sqrt(d)) and the order of the dyadic ideal class."""
-    return quadratic_data(d).dyadic
-
-
-def class_numbers(d: int) -> ClassData:
-    """Class number data for Q(sqrt(d)) via reduced-form cycles."""
-    return quadratic_data(d).classes
+    return QuadraticData(unit, ClassData(d, D, h, h_narrow), _dyadic_data(d, D, cycle_of, h_narrow))
 
 
 def signature_span(elements) -> set[tuple[int, int]]:

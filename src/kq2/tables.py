@@ -24,6 +24,7 @@ from .errors import (
     EvenN,
     NegativeDegree,
     OddM,
+    UsageError,
 )
 from .fields import FieldLike, require_two_regular, resolve
 from .numtheory import nu2, val2_q_power
@@ -293,11 +294,11 @@ def _eval_row(table: str, ctx: _Ctx) -> FgAb2:
     return g
 
 
-def _rf_ctx(n: int, spec: FieldLike, q: int | None) -> _Ctx:
+def _rf_ctx(n: int, spec: FieldLike) -> _Ctx:
     field = require_two_regular(spec)
     if n < 0:
         raise NegativeDegree(f"table degree must be >= 0, got {n}")
-    return _Ctx(n=n, k=n // 8, r=field.r, a=field.a, q=q)
+    return _Ctx(n=n, k=n // 8, r=field.r, a=field.a, q=None)
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +310,19 @@ def _rf_ctx(n: int, spec: FieldLike, q: int | None) -> _Ctx:
 
 def k_rf(n: int, spec: FieldLike) -> FgAb2:
     """2-primary algebraic K-groups of the 2-integers of the field."""
-    return _eval_row("k_rf", _rf_ctx(n, spec, None))
+    return _eval_row("k_rf", _rf_ctx(n, spec))
 
 
-def kq_rf(n: int, eps: int, spec: FieldLike, q: int | None = None) -> FgAb2:
+def kq_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
     """2-primary hermitian K-groups of the 2-integers of the field."""
     _check_eps(eps)
-    return _eval_row("kq_rf+" if eps == 1 else "kq_rf-", _rf_ctx(n, spec, q))
+    return _eval_row("kq_rf+" if eps == 1 else "kq_rf-", _rf_ctx(n, spec))
 
 
 def v_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
     """Homotopy of the fiber of the forgetful map, hermitian to algebraic."""
     _check_eps(eps)
-    return _eval_row("v_rf+" if eps == 1 else "v_rf-", _rf_ctx(n, spec, None))
+    return _eval_row("v_rf+" if eps == 1 else "v_rf-", _rf_ctx(n, spec))
 
 
 def u_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
@@ -355,7 +356,7 @@ def v_bar(n: int, eps: int) -> FgAb2:
     return _eval_row("v_bar+" if eps == 1 else "v_bar-", ctx)
 
 
-def k_bar(n: int, q: int | None, a: int) -> FgAb2:
+def k_bar(n: int, a: int) -> FgAb2:
     """Algebraic K-groups of the one-real-place building block (n >= 1).
 
     The torsion order in degree 7 mod 8 is w(4k+4, a); this choice is the
@@ -364,7 +365,7 @@ def k_bar(n: int, q: int | None, a: int) -> FgAb2:
     """
     if n < 0:
         raise NegativeDegree(f"k_bar needs n >= 0, got {n}")
-    return _eval_row("k_bar", _Ctx(n=n, k=n // 8, r=1, a=a, q=q))
+    return _eval_row("k_bar", _Ctx(n=n, k=n // 8, r=1, a=a, q=None))
 
 
 def k_bar_uses_resolved_order(n: int) -> bool:
@@ -400,7 +401,7 @@ def square_classes(spec: FieldLike) -> FgAb2:
 
 
 # ---------------------------------------------------------------------------
-# Low degrees and endomorphism classifications
+# Low degrees
 
 
 def low_dim(spec: FieldLike, eps: int) -> dict[int, FgAb2]:
@@ -410,48 +411,6 @@ def low_dim(spec: FieldLike, eps: int) -> dict[int, FgAb2]:
     if eps == -1:
         return {-1: ZERO, 0: Z(1), 1: ZERO}
     return {-1: ZERO, 0: kq_rf(0, 1, field), 1: C2(field.r + 2)}
-
-
-HF_MULTIPLY_BY_2 = "MultiplyBy2"
-HF_IMAGE_ORDER_2 = "ImageOrder2"
-HF_ZERO = "Zero"
-INV_IDENTITY = "Identity"
-INV_MINUS_IDENTITY = "MinusIdentity"
-
-
-def hf_class(n: int, eps: int) -> str:
-    """Hyperbolic-after-forgetful endomorphism of the hermitian K-groups."""
-    _check_eps(eps)
-    if n < 1:
-        raise DegreeOutOfRange(f"hf_class needs n >= 1, got {n}")
-    if n % 4 == 3:
-        return HF_MULTIPLY_BY_2
-    if eps == 1 and n % 8 in (1, 2):
-        return HF_IMAGE_ORDER_2
-    return HF_ZERO
-
-
-def fh_class(n: int) -> str:
-    """Forgetful-after-hyperbolic endomorphism of the algebraic K-groups."""
-    if n < 1:
-        raise DegreeOutOfRange(f"fh_class needs n >= 1, got {n}")
-    return HF_MULTIPLY_BY_2 if n % 4 == 3 else HF_ZERO
-
-
-def involution_class(n: int) -> str:
-    """The canonical duality involution on the algebraic K-groups."""
-    if n < 0:
-        raise DegreeOutOfRange(f"involution_class needs n >= 0, got {n}")
-    if n == 0 or n % 4 == 3:
-        return INV_IDENTITY
-    return INV_MINUS_IDENTITY
-
-
-def forgetful_rank_image_index(eps: int) -> int:
-    """Index of the image of the forgetful map on the rank summand:
-    1 in the orthogonal case, 2 in the symplectic case."""
-    _check_eps(eps)
-    return 1 if eps == 1 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +438,7 @@ class TheoryTag(Record):
         for name, tag in THEORIES.items():
             if name.upper() == key:
                 return tag
-        raise ValueError(f"unknown theory {text!r}; expected one of {', '.join(THEORIES)}")
+        raise UsageError(f"unknown theory {text!r}; expected one of {', '.join(THEORIES)}")
 
 
 def _signed(name: str, evaluate, **rules) -> tuple[TheoryTag, TheoryTag]:
@@ -493,14 +452,13 @@ def _signed(name: str, evaluate, **rules) -> tuple[TheoryTag, TheoryTag]:
 
 THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("K", lambda n, spec, q: k_rf(n, spec)),
-    *_signed("KQ", lambda eps, n, spec, q: kq_rf(n, eps, spec, q), allows_degree_minus_one=True),
+    *_signed("KQ", lambda eps, n, spec, q: kq_rf(n, eps, spec), allows_degree_minus_one=True),
     *_signed("V", lambda eps, n, spec, q: v_rf(n, eps, spec)),
     *_signed("U", lambda eps, n, spec, q: u_rf(n, eps, spec)),
     TheoryTag("W", lambda n, spec, q: witt(spec), needs_degree=False),
     TheoryTag("W'", lambda n, spec, q: cowitt(spec), needs_degree=False),
     TheoryTag("W1", lambda n, spec, q: w1(spec), needs_degree=False),
-    # the stored Kbar rows do not read q
-    TheoryTag("Kbar", lambda n, spec, q: k_bar(n, q, resolve(spec).a)),
+    TheoryTag("Kbar", lambda n, spec, q: k_bar(n, resolve(spec).a)),
     *_signed("KQbar", lambda eps, n, spec, q: kq_bar(n, eps, q), needs_q=True),
     *_signed("Vbar", lambda eps, n, spec, q: v_bar(n, eps)),
     TheoryTag("KO", lambda n, spec, q: ko(n)),
@@ -516,11 +474,11 @@ def query(tag: TheoryTag, n: int | None, spec: FieldLike, q: int | None) -> FgAb
     if not tag.needs_degree:
         return tag.evaluate(n, spec, q)
     if n is None:
-        raise ValueError(f"theory {tag.name} needs a degree")
+        raise UsageError(f"theory {tag.name} needs a degree")
     if tag.allows_degree_minus_one and n == -1:
         return low_dim(spec, tag.eps)[-1]
     if n < 0:
         raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
     if tag.needs_q and q is None:
-        raise ValueError(f"theory {tag.name} needs q")
+        raise UsageError(f"theory {tag.name} needs q")
     return tag.evaluate(n, spec, q)

@@ -107,7 +107,7 @@ def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> 
         for n in degrees:
             yield (
                 {"identity": "KQ+", "n": n, "r": r},
-                tb.kq_rf(n, 1, field, q),
+                tb.kq_rf(n, 1, field),
                 direct_sum(tb.kq_bar(n, 1, q), n_copies(r - 1, tb.ko(n))),
             )
 
@@ -115,7 +115,7 @@ def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> 
         for n in degrees:
             yield (
                 {"identity": "KQ-", "n": n, "r": r},
-                tb.kq_rf(n, -1, field, q),
+                tb.kq_rf(n, -1, field),
                 direct_sum(tb.kq_bar(n, -1, q), n_copies(r - 1, tb.ko(n + 6))),
             )
 
@@ -141,7 +141,7 @@ def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> 
                 yield (
                     {"identity": "K", "n": n, "r": r},
                     tb.k_rf(n, field),
-                    direct_sum(tb.k_bar(n, q, a), n_copies(r - 1, tb.ko(n - 1))),
+                    direct_sum(tb.k_bar(n, a), n_copies(r - 1, tb.ko(n - 1))),
                 )
 
     return [
@@ -356,7 +356,7 @@ def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]
         for eps in (1, -1):
             ld = tb.low_dim(field, eps)
             for n in (0, 1):
-                yield ({"n": n, "eps": eps}, ld[n], tb.kq_rf(n, eps, field, q))
+                yield ({"n": n, "eps": eps}, ld[n], tb.kq_rf(n, eps, field))
 
     reports.append(
         _equality_report(
@@ -376,10 +376,6 @@ def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[Chec
     reports += [check_t_w([field.a], min(4 * n_max, 400))]
     reports += _check_extras(field, q, n_max)
     return sorted(reports, key=lambda rep: rep.name)
-
-
-def all_passed(reports: Iterable[CheckReport]) -> bool:
-    return all(rep.passed for rep in reports)
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> list[dict]:

@@ -41,13 +41,13 @@ def budget(criterion, seconds):
 def test_criterion_1_rational_golden_values():
     """Rational field golden values (r = 1, a = 2, q = 3)."""
     with budget("1", 1.0):
-        assert tb.kq_rf(1, 1, Q, 3) == C2(3)
-        assert tb.kq_rf(3, -1, Q, 3) == C(16)
+        assert tb.kq_rf(1, 1, Q) == C2(3)
+        assert tb.kq_rf(3, -1, Q) == C(16)
         assert tb.k_rf(3, Q) == C(16)  # 2-part of the classical K_3(Z) = Z/48
-        assert tb.kq_rf(0, -1, Q, 3) == Z(1)
+        assert tb.kq_rf(0, -1, Q) == Z(1)
         # the orthogonal degree-3 group has order w(2, 2) = 8; the symplectic
         # and algebraic groups carry the doubled order 16
-        assert tb.kq_rf(3, 1, Q, 3) == C(8)
+        assert tb.kq_rf(3, 1, Q) == C(8)
 
 
 @pytest.mark.xfail(
@@ -61,7 +61,7 @@ def test_criterion_1_rational_golden_values():
     ),
 )
 def test_criterion_1_literal_orthogonal_degree_3():
-    assert tb.kq_rf(3, 1, Q, 3) == C(16)
+    assert tb.kq_rf(3, 1, Q) == C(16)
 
 
 def test_criterion_2_regularity_criterion_vs_oracle():
@@ -131,8 +131,8 @@ def test_criterion_5_splitting_identities():
             failures = [rep for rep in reports if not rep.passed]
             assert not failures, failures
         # the resolved degree 7 mod 8 order, explicitly
-        assert tb.k_bar(7, 3, 2) == C(tb.w(4, 2))
-        assert tb.k_bar(15, 3, 2) == C(tb.w(8, 2))
+        assert tb.k_bar(7, 2) == C(tb.w(4, 2))
+        assert tb.k_bar(15, 2) == C(tb.w(8, 2))
 
 
 def test_criterion_6_v_plus_wedge_and_periodicity():
@@ -164,24 +164,25 @@ def test_criterion_8_fault_injection():
     """Perturbing any single stored table row trips at least one check."""
     with budget("8", 60.0):
         spec, q = RealQuadratic(6), 3
-        assert vf.all_passed(vf.run_all(spec, q, 16))
+        assert all(rep.passed for rep in vf.run_all(spec, q, 16))
         sites = tb.fault_sites()
         assert len(sites) == 80  # 10 tables of 8 rows
         undetected = []
         for site in sites:
             with tb.fault_injection(*site):
-                if vf.all_passed(vf.run_all(spec, q, 16)):
+                if all(rep.passed for rep in vf.run_all(spec, q, 16)):
                     undetected.append(site)
         assert not undetected, f"blind spots: {undetected}"
 
 
 def test_criterion_9_parity_obstruction():
-    """check_obstruction holds for every odd q in [3, 199], and the bracket
-    has constant term 3(q^4 - 1)."""
+    """The bracket's u^(2q) coefficient is odd for every odd q in [3, 199],
+    and its constant term is 3(q^4 - 1)."""
     with budget("9", 5.0):
         for q in range(3, 200, 2):
-            assert ad.check_obstruction(q), q
-            assert ad.bracket(q)[0] == 3 * (q**4 - 1), q
+            coeffs = ad.bracket(q)
+            assert coeffs[2 * q] % 2 == 1, q
+            assert coeffs[0] == 3 * (q**4 - 1), q
 
 
 def test_criterion_10_number_theory_oracles():
@@ -194,13 +195,13 @@ def test_criterion_10_number_theory_oracles():
             assert u.norm in (1, -1)
             if u.denom == 2:
                 assert d % 4 == 1 and (u.x - u.y) % 2 == 0
-        assert nt.class_numbers(10).h == 2
-        assert nt.class_numbers(2).h == 1
-        assert nt.class_numbers(15).h == 2
+        assert nt.quadratic_data(10).classes.h == 2
+        assert nt.quadratic_data(2).classes.h == 1
+        assert nt.quadratic_data(15).classes.h == 2
 
 
 def test_acceptance_summary_values():
     """A few cross-module spot values quoted elsewhere in the suite."""
-    assert parse_group("Z/2 + Z/16") == tb.kq_rf(3, -1, RealQuadratic(6), 3)
+    assert parse_group("Z/2 + Z/16") == tb.kq_rf(3, -1, RealQuadratic(6))
     assert find_q_for_a(3) == 7
     assert tb.t(7, 7) == 32

@@ -78,6 +78,10 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, _ = run(capsys, "group", "--theory", "K", "--n", "1", "--field", "Q[x]")
     assert code == 1
+    # more digits than int() converts
+    for field in ("Q(sqrt " + "1" * 5000 + ")", "generic r=" + "1" * 5000 + " a=2"):
+        code, out, err = run(capsys, "group", "--theory", "K", "--n", "1", "--field", field)
+        assert (code, out) == (1, "") and err.startswith("usage error: cannot parse field")
 
 
 def test_find_q(capsys):
@@ -385,3 +389,13 @@ def test_a_failed_self_check_is_an_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_VERIFY == 3
     assert out == ""
     assert err == "internal error: cycle through (1, 1, -1) ran into another cycle (D=5)\n"
+
+
+def test_an_internal_value_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(g, h):
+        raise ValueError(f"{h} is not a summand of {g}")
+
+    monkeypatch.setattr(tb, "subtract_summand", broken)
+    code, out, err = run(capsys, "group", "--theory", "KQFq+", "--n", "3")
+    assert (code, out) == (cli.EXIT_VERIFY, "")
+    assert err.startswith("internal error: ") and "is not a summand" in err

@@ -191,14 +191,14 @@ def analytic_class_number(d):
 
 
 def test_class_numbers_examples():
-    assert nt.class_numbers(2).h == 1
-    cd10 = nt.class_numbers(10)
-    assert cd10.h == 2 and cd10.dyadic_class_order == 2
-    cd34 = nt.class_numbers(34)
-    assert cd34.h == 2 and cd34.dyadic_class_order == 1
-    assert nt.class_numbers(15).h == 2
-    assert nt.class_numbers(5).discriminant == 5
-    assert nt.class_numbers(6).discriminant == 24
+    assert nt.quadratic_data(2).classes.h == 1
+    qd10 = nt.quadratic_data(10)
+    assert qd10.classes.h == 2 and qd10.dyadic.class_order == 2
+    qd34 = nt.quadratic_data(34)
+    assert qd34.classes.h == 2 and qd34.dyadic.class_order == 1
+    assert nt.quadratic_data(15).classes.h == 2
+    assert nt.quadratic_data(5).classes.discriminant == 5
+    assert nt.quadratic_data(6).classes.discriminant == 24
 
 
 # Larger fields, one to two per class of d mod 8 (two with h odd), where
@@ -210,7 +210,7 @@ def test_class_numbers_against_analytic_formula():
     small = [d for d in range(2, 201) if nt.squarefree_part(d)[0]]
     assert {d % 8 for d in LARGE_CLASS_NUMBER_D} == {1, 2, 3, 5, 6, 7}
     for d in small + list(LARGE_CLASS_NUMBER_D):
-        cd = nt.class_numbers(d)
+        cd = nt.quadratic_data(d).classes
         approx = analytic_class_number(d)
         assert abs(approx - cd.h) < 1e-6, (d, cd.h, approx)
         # narrow/wide relation driven by the unit norm
@@ -308,10 +308,11 @@ def test_norm_two_element_complete(d):
 
 
 def test_dyadic_data_examples():
-    assert nt.dyadic_data(10).class_order == 2
-    assert nt.dyadic_data(34).class_order == 1
-    assert nt.dyadic_data(17).count == 2
-    assert nt.dyadic_data(5).count == 1 and nt.dyadic_data(5).class_order == 1
+    assert nt.quadratic_data(10).dyadic.class_order == 2
+    assert nt.quadratic_data(34).dyadic.class_order == 1
+    assert nt.quadratic_data(17).dyadic.count == 2
+    dy5 = nt.quadratic_data(5).dyadic
+    assert dy5.count == 1 and dy5.class_order == 1
 
 
 def brute_force_split_dyadic_order(d, kmax=6, ybound=3000):
@@ -338,7 +339,7 @@ def brute_force_split_dyadic_order(d, kmax=6, ybound=3000):
 )
 def test_split_dyadic_order_against_brute_force(d):
     assert d % 8 == 1
-    dd = nt.dyadic_data(d)
+    dd = nt.quadratic_data(d).dyadic
     assert dd.count == 2
     assert dd.class_order == brute_force_split_dyadic_order(d)
 
@@ -362,13 +363,14 @@ def test_signature_span_is_subgroup_containing_identity(d):
             assert (v[0] * w[0], v[1] * w[1]) in span
 
 
-def test_bound_errors():
+def test_bound_errors(monkeypatch):
     with pytest.raises(BoundExceeded):
-        nt.class_numbers(10**6 + 3)
+        nt.quadratic_data(10**6 + 3)
     with pytest.raises(BoundExceeded):
         nt.factorize(10**12 + 1)
+    monkeypatch.setattr(nt, "CF_STEP_BOUND", 3)
     with pytest.raises(BoundExceeded):
-        nt.fundamental_unit(94, max_steps=3)  # period 16 exceeds the cap
+        nt.fundamental_unit(94)  # period 16 exceeds the cap
 
 
 def test_class_number_bound_checked_before_any_work(monkeypatch):
@@ -378,10 +380,9 @@ def test_class_number_bound_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(nt, "factorize", refuse)
     monkeypatch.setattr(nt, "_sqrt_mod_prime", refuse)
     above = nt.CLASS_NUMBER_BOUND + 1  # 101 * 9901, squarefree, = 1 (mod 8)
-    for fn in (nt.dyadic_data, nt.class_numbers, nt.quadratic_data):
-        for d in (above, 10**9 + 1):
-            with pytest.raises(BoundExceeded):
-                fn(d)
+    for d in (above, 10**9 + 1):
+        with pytest.raises(BoundExceeded):
+            nt.quadratic_data(d)
     with pytest.raises(BoundExceeded):
         nt.reduced_forms(4 * nt.CLASS_NUMBER_BOUND + 1)
 

@@ -64,7 +64,7 @@ def test_repr_and_hash_are_those_of_a_frozen_dataclass(cls):
 
 def test_repr_examples():
     assert repr(abgroup.FgAb2(1, (2,))) == "FgAb2(rank=1, torsion=(2,))"
-    assert repr(f.Generic(2, 3)) == "Generic(r=2, a=3, c=0, regular_claim=None)"
+    assert repr(f.Generic(2, 3)) == "Generic(r=2, a=3, regular_claim=None)"
     assert repr(f.Rationals()) == "Rationals()"
 
 
@@ -96,10 +96,10 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 
 
 def test_construction_by_position_keyword_and_default():
-    assert f.Generic(2, 3) == f.Generic(r=2, a=3, c=0, regular_claim=None) == f.Generic(a=3, r=2)
+    assert f.Generic(2, 3) == f.Generic(r=2, a=3, regular_claim=None) == f.Generic(a=3, r=2)
     assert abgroup.FgAb2() == abgroup.FgAb2(torsion=()) == abgroup.ZERO
-    assert f.FieldInvariants(1, 0, 2, None, None, None, None, True).reasons == ()
-    for args, kwargs in [((2,), {}), ((2, 3, 0, None, 1), {}), ((2, 3), {"r": 2}), ((2, 3), {"x": 1})]:
+    assert f.FieldInvariants(None, None, None, None, True).reasons == ()
+    for args, kwargs in [((2,), {}), ((2, 3, None, 1), {}), ((2, 3), {"r": 2}), ((2, 3), {"x": 1})]:
         with pytest.raises(TypeError):
             f.Generic(*args, **kwargs)
 

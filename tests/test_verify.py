@@ -50,7 +50,7 @@ def test_check_splittings_example_values():
     from kq2.abgroup import C2, direct_sum, n_copies
 
     spec = Generic(r=3, a=2, regular_claim=True)
-    lhs = tb.kq_rf(12, -1, spec, 3)
+    lhs = tb.kq_rf(12, -1, spec)
     rhs = direct_sum(tb.kq_bar(12, -1, 3), n_copies(2, tb.ko(18)))
     assert lhs == rhs == C2(3)
 
@@ -80,6 +80,6 @@ def test_report_json_shape():
 @pytest.mark.parametrize("site", [("kq_rf+", 3), ("v_bar-", 0), ("k_rf", 7)])
 def test_fault_injection_spot_checks(site):
     spec, q = RealQuadratic(6), 3
-    assert vf.all_passed(vf.run_all(spec, q, 16))
+    assert all(rep.passed for rep in vf.run_all(spec, q, 16))
     with tb.fault_injection(*site):
-        assert not vf.all_passed(vf.run_all(spec, q, 16))
+        assert not all(rep.passed for rep in vf.run_all(spec, q, 16))
