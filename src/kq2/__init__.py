@@ -30,12 +30,9 @@ from .fields import (
     MaxRealCycloOdd,
     Rationals,
     RealQuadratic,
-    a_param,
-    find_q,
     is_admissible_q,
     is_two_regular,
     parse_field,
-    real_embeddings,
     two_regular_oracle,
 )
 from .tables import TheoryTag, query
@@ -57,10 +54,8 @@ __all__ = [
     "TheoryTag",
     "Z",
     "ZERO",
-    "a_param",
     "direct_sum",
     "exact_window_check",
-    "find_q",
     "format_group",
     "group_to_json",
     "is_admissible_q",
@@ -69,7 +64,6 @@ __all__ = [
     "parse_field",
     "parse_group",
     "query",
-    "real_embeddings",
     "ses_consistent",
     "two_regular_oracle",
 ]

@@ -22,14 +22,11 @@ from . import tables
 from .abgroup import format_group, group_to_json
 from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error, UsageError
 from .fields import (
-    FieldSpec,
     RealQuadratic,
     ResolvedField,
-    find_q,
-    find_q_for_a,
+    choose_q,
     is_unverified_generic,
     parse_field,
-    require_admissible_q,
     resolve,
     two_regular_oracle,
 )
@@ -103,18 +100,17 @@ def _field_meta(field: ResolvedField) -> dict:
     }
 
 
-def _resolve_q(args, spec: FieldSpec, notes: list[str]) -> int:
-    if getattr(args, "q", None) is None:
-        q = find_q(spec)
+def _choose_q(args, field: ResolvedField, notes: list[str]) -> int:
+    q = choose_q(field, args.q)
+    if args.q is None:
         notes.append(f"q = {q} auto-selected (smallest congruence-admissible prime)")
-        return q
-    require_admissible_q(args.q, spec)
-    notes.append(f"q = {args.q} (congruence-admissible)")
-    return args.q
+    else:
+        notes.append(f"q = {q} (congruence-admissible)")
+    return q
 
 
-def _generic_note(spec: FieldSpec, notes: list[str]) -> None:
-    if is_unverified_generic(spec):
+def _generic_note(field: ResolvedField, notes: list[str]) -> None:
+    if is_unverified_generic(field):
         notes.append("generic field description is unverified; table values assume 2-regularity")
 
 
@@ -174,15 +170,15 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _cmd_group(args) -> int:
-    spec = parse_field(args.field)
-    notes: list[str] = []
     tag = TheoryTag.parse(args.theory)
-    _generic_note(spec, notes)
-    q = _resolve_q(args, spec, notes)
+    tag.check_degree(args.n)
     if args.n == -1 and not tag.allows_degree_minus_one:
         low = " and ".join(name for name, t in tables.THEORIES.items() if t.allows_degree_minus_one)
         raise UsageError(f"n = -1 is only defined for {low}, not {tag.name}")
-    field = resolve(spec)
+    field = resolve(parse_field(args.field))
+    notes: list[str] = []
+    _generic_note(field, notes)
+    q = _choose_q(args, field, notes)
     g = tables.query(tag, args.n, field, q)
     _kbar_note([tag], [args.n], notes)
     payload = {
@@ -198,8 +194,6 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    spec = parse_field(args.field)
-    notes: list[str] = []
     tags = [TheoryTag.parse(name) for name in args.theories.split(",") if name.strip()]
     if not tags:
         raise UsageError("no theories given")
@@ -207,9 +201,10 @@ def _cmd_table(args) -> int:
     if no_degree:
         raise UsageError(f"theories without a degree axis cannot be tabulated: {no_degree}")
     _check_n_max(args.n_max, 0)
-    _generic_note(spec, notes)
-    q = _resolve_q(args, spec, notes)
-    field = resolve(spec)
+    field = resolve(parse_field(args.field))
+    notes: list[str] = []
+    _generic_note(field, notes)
+    q = _choose_q(args, field, notes)
     rows = []
     for n in range(0, args.n_max + 1):
         groups = []
@@ -246,13 +241,13 @@ def _cmd_table(args) -> int:
 
 def _cmd_regular(args) -> int:
     spec = parse_field(args.field)
+    if args.oracle and not isinstance(spec, RealQuadratic):
+        raise UsageError("--oracle is available for real quadratic fields only")
     field = resolve(spec)
     notes: list[str] = []
     verdict, reasons, failing = field.regular, [field.reason], []
     oracle_data = None
     if args.oracle:
-        if not isinstance(spec, RealQuadratic):
-            raise UsageError("--oracle is available for real quadratic fields only")
         inv = two_regular_oracle(spec)
         oracle_data = {
             "dyadic_count": inv.dyadic_count,
@@ -282,7 +277,7 @@ def _cmd_regular(args) -> int:
 
 def _cmd_find_q(args) -> int:
     field = resolve(parse_field(args.field))
-    q = find_q_for_a(field.a)
+    q = choose_q(field, None)
     payload = {
         "query": {"command": "find-q", "field": args.field},
         "field": _field_meta(field),
@@ -297,10 +292,9 @@ def _cmd_find_q(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
     _check_n_max(args.n_max, verify.N_MAX_LEAST)
-    spec = parse_field(args.field)
+    field = resolve(parse_field(args.field))
     notes: list[str] = []
-    q = _resolve_q(args, spec, notes)
-    field = resolve(spec)
+    q = _choose_q(args, field, notes)
     reports = verify.run_all(field, q, args.n_max)
     failures = [rep for rep in reports if not rep.passed]
     human = [f"# {verify.REPORT_HEADER}"]

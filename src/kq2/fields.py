@@ -123,38 +123,6 @@ class FieldInvariants(Record):
     failing: tuple[str, ...] = ()
 
 
-def _unknown(spec) -> InvalidSpec:
-    return InvalidSpec(f"unknown field spec {spec!r}")
-
-
-def real_embeddings(spec: FieldSpec) -> int:
-    if isinstance(spec, Rationals):
-        return 1
-    if isinstance(spec, RealQuadratic):
-        return 2
-    if isinstance(spec, MaxRealCyclo2):
-        return 2 ** (spec.b - 2)
-    if isinstance(spec, MaxRealCycloOdd):
-        return nt.euler_phi(spec.m) // 2
-    if isinstance(spec, Generic):
-        return spec.r
-    raise _unknown(spec)
-
-
-def a_param(spec: FieldSpec) -> int:
-    """The 2-adic size parameter a_F (= 2 except in the 2-power cyclotomic
-    tower, where it grows, and for Q(sqrt 2) where it is 3)."""
-    if isinstance(spec, (Rationals, MaxRealCycloOdd)):
-        return 2
-    if isinstance(spec, RealQuadratic):
-        return 3 if spec.d == 2 else 2
-    if isinstance(spec, MaxRealCyclo2):
-        return spec.b
-    if isinstance(spec, Generic):
-        return spec.a
-    raise _unknown(spec)
-
-
 def _quadratic_criterion(d: int) -> tuple[bool, str]:
     # 2-regular iff d = 2, d = p, or d = 2p with p = +-3 (mod 8) prime
     if d == 2:
@@ -171,42 +139,18 @@ def _quadratic_criterion(d: int) -> tuple[bool, str]:
     return False, f"d = {d} is neither 2, a prime, nor twice a prime"
 
 
-def is_two_regular(spec: FieldSpec) -> tuple[bool, str]:
-    """Fast closed-form 2-regularity verdict with a one-line reason.
-
-    Quadratic fields use the exact d = 2 / p / 2p criterion; odd cyclotomic
-    fields outside the certified list report False rather than guessing.
-    Generic specs are trusted: a missing claim counts as unverified-regular
-    so that table queries stay possible (callers should flag this).
-    """
-    if isinstance(spec, Rationals):
-        return True, "the rationals are 2-regular"
-    if isinstance(spec, MaxRealCyclo2):
-        return True, "maximal real 2-power cyclotomic fields are 2-regular"
-    if isinstance(spec, RealQuadratic):
-        return _quadratic_criterion(spec.d)
-    if isinstance(spec, MaxRealCycloOdd):
-        m = spec.m
-        if not nt.is_primitive_root(2, m):
-            raise NotPrimitiveRoot(f"2 is not a primitive root modulo {m}")
-        phi = nt.euler_phi(m)
-        if m != 29 and phi <= 66:
-            return True, f"phi({m}) = {phi} <= 66"
-        if m == 29:
-            return False, "m = 29 is the known exception to the phi <= 66 rule"
-        if nt.is_sophie_germain_type(m) and m % 8 != 7:
-            return True, f"m = {m} and (m-1)/2 both prime with m != 7 (mod 8)"
-        return False, f"m = {m} is outside the certified list"
-    if not isinstance(spec, Generic):
-        raise _unknown(spec)
-    claim = spec.regular_claim
-    if claim is None:
-        return True, "generic spec without verification data (treated as claimed regular)"
-    return (True, "caller claims 2-regular") if claim else (False, "caller claims not 2-regular")
+def _cyclotomic_criterion(m: int, phi: int) -> tuple[bool, str]:
+    # m is an odd prime power with 2 as a primitive root, and phi = phi(m)
+    if m == 29:
+        return False, "m = 29 is the known exception to the phi <= 66 rule"
+    if phi <= 66:
+        return True, f"phi({m}) = {phi} <= 66"
+    if nt.is_sophie_germain_type(m) and m % 8 != 7:
+        return True, f"m = {m} and (m-1)/2 both prime with m != 7 (mod 8)"
+    return False, f"m = {m} is outside the certified list"
 
 
-def is_unverified_generic(spec: FieldSpec) -> bool:
-    return isinstance(spec, Generic) and spec.regular_claim is None
+_UNVERIFIED = "generic spec without verification data (treated as claimed regular)"
 
 
 class ResolvedField(Record):
@@ -227,11 +171,51 @@ FieldLike = FieldSpec | ResolvedField
 
 
 def resolve(spec: FieldLike) -> ResolvedField:
-    """The resolved record of a spec (a record is returned unchanged)."""
+    """The resolved record of a spec (a record is returned unchanged): its r
+    real embeddings, its 2-adic size parameter a_F, and the fast closed-form
+    2-regularity verdict with a one-line reason.
+
+    a_F = 2 except in the 2-power cyclotomic tower, where it grows, and for
+    Q(sqrt 2), where it is 3.  Quadratic fields use the exact d = 2 / p / 2p
+    criterion; odd cyclotomic fields outside the certified list report False
+    rather than guessing.  Generic specs are trusted: a missing claim counts
+    as unverified-regular so that table queries stay possible (callers
+    should flag this, see is_unverified_generic).
+    """
     if isinstance(spec, ResolvedField):
         return spec
-    regular, reason = is_two_regular(spec)
-    return ResolvedField(spec, real_embeddings(spec), a_param(spec), regular, reason)
+    if isinstance(spec, Rationals):
+        return ResolvedField(spec, 1, 2, True, "the rationals are 2-regular")
+    if isinstance(spec, RealQuadratic):
+        return ResolvedField(spec, 2, 3 if spec.d == 2 else 2, *_quadratic_criterion(spec.d))
+    if isinstance(spec, MaxRealCyclo2):
+        return ResolvedField(spec, 2 ** (spec.b - 2), spec.b, True,
+                             "maximal real 2-power cyclotomic fields are 2-regular")
+    if isinstance(spec, MaxRealCycloOdd):
+        m = spec.m
+        if not nt.is_primitive_root(2, m):
+            raise NotPrimitiveRoot(f"2 is not a primitive root modulo {m}")
+        phi = nt.euler_phi(m)
+        return ResolvedField(spec, phi // 2, 2, *_cyclotomic_criterion(m, phi))
+    if isinstance(spec, Generic):
+        claim = spec.regular_claim
+        if claim is None:
+            return ResolvedField(spec, spec.r, spec.a, True, _UNVERIFIED)
+        reason = "caller claims 2-regular" if claim else "caller claims not 2-regular"
+        return ResolvedField(spec, spec.r, spec.a, claim, reason)
+    raise InvalidSpec(f"unknown field spec {spec!r}")
+
+
+def is_two_regular(spec: FieldLike) -> tuple[bool, str]:
+    """The 2-regularity verdict of resolve(spec) and its one-line reason."""
+    field = resolve(spec)
+    return field.regular, field.reason
+
+
+def is_unverified_generic(spec: FieldLike) -> bool:
+    """Whether only the trust in a generic spec without a claim admits the
+    field."""
+    return resolve(spec).reason == _UNVERIFIED
 
 
 def require_two_regular(spec: FieldLike) -> ResolvedField:
@@ -321,10 +305,9 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
 # The auxiliary prime q
 
 
-def is_admissible_q(q: int, spec: FieldSpec) -> bool:
+def is_admissible_q(q: int, a: int) -> bool:
     """Congruence admissibility: q prime, q = +-1 (mod 2^a) but not
     (mod 2^(a+1)), where a is the field's 2-adic size parameter."""
-    a = a_param(spec)
     if q < 3 or not nt.is_prime(q):
         return False
     m, m2 = 1 << a, 1 << (a + 1)
@@ -349,16 +332,14 @@ def find_q_for_a(a: int) -> int:
     raise InadmissibleQ(f"no admissible prime below {Q_SEARCH_BOUND} for a = {a}")
 
 
-def find_q(spec: FieldSpec) -> int:
-    """Smallest congruence-admissible prime for the field."""
-    return find_q_for_a(a_param(spec))
-
-
-def require_admissible_q(q: int, spec: FieldSpec) -> None:
-    if not is_admissible_q(q, spec):
-        raise InadmissibleQ(
-            f"q = {q} is not congruence-admissible for {spec} (a = {a_param(spec)})"
-        )
+def choose_q(field: ResolvedField, q: int | None) -> int:
+    """The field's auxiliary prime: the smallest congruence-admissible one if
+    q is None, else q once it is checked (InadmissibleQ if it fails)."""
+    if q is None:
+        return find_q_for_a(field.a)
+    if not is_admissible_q(q, field.a):
+        raise InadmissibleQ(f"q = {q} is not congruence-admissible for {field} (a = {field.a})")
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,11 @@ def is_primitive_root(g: int, m: int) -> bool:
     facs = set(factorize(m))
     if len(facs) != 1:
         raise BadModulus(f"modulus must be a prime power, got {m}")
-    phi = euler_phi(m)
+    (p,) = facs
+    phi = m // p * (p - 1)
     if pow(g, phi, m) != 1:  # not coprime
         return False
-    return all(pow(g, phi // p, m) != 1 for p in set(factorize(phi)))
+    return all(pow(g, phi // ell, m) != 1 for ell in set(factorize(phi)))
 
 
 def is_sophie_germain_type(m: int) -> bool:

@@ -440,6 +440,11 @@ class TheoryTag(Record):
                 return tag
         raise UsageError(f"unknown theory {text!r}; expected one of {', '.join(THEORIES)}")
 
+    def check_degree(self, n: int | None) -> None:
+        """Raise UsageError if the theory has a degree axis and n is None."""
+        if n is None and self.needs_degree:
+            raise UsageError(f"theory {self.name} needs a degree")
+
 
 def _signed(name: str, evaluate, **rules) -> tuple[TheoryTag, TheoryTag]:
     """The orthogonal and symplectic entries of ``name``; ``evaluate`` takes
@@ -471,10 +476,9 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
 def query(tag: TheoryTag, n: int | None, spec: FieldLike, q: int | None) -> FgAb2:
     """Evaluate one theory at one degree, under the degree and q rules of
     its registry entry; n = -1 goes to the low-degree computation."""
+    tag.check_degree(n)
     if not tag.needs_degree:
         return tag.evaluate(n, spec, q)
-    if n is None:
-        raise UsageError(f"theory {tag.name} needs a degree")
     if tag.allows_degree_minus_one and n == -1:
         return low_dim(spec, tag.eps)[-1]
     if n < 0:

@@ -29,14 +29,7 @@ from .abgroup import (
     n_copies,
     ses_consistent,
 )
-from .errors import InadmissibleQ
-from .fields import (
-    FieldLike,
-    ResolvedField,
-    find_q_for_a,
-    is_admissible_q,
-    require_two_regular,
-)
+from .fields import FieldLike, ResolvedField, choose_q, find_q_for_a, require_two_regular
 from .record import Record
 
 REPORT_HEADER = (
@@ -83,77 +76,44 @@ def _equality_report(name: str, cases: Iterable[tuple[dict, FgAb2, FgAb2]], deta
     return CheckReport(name, True, f"{details} ({checked} cases)")
 
 
-def _prepare(spec: FieldLike, q: int | None) -> tuple[ResolvedField, int]:
-    """The resolved 2-regular field and its admissible q (the smallest one
-    if q is None)."""
-    field = require_two_regular(spec)
-    if q is None:
-        return field, find_q_for_a(field.a)
-    if not is_admissible_q(q, field.spec):
-        raise InadmissibleQ(f"q = {q} is not congruence-admissible for {field}")
-    return field, q
+# The five splittings of the R_F tables into the one-real-place building
+# block plus topological copies: identity, report name, first degree, and
+# the two sides as functions of (n, field, q).
+_SPLITTINGS = (
+    ("KQ+", "splitting KQ+ = KQbar+ + (r-1) KO", 0,
+     lambda n, f, q: tb.kq_rf(n, 1, f),
+     lambda n, f, q: direct_sum(tb.kq_bar(n, 1, q), n_copies(f.r - 1, tb.ko(n)))),
+    ("KQ-", "splitting KQ- = KQbar- + (r-1) KO[6]", 0,
+     lambda n, f, q: tb.kq_rf(n, -1, f),
+     lambda n, f, q: direct_sum(tb.kq_bar(n, -1, q), n_copies(f.r - 1, tb.ko(n + 6)))),
+    ("V+", "splitting V+ = Vbar+ + 2(r-1) KO", 0,
+     lambda n, f, q: tb.v_rf(n, 1, f),
+     lambda n, f, q: direct_sum(tb.v_bar(n, 1), n_copies(2 * (f.r - 1), tb.ko(n)))),
+    ("V-", "splitting V- = Vbar- + (r-1) KU", 0,
+     lambda n, f, q: tb.v_rf(n, -1, f),
+     lambda n, f, q: direct_sum(tb.v_bar(n, -1), n_copies(f.r - 1, tb.ku(n)))),
+    ("K", "splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))", 1,
+     lambda n, f, q: tb.k_rf(n, f),
+     lambda n, f, q: direct_sum(tb.k_bar(n, f.a), n_copies(f.r - 1, tb.ko(n - 1)))),
+)
 
 
 def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies."""
-    field, q = _prepare(spec, q)
+    field = require_two_regular(spec)
+    q = choose_q(field, q)
     if n_max < N_MAX_LEAST:
         raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
-    r, a = field.r, field.a
-    degrees = range(0, n_max + 1)
-
-    def cases_a():
-        for n in degrees:
-            yield (
-                {"identity": "KQ+", "n": n, "r": r},
-                tb.kq_rf(n, 1, field),
-                direct_sum(tb.kq_bar(n, 1, q), n_copies(r - 1, tb.ko(n))),
-            )
-
-    def cases_b():
-        for n in degrees:
-            yield (
-                {"identity": "KQ-", "n": n, "r": r},
-                tb.kq_rf(n, -1, field),
-                direct_sum(tb.kq_bar(n, -1, q), n_copies(r - 1, tb.ko(n + 6))),
-            )
-
-    def cases_c():
-        for n in degrees:
-            yield (
-                {"identity": "V+", "n": n, "r": r},
-                tb.v_rf(n, 1, field),
-                direct_sum(tb.v_bar(n, 1), n_copies(2 * (r - 1), tb.ko(n))),
-            )
-
-    def cases_d():
-        for n in degrees:
-            yield (
-                {"identity": "V-", "n": n, "r": r},
-                tb.v_rf(n, -1, field),
-                direct_sum(tb.v_bar(n, -1), n_copies(r - 1, tb.ku(n))),
-            )
-
-    def cases_e():
-        for n in degrees:
-            if n >= 1:
-                yield (
-                    {"identity": "K", "n": n, "r": r},
-                    tb.k_rf(n, field),
-                    direct_sum(tb.k_bar(n, a), n_copies(r - 1, tb.ko(n - 1))),
-                )
-
     return [
-        _equality_report("splitting KQ+ = KQbar+ + (r-1) KO", cases_a(), f"n <= {n_max}"),
-        _equality_report("splitting KQ- = KQbar- + (r-1) KO[6]", cases_b(), f"n <= {n_max}"),
-        _equality_report("splitting V+ = Vbar+ + 2(r-1) KO", cases_c(), f"n <= {n_max}"),
-        _equality_report("splitting V- = Vbar- + (r-1) KU", cases_d(), f"n <= {n_max}"),
         _equality_report(
-            "splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))",
-            cases_e(),
-            f"1 <= n <= {n_max}",
-        ),
+            name,
+            # consumed by _equality_report before the next identity is bound
+            (({"identity": identity, "n": n, "r": field.r}, lhs(n, field, q), rhs(n, field, q))
+             for n in range(first, n_max + 1)),
+            f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}",
+        )
+        for identity, name, first, lhs, rhs in _SPLITTINGS
     ]
 
 
@@ -185,7 +145,8 @@ def check_les(spec: FieldLike, q: int | None = None) -> list[CheckReport]:
         the rank/order consistency test;
     (c) the all-finite vertical window in degrees 3 mod 8 telescopes.
     """
-    field, q = _prepare(spec, q)
+    field = require_two_regular(spec)
+    q = choose_q(field, q)
     r = field.r
     reports: list[CheckReport] = []
 
@@ -370,7 +331,8 @@ def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]
 
 def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """Full consistency suite for one 2-regular field."""
-    field, q = _prepare(spec, q)
+    field = require_two_regular(spec)
+    q = choose_q(field, q)
     reports = check_splittings(field, q, n_max)
     reports += check_les(field, q)
     reports += [check_t_w([field.a], min(4 * n_max, 400))]

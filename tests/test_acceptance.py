@@ -111,7 +111,7 @@ def test_criterion_3_valuation_property_sweep():
 
 
 def test_criterion_4_t_equals_w():
-    """t(n, q) = w((n+1)/2, a) for a in 2..5, q = find_q(a), n = 3 mod 4,
+    """t(n, q) = w((n+1)/2, a) for a in 2..5, q = find_q_for_a(a), n = 3 mod 4,
     n <= 400."""
     with budget("4", 1.0):
         for a in (2, 3, 4, 5):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,21 +214,30 @@ def _refuse(*args):
     raise AssertionError("work started above the bound")
 
 
+def _patch_everywhere(monkeypatch, target, name, fn):
+    """Replace target.name in every kq2 module that binds the same function,
+    so calls through a from-import are replaced too."""
+    original = getattr(target, name)
+    for module in (abgroup, adams, cli, fields, nt, tb, verify):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, fn)
+
+
 @pytest.mark.parametrize("argv, target, name", [
     (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "query"),
     (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
     (("adams", "--q", str(Q_BOUND + 2)), adams, "_expand"),
-    (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "real_embeddings"),
-    (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "real_embeddings"),
+    (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "resolve"),
+    (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "resolve"),
     (("group", "--theory", "KQ+", "--n", "1", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"),
      tb, "_eval_row"),
     (("table", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
     (("verify", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
-    (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "real_embeddings"),
+    (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "resolve"),
     (("find-q", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "find_q_for_a"),
 ])
 def test_input_bounds_exit_2_before_work(capsys, monkeypatch, argv, target, name):
-    monkeypatch.setattr(target, name, _refuse)
+    _patch_everywhere(monkeypatch, target, name, _refuse)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "BoundExceeded" in err
@@ -261,12 +271,14 @@ DEGREE_THEORIES = ",".join(name for name, tag in tb.THEORIES.items() if tag.need
 
 
 def _factorize_calls(capsys, monkeypatch, *argv):
-    calls = []
+    """How often one successful command factorizes each number."""
+    calls = Counter()
     original = nt.factorize
-    monkeypatch.setattr(nt, "factorize", lambda *a: calls.append(a) or original(*a))
-    code, _, _ = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(nt, "factorize", lambda n: calls.update([n]) or original(n))
+        code, _, _ = run(capsys, *argv)
     assert code == 0
-    return len(calls)
+    return calls
 
 
 # the field is resolved once per command, so the number of factorizations
@@ -312,7 +324,70 @@ def test_regular_and_find_q_take_large_fields(capsys, argv, code, stream):
     ("find-q",),
 ])
 def test_each_command_factorizes_a_large_d_once(capsys, monkeypatch, argv):
-    assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(sqrt 999999999989)") == 1
+    assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(sqrt 999999999989)") == {999999999989: 1}
+
+
+# Q(zeta m)+ factorizes m three times: when the spec checks that m is a prime
+# power, in is_primitive_root, and in the one euler_phi(m) that gives both r
+# and the phi <= 66 rule; phi = 10 is factorized for the primitive-root test
+@pytest.mark.parametrize("argv", [
+    ("group", "--theory", "KQ+", "--n", "3"),
+    ("table", "--n-max", "8"),
+    ("verify", "--n-max", "16"),
+    ("regular",),
+    ("find-q",),
+])
+def test_each_command_factorizes_m_three_times(capsys, monkeypatch, argv):
+    assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(zeta 11)+") == {11: 3, 10: 1}
+
+
+# every usage check runs before the field is parsed or resolved
+@pytest.mark.parametrize("argv, refused", [
+    (("group", "--theory", "K", "--n", "-1", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
+    (("group", "--theory", "K", "--n", "-1", "--field", "Q", "--q", "7"), ("parse_field", "resolve")),
+    (("group", "--theory", "K", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
+    (("group", "--theory", "BOGUS", "--n", "1", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
+    (("table", "--n-max", "8", "--theories", "W", "--field", "Q", "--q", "7"), ("parse_field", "resolve")),
+    (("table", "--n-max", "-1", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
+    # --oracle needs the family, so the field is parsed but not resolved
+    (("regular", "--oracle", "--field", "Q(zeta 7)+"), ("resolve",)),
+])
+def test_usage_errors_come_before_field_work(capsys, monkeypatch, argv, refused):
+    for name in refused:
+        _patch_everywhere(monkeypatch, fields, name, _refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: ")
+
+
+# verify's run_all, check_splittings and check_les each re-check the q they
+# are given, as they re-check 2-regularity; only the command's own call may
+# search for q
+@pytest.mark.parametrize("q", [None, "5"])
+@pytest.mark.parametrize("argv, choices", [
+    (("group", "--theory", "KQ+", "--n", "3"), 1),
+    (("table", "--n-max", "8", "--theories", DEGREE_THEORIES), 1),
+    (("verify", "--n-max", "16"), 4),
+])
+def test_each_command_resolves_the_field_and_chooses_q_once(capsys, monkeypatch, argv, choices, q):
+    resolved, chosen = [], []
+    resolve, choose_q = fields.resolve, fields.choose_q
+
+    def counting_resolve(spec):
+        if not isinstance(spec, fields.ResolvedField):
+            resolved.append(spec)
+        return resolve(spec)
+
+    def counting_choose_q(field, given):
+        chosen.append((field, given))
+        return choose_q(field, given)
+
+    _patch_everywhere(monkeypatch, fields, "resolve", counting_resolve)
+    _patch_everywhere(monkeypatch, fields, "choose_q", counting_choose_q)
+    code, out, _ = run(capsys, *argv, "--field", "Q(sqrt 5)", *(["--q", q] if q else []))
+    assert code == 0
+    assert resolved == [fields.RealQuadratic(5)]
+    field = resolve(resolved[0])
+    assert chosen == [(field, None if q is None else 5)] + [(field, int(q or 3))] * (choices - 1)
 
 
 # table and verify pay per distinct group, not per cell

@@ -18,19 +18,19 @@ SQUAREFREE_60 = [d for d in range(2, 61) if nt.squarefree_part(d)[0]]
 
 
 def test_real_embeddings():
-    assert f.real_embeddings(Q) == 1
-    assert f.real_embeddings(f.MaxRealCyclo2(4)) == 4
-    assert f.real_embeddings(f.MaxRealCycloOdd(11)) == 5
-    assert f.real_embeddings(f.RealQuadratic(6)) == 2
-    assert f.real_embeddings(f.Generic(r=8, a=2)) == 8
+    assert f.resolve(Q).r == 1
+    assert f.resolve(f.MaxRealCyclo2(4)).r == 4
+    assert f.resolve(f.MaxRealCycloOdd(11)).r == 5
+    assert f.resolve(f.RealQuadratic(6)).r == 2
+    assert f.resolve(f.Generic(r=8, a=2)).r == 8
 
 
 def test_a_param():
-    assert f.a_param(Q) == 2
-    assert f.a_param(f.RealQuadratic(2)) == 3
-    assert f.a_param(f.RealQuadratic(7)) == 2
-    assert f.a_param(f.MaxRealCyclo2(5)) == 5
-    assert f.a_param(f.MaxRealCycloOdd(11)) == 2
+    assert f.resolve(Q).a == 2
+    assert f.resolve(f.RealQuadratic(2)).a == 3
+    assert f.resolve(f.RealQuadratic(7)).a == 2
+    assert f.resolve(f.MaxRealCyclo2(5)).a == 5
+    assert f.resolve(f.MaxRealCycloOdd(11)).a == 2
 
 
 def test_validate_spec():
@@ -143,31 +143,38 @@ def test_oracle_rejects_non_quadratic():
 
 
 def test_admissible_q():
-    assert f.is_admissible_q(3, Q)
-    assert f.is_admissible_q(5, Q)
-    assert not f.is_admissible_q(7, Q)  # 7 = -1 mod 8 violates the exclusion
-    assert not f.is_admissible_q(2, Q)
-    assert not f.is_admissible_q(9, Q)  # not prime
-    assert f.is_admissible_q(7, f.RealQuadratic(2))
+    assert f.is_admissible_q(3, 2)
+    assert f.is_admissible_q(5, 2)
+    assert not f.is_admissible_q(7, 2)  # 7 = -1 mod 8 violates the exclusion
+    assert not f.is_admissible_q(2, 2)
+    assert not f.is_admissible_q(9, 2)  # not prime
+    assert f.is_admissible_q(7, f.resolve(f.RealQuadratic(2)).a)
 
 
 def test_find_q():
-    assert f.find_q(Q) == 3
-    assert f.find_q(f.RealQuadratic(2)) == 7
+    assert f.choose_q(f.resolve(Q), None) == 3
+    assert f.choose_q(f.resolve(f.RealQuadratic(2)), None) == 7
     assert [f.find_q_for_a(a) for a in (2, 3, 4, 5)] == [3, 7, 17, 31]
     for a in range(2, 8):
         q = f.find_q_for_a(a)
-        assert f.is_admissible_q(q, f.Generic(r=1, a=a, regular_claim=True))
+        assert f.is_admissible_q(q, a)
     # for a = 2 the admissible primes are exactly those +-3 mod 8
     for q in (3, 5, 11, 13, 19, 29):
-        assert f.is_admissible_q(q, Q) and q % 8 in (3, 5)
+        assert f.is_admissible_q(q, 2) and q % 8 in (3, 5)
+
+
+def test_choose_q_checks_a_given_q():
+    field = f.resolve(f.RealQuadratic(2))
+    assert f.choose_q(field, 7) == 7
+    with pytest.raises(InadmissibleQ, match=r"^q = 3 is not congruence-admissible for Q\(sqrt 2\) \(a = 3\)$"):
+        f.choose_q(field, 3)
 
 
 def test_require_two_regular():
     with pytest.raises(NotTwoRegular):
         f.require_two_regular(f.RealQuadratic(34))
     with pytest.raises(InadmissibleQ):
-        f.require_admissible_q(7, Q)
+        f.choose_q(f.resolve(Q), 7)
 
 
 def test_parse_field_round_trips():
@@ -249,7 +256,6 @@ def test_resolve_reads_the_spec_once(spec):
     assert f.resolve(field) is field
     assert str(field) == str(spec)
     assert field.spec is spec
-    assert (field.r, field.a) == (f.real_embeddings(spec), f.a_param(spec))
     assert (field.regular, field.reason) == f.is_two_regular(spec)
 
 
@@ -258,9 +264,6 @@ def test_resolve_keeps_the_errors_of_the_criterion():
         f.resolve(f.RealQuadratic(12))
     with pytest.raises(NotPrimitiveRoot):
         f.resolve(f.MaxRealCycloOdd(7))
-    # the parameters alone do not need the criterion
-    assert f.a_param(f.MaxRealCycloOdd(7)) == 2
-    assert f.real_embeddings(f.MaxRealCycloOdd(7)) == 3
 
 
 def test_require_two_regular_on_a_record():
@@ -305,7 +308,7 @@ def test_a_spec_is_checked_on_replace():
         f.RealQuadratic(12)
 
 
-@pytest.mark.parametrize("fn", [f.real_embeddings, f.a_param, f.is_two_regular, f.resolve],
+@pytest.mark.parametrize("fn", [f.is_two_regular, f.resolve],
                          ids=lambda fn: fn.__name__)
 def test_a_non_spec_is_an_invalid_spec(fn):
     with pytest.raises(InvalidSpec, match="unknown field spec"):
@@ -313,14 +316,14 @@ def test_a_non_spec_is_an_invalid_spec(fn):
 
 
 def test_b_bound_comes_before_the_embedding_count():
-    assert f.real_embeddings(f.MaxRealCyclo2(f.B_BOUND)) == 2 ** (f.B_BOUND - 2)
+    assert f.resolve(f.MaxRealCyclo2(f.B_BOUND)).r == 2 ** (f.B_BOUND - 2)
     with pytest.raises(BoundExceeded, match=f"b must be <= {f.B_BOUND}"):
         f.MaxRealCyclo2(f.B_BOUND + 1)
 
 
 def test_generic_a_bound_comes_before_any_power_of_two():
     at = f.Generic(r=1, a=f.B_BOUND, regular_claim=True)
-    assert f.a_param(at) == f.B_BOUND and not f.is_admissible_q(3, at)
+    assert f.resolve(at).a == f.B_BOUND and not f.is_admissible_q(3, f.B_BOUND)
     with pytest.raises(BoundExceeded, match=f"a <= {f.B_BOUND}"):
         f.Generic(r=1, a=f.B_BOUND + 1)
 
@@ -328,7 +331,7 @@ def test_generic_a_bound_comes_before_any_power_of_two():
 def test_r_bound_holds_for_tables_only():
     at, above = (f.Generic(r=r, a=2, regular_claim=True) for r in (f.R_BOUND, f.R_BOUND + 1))
     assert f.require_two_regular(at).r == f.R_BOUND
-    assert f.resolve(above).regular and f.find_q(above) == 3
+    assert f.resolve(above).regular and f.choose_q(f.resolve(above), None) == 3
     with pytest.raises(BoundExceeded, match=f"r <= {f.R_BOUND}"):
         f.require_two_regular(above)
     with pytest.raises(BoundExceeded):

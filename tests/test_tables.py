@@ -12,7 +12,7 @@ from kq2.errors import (
     OddM,
     UsageError,
 )
-from kq2.fields import Generic, Rationals, RealQuadratic, find_q, parse_field, resolve
+from kq2.fields import Generic, Rationals, RealQuadratic, choose_q, parse_field, resolve
 
 Q = Rationals()
 D6 = RealQuadratic(6)
@@ -146,7 +146,7 @@ def test_low_dim():
 
 def test_t_equals_w_on_admissible_pairs():
     for a in (2, 3, 4):
-        q = find_q(Generic(r=1, a=a, regular_claim=True))
+        q = choose_q(resolve(Generic(r=1, a=a, regular_claim=True)), None)
         for n in range(3, 120, 4):
             assert tb.t(n, q) == tb.w((n + 1) // 2, a)
     # also a non-minimal admissible prime: 5 = -3 (mod 8) works for a = 2
@@ -220,7 +220,7 @@ def _golden_lines():
     of the exception query raised."""
     for text in GOLDEN_FIELDS:
         spec = parse_field(text)
-        for q in (find_q(spec), None):
+        for q in (choose_q(resolve(spec), None), None):
             for name, tag in sorted(tb.THEORIES.items()):
                 degrees = [None] if not tag.needs_degree else []
                 for n in degrees + list(range(-1, 41)):
@@ -240,7 +240,8 @@ def test_query_golden_digest():
 @pytest.mark.parametrize("text", GOLDEN_FIELDS)
 def test_table_functions_agree_on_spec_and_record(text):
     spec = parse_field(text)
-    field, q = resolve(spec), find_q(spec)
+    field = resolve(spec)
+    q = choose_q(field, None)
     for fn in (tb.witt, tb.cowitt, tb.w1, tb.square_classes):
         assert fn(field) == fn(spec)
     for eps in (1, -1):
