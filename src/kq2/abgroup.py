@@ -14,7 +14,6 @@ Z/2 + Z/2 + Z/2
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from .errors import EmptyWindow
 from .record import Record
@@ -79,24 +78,29 @@ class FgAb2(Record):
 ZERO = FgAb2(0, ())
 
 
+class _Memo(dict):
+    """A dict that builds a missing value as ``build(key)`` and keeps it;
+    calling it looks the key up, so ``Z(3)`` is ``Z[3]``."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+    __call__ = dict.__getitem__
+
+
 # One shared value per argument.  The input bounds (N_MAX_BOUND, R_BOUND,
 # B_BOUND, Q_BOUND) keep the set of distinct arguments small.
-@cache
-def Z(rank: int) -> FgAb2:
-    """Free abelian group of the given rank."""
-    return FgAb2(rank, ())
-
-
-@cache
-def C(order: int) -> FgAb2:
-    """Cyclic group of the given 2-power order."""
-    return FgAb2(0, (order,))
-
-
-@cache
-def C2(copies: int) -> FgAb2:
-    """(Z/2)^copies."""
-    return FgAb2(0, (2,) * copies)
+# Z(rank): the free abelian group of the given rank.
+Z = _Memo(lambda rank: FgAb2(rank, ()))
+# C(order): the cyclic group of the given 2-power order.
+C = _Memo(lambda order: FgAb2(0, (order,)))
+# C2(copies): (Z/2)^copies.
+C2 = _Memo(lambda copies: FgAb2(0, (2,) * copies))
 
 
 def direct_sum(*groups: FgAb2) -> FgAb2:

@@ -10,12 +10,12 @@ Exit codes:
   3  verification failure, or any failed internal self-check (RuntimeError
      or any other ValueError)
 
-json, verify and adams are imported only where used, to keep start-up short.
+The argv parser and the help text are read from one table, _COMMANDS.
+verify and adams are imported only where used, to keep start-up short.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import tables
@@ -44,51 +44,6 @@ _KBAR_NOTE = (
     "Kbar in degree 7 mod 8 uses the even-index torsion order w(4k+4); "
     "this resolution is asserted by the verification suite"
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; remap to our contract
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="kq2", description="2-primary hermitian K-group calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_q=True):
-        p.add_argument("--field", default="Q", help='field, e.g. "Q", "Q(sqrt 6)", "Q(zeta 2^4)+"')
-        if with_q:
-            p.add_argument("--q", type=int, default=None, help="auxiliary prime (auto-selected if omitted)")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-    p = sub.add_parser("group", help="one group of one theory")
-    p.add_argument("--theory", required=True, help=", ".join(tables.THEORIES))
-    degreeless = ", ".join(name for name, tag in tables.THEORIES.items() if not tag.needs_degree)
-    p.add_argument("--n", type=int, default=None, help=f"degree (omit for {degreeless})")
-    add_common(p)
-
-    p = sub.add_parser("table", help="groups of several theories for degrees 0..n-max")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--theories", default="K,KQ+,KQ-", help="comma-separated theory names")
-    add_common(p)
-
-    p = sub.add_parser("regular", help="2-regularity verdict for a field")
-    p.add_argument("--oracle", action="store_true", help="re-derive the quadratic verdict from class-group data")
-    add_common(p, with_q=False)
-
-    p = sub.add_parser("find-q", help="smallest congruence-admissible prime")
-    add_common(p, with_q=False)
-
-    p = sub.add_parser("verify", help="run the table consistency suite")
-    p.add_argument("--n-max", type=int, default=64)
-    add_common(p)
-
-    p = sub.add_parser("adams", help="parity obstruction for q^4 psi^q - 1")
-    p.add_argument("--q", type=int, required=True, help="odd integer >= 3")
-    p.add_argument("--dump-coeffs", action="store_true")
-    p.add_argument("--json", action="store_true")
-    return parser
 
 
 def _field_meta(field: ResolvedField) -> dict:
@@ -127,17 +82,35 @@ def _kbar_note(tags, degrees, notes: list[str]) -> None:
 
 
 def _dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed
-    trees.  A container met again at the same nesting depth reuses the
-    pieces rendered the first time, so a table that repeats a few group
-    dicts in every row pays per group."""
-    import json
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for trees of
+    str-keyed dicts, lists, tuples, str, int, bool and None.  A container met
+    again at the same nesting depth reuses the pieces rendered the first
+    time, so a table that repeats a few group dicts in every row pays per
+    group.
+
+    Strings go through json.dumps's own C encoder; the json package is not
+    imported, because it imports re, enum, functools and collections."""
+    from _json import encode_basestring_ascii as string
     out: list[str] = []
     memo: dict[tuple[int, int], tuple[object, int, int]] = {}  # holding o keeps its id unique
 
+    def scalar(o) -> str:
+        if o is None:
+            return "null"
+        if o is True or o is False:
+            return "true" if o else "false"
+        if isinstance(o, str):
+            return string(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
     def enc(o, depth: int) -> None:
-        if not isinstance(o, (dict, list, tuple)) or not o:
-            out.append(json.dumps(o))
+        if not isinstance(o, (dict, list, tuple)):
+            out.append(scalar(o))
+            return
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
             return
         key = (id(o), depth)
         if key in memo:
@@ -148,7 +121,7 @@ def _dumps(obj) -> str:
         if isinstance(o, dict):
             if not all(isinstance(k, str) for k in o):
                 raise TypeError("JSON object keys must be str")
-            items, brackets = [(json.dumps(k) + ": ", o[k]) for k in sorted(o)], "{}"
+            items, brackets = [(string(k) + ": ", o[k]) for k in sorted(o)], "{}"
         else:
             items, brackets = [("", v) for v in o], "[]"
         for i, (label, v) in enumerate(items):
@@ -194,7 +167,13 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    tags = [TheoryTag.parse(name) for name in args.theories.split(",") if name.strip()]
+    tags: list[TheoryTag] = []
+    for name in args.theories.split(","):
+        if name.strip():
+            tag = TheoryTag.parse(name)
+            if tag in tags:  # stops at the first repeat, so a long list costs little
+                raise UsageError(f"theory {tag.name} is named twice in --theories")
+            tags.append(tag)
     if not tags:
         raise UsageError("no theories given")
     no_degree = [tag.name for tag in tags if not tag.needs_degree]
@@ -343,21 +322,195 @@ def _cmd_adams(args) -> int:
     return EXIT_OK
 
 
+# ---------------------------------------------------------------------------
+# Command table and argv parser
+#
+# Each command has its handler, its one-line help and its options, each
+# (name, kind, default, help): kind is str, int or bool (a flag, default
+# False), and the default _REQUIRED marks a required option.  The parser
+# reads argv as argparse did for this table, messages included: long
+# options or unique prefixes of them, "--opt value" or "--opt=value", the
+# last repeat winning; -h and --help print the help text.
+
+_REQUIRED = object()
+_FIELD = ("--field", str, "Q", 'field, e.g. "Q", "Q(sqrt 6)", "Q(zeta 2^4)+"')
+_Q = ("--q", int, None, "auxiliary prime (auto-selected if omitted)")
+_JSON = ("--json", bool, False, "emit JSON instead of text")
+_DEGREELESS = ", ".join(name for name, tag in tables.THEORIES.items() if not tag.needs_degree)
+_DESCRIPTION = "2-primary hermitian K-group calculator"
+
 _COMMANDS = {
-    "group": _cmd_group,
-    "table": _cmd_table,
-    "regular": _cmd_regular,
-    "find-q": _cmd_find_q,
-    "verify": _cmd_verify,
-    "adams": _cmd_adams,
+    "group": (_cmd_group, "one group of one theory", (
+        ("--theory", str, _REQUIRED, ", ".join(tables.THEORIES)),
+        ("--n", int, None, f"degree (omit for {_DEGREELESS})"),
+        _FIELD, _Q, _JSON)),
+    "table": (_cmd_table, "groups of several theories for degrees 0..n-max", (
+        ("--n-max", int, _REQUIRED, f"largest degree, at most {N_MAX_BOUND}"),
+        ("--theories", str, "K,KQ+,KQ-", "comma-separated theory names, each at most once"),
+        _FIELD, _Q, _JSON)),
+    "regular": (_cmd_regular, "2-regularity verdict for a field", (
+        ("--oracle", bool, False, "re-derive the quadratic verdict from class-group data"),
+        _FIELD, _JSON)),
+    "find-q": (_cmd_find_q, "smallest congruence-admissible prime", (_FIELD, _JSON)),
+    "verify": (_cmd_verify, "run the table consistency suite", (
+        ("--n-max", int, 64, f"largest degree checked, at most {N_MAX_BOUND} (default 64)"),
+        _FIELD, _Q, _JSON)),
+    "adams": (_cmd_adams, "parity obstruction for q^4 psi^q - 1", (
+        ("--q", int, _REQUIRED, "odd integer >= 3"),
+        ("--dump-coeffs", bool, False, "also print every coefficient"),
+        _JSON)),
 }
 
 
+class _Args:
+    """The option values of one command, named like the options:
+    ``--n-max`` is ``n_max``."""
+
+    def __init__(self, values: dict) -> None:
+        self.__dict__.update(values)
+
+
+def _invocation(option) -> str:
+    name, kind, _, _ = option
+    return name if kind is bool else f"{name} {name[2:].upper().replace('-', '_')}"
+
+
+def _rows(pairs) -> list[str]:
+    width = max(len(left) for left, _ in pairs)
+    return [f"  {left.ljust(width)}  {right}".rstrip() for left, right in pairs]
+
+
+def _help_text(command: str | None) -> str:
+    """The help text of kq2 (command None) or of one command."""
+    if command is None:
+        usage = "usage: kq2 [-h] {" + ",".join(_COMMANDS) + "} ..."
+        body = [_DESCRIPTION, "", "commands:", *_rows([(name, spec[1]) for name, spec in _COMMANDS.items()])]
+        options = ()
+    else:
+        _, about, options = _COMMANDS[command]
+        usage = " ".join(["usage: kq2", command, "[-h]"] + [
+            _invocation(option) if option[2] is _REQUIRED else f"[{_invocation(option)}]"
+            for option in options])
+        body = [about]
+    rows = [("-h, --help", "show this help message and exit")] + [(_invocation(o), o[3]) for o in options]
+    return "\n".join([usage, "", *body, "", "options:", *_rows(rows)])
+
+
+def _help(option: str, explicit: str | None, command: str | None) -> None:
+    """-h or --help: print the help text and exit with status 0, unless a
+    value was given to it ("-hh" is -h twice)."""
+    if explicit is not None:
+        rest = explicit.lstrip("h") if option == "-h" else explicit
+        if rest or not explicit:
+            raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    print(_help_text(command))
+    raise SystemExit(0)
+
+
+def _is_negative_number(token: str) -> bool:
+    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final newline
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _read_token(token: str, names) -> tuple[str | None, str | None] | None:
+    """How one token reads against a parser's long option names, "-h" being
+    its one short option: None for a positional, (None, None) for an
+    unknown option, else (option, its attached value or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "-h" or token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and (name == "-h" or name in names):
+        return name, value
+    if token[1] == "-":
+        matches, explicit = [n for n in names if n.startswith(name)], value if eq else None
+    else:  # a short option with its value attached, as in -hx
+        matches, explicit = ["-h"] if token[1] == "h" else [], token[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_options(command: str, argv: list[str]) -> tuple[_Args, list[str]]:
+    """The option values of one command, and the tokens it did not use."""
+    options = _COMMANDS[command][2]
+    kinds = {name: kind for name, kind, _, _ in options}
+    end = argv.index("--") if "--" in argv else len(argv)  # no token after "--" is an option
+    # every token is read before any is used, so an ambiguous one fails first
+    reads = [_read_token(token, ("--help", *kinds)) for token in argv[:end]]
+    values: dict[str, object] = {}
+    unused: list[str] = []
+    i = 0
+    while i < end:
+        option, explicit = reads[i] or (None, None)
+        i += 1
+        kind = kinds.get(option)
+        if option is None:
+            unused.append(argv[i - 1])
+        elif kind is None:
+            _help(option, explicit, command)
+        elif kind is bool:
+            if explicit is not None:
+                raise UsageError(f"argument {option}: ignored explicit argument {explicit!r}")
+            values[option] = True
+        else:
+            if explicit is None:
+                if i == end or reads[i] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                explicit, i = argv[i], i + 1
+            if kind is int:
+                try:
+                    explicit = int(explicit)
+                except ValueError:
+                    raise UsageError(f"argument {option}: invalid int value: {explicit!r}") from None
+            values[option] = explicit
+    missing = [name for name, _, default, _ in options if default is _REQUIRED and name not in values]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    args = _Args({name[2:].replace("-", "_"): values.get(name, default) for name, _, default, _ in options})
+    return args, unused + argv[end:]
+
+
+def _parse(argv: list[str]) -> tuple[str, _Args]:
+    """The command that argv names and its option values."""
+    unused: list[str] = []
+    i = 0
+    # the options before the command are kq2's own; a final "--" is one of them
+    while i < len(argv) and not (argv[i] == "--" and i == len(argv) - 1):
+        read = None if argv[i] == "--" else _read_token(argv[i], ("--help",))
+        if read is None:
+            break
+        if read[0] is None:
+            unused.append(argv[i])
+        else:
+            _help(*read, None)
+        i += 1
+    else:
+        raise UsageError("the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    args, more = _parse_options(command, argv[i + 1:])
+    unused += more
+    if unused:
+        raise UsageError(f"unrecognized arguments: {' '.join(unused)}")
+    return command, args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        command, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

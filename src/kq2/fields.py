@@ -10,8 +10,6 @@ parity, unit signatures) using the exact machinery in :mod:`kq2.numtheory`.
 
 from __future__ import annotations
 
-import re
-
 from . import numtheory as nt
 from .errors import BoundExceeded, InadmissibleQ, InvalidSpec, NotPrimitiveRoot, NotTwoRegular, UsageError
 from .record import Record
@@ -67,7 +65,8 @@ class MaxRealCyclo2(Record):
 
 class MaxRealCycloOdd(Record):
     """Maximal real subfield of the m-th cyclotomic field, m an odd prime
-    power with 2 a primitive root modulo m."""
+    power with 2 a primitive root modulo m.  ``p``, the prime of m, is
+    found when the spec is checked and is not a field of the record."""
 
     m: int
 
@@ -75,8 +74,10 @@ class MaxRealCycloOdd(Record):
         m = self.m
         if m < 3 or m % 2 == 0:
             raise InvalidSpec(f"m must be an odd prime power >= 3, got {m}")
-        if len(set(nt.factorize(m))) != 1:
+        primes = set(nt.factorize(m))
+        if len(primes) != 1:
             raise InvalidSpec(f"m must be a prime power, got {m}")
+        object.__setattr__(self, "p", primes.pop())
 
     def __str__(self) -> str:
         return f"Q(zeta {self.m})+"
@@ -192,10 +193,10 @@ def resolve(spec: FieldLike) -> ResolvedField:
         return ResolvedField(spec, 2 ** (spec.b - 2), spec.b, True,
                              "maximal real 2-power cyclotomic fields are 2-regular")
     if isinstance(spec, MaxRealCycloOdd):
-        m = spec.m
-        if not nt.is_primitive_root(2, m):
+        m, p = spec.m, spec.p
+        if not nt.is_primitive_root(2, m, p):
             raise NotPrimitiveRoot(f"2 is not a primitive root modulo {m}")
-        phi = nt.euler_phi(m)
+        phi = m // p * (p - 1)
         return ResolvedField(spec, phi // 2, 2, *_cyclotomic_criterion(m, phi))
     if isinstance(spec, Generic):
         claim = spec.regular_claim
@@ -345,12 +346,6 @@ def choose_q(field: ResolvedField, q: int | None) -> int:
 # ---------------------------------------------------------------------------
 # Text syntax
 
-_QUAD_RE = re.compile(r"^Q\(\s*sqrt\s*(\d+)\s*\)$")
-_CYCLO2_RE = re.compile(r"^Q\(\s*zeta\s*2\^(\d+)\s*\)\+$")
-_CYCLO_RE = re.compile(r"^Q\(\s*zeta\s*(\d+)\s*\)\+$")
-_GENERIC_RE = re.compile(r"^generic\s+r=(\d+)\s+a=(\d+)(\s+regular)?$")
-
-
 class FieldSyntaxError(UsageError):
     """Unparseable field text."""
 
@@ -363,28 +358,59 @@ def _number(digits: str) -> int:
         raise FieldSyntaxError(f"cannot parse field: {exc}") from None
 
 
+def _scan(text: str, pattern: str) -> list[str] | None:
+    """The digit runs of text if all of text matches pattern, else None.
+
+    In pattern, "~" matches a run of whitespace (str.isspace), "_" a
+    nonempty one and "#" a nonempty run of decimal digits (str.isdecimal),
+    as the regular expressions \\s*, \\s+ and (\\d+) do; any other character
+    matches itself.  No pattern here puts a class before a character of the
+    same class, so reading each run greedily is exact.
+    """
+    digits: list[str] = []
+    i, end = 0, len(text)
+    for c in pattern:
+        start = i
+        if c == "~" or c == "_":
+            while i < end and text[i].isspace():
+                i += 1
+            if c == "_" and i == start:
+                return None
+        elif c == "#":
+            while i < end and text[i].isdecimal():
+                i += 1
+            if i == start:
+                return None
+            digits.append(text[start:i])
+        elif text[i:i + 1] == c:
+            i += 1
+        else:
+            return None
+    return digits if i == end else None
+
+
 def parse_field(text: str) -> FieldSpec:
     """Parse "Q", "Q(sqrt D)", "Q(zeta 2^B)+", "Q(zeta M)+",
     "generic r=R a=A [regular]"."""
     text = text.strip()
     if text == "Q":
         return Rationals()
-    m = _QUAD_RE.match(text)
+    m = _scan(text, "Q(~sqrt~#~)")
     if m:
-        return RealQuadratic(_number(m.group(1)))
-    m = _CYCLO2_RE.match(text)
+        return RealQuadratic(_number(m[0]))
+    m = _scan(text, "Q(~zeta~2^#~)+")
     if m:
-        return MaxRealCyclo2(_number(m.group(1)))
-    m = _CYCLO_RE.match(text)
+        return MaxRealCyclo2(_number(m[0]))
+    m = _scan(text, "Q(~zeta~#~)+")
     if m:
-        n = _number(m.group(1))
+        n = _number(m[0])
         if n >= 4 and n & (n - 1) == 0:
             return MaxRealCyclo2(n.bit_length() - 1)
         return MaxRealCycloOdd(n)
-    m = _GENERIC_RE.match(text)
-    if m:
-        claim = True if m.group(3) else None
-        return Generic(r=_number(m.group(1)), a=_number(m.group(2)), regular_claim=claim)
+    for pattern, claim in (("generic_r=#_a=#_regular", True), ("generic_r=#_a=#", None)):
+        m = _scan(text, pattern)
+        if m:
+            return Generic(r=_number(m[0]), a=_number(m[1]), regular_claim=claim)
     raise FieldSyntaxError(
         f"cannot parse field {text!r}; expected Q, Q(sqrt D), Q(zeta 2^B)+, "
         f"Q(zeta M)+, or generic r=R a=A [regular]"

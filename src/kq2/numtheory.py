@@ -121,23 +121,14 @@ def squarefree_part(n: int) -> tuple[bool, tuple[int, ...]]:
     return squarefree, factors
 
 
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise NonPositive(f"euler_phi requires m >= 1, got {m}")
-    out = m
-    for p in sorted(set(factorize(m))):
-        out = out // p * (p - 1)
-    return out
-
-
-def is_primitive_root(g: int, m: int) -> bool:
-    """Whether g generates (Z/m)^*; m must be an odd prime power >= 3."""
-    if m < 3 or m % 2 == 0:
-        raise BadModulus(f"modulus must be an odd prime power >= 3, got {m}")
-    facs = set(factorize(m))
-    if len(facs) != 1:
-        raise BadModulus(f"modulus must be a prime power, got {m}")
-    (p,) = facs
+def is_primitive_root(g: int, m: int, p: int) -> bool:
+    """Whether g generates (Z/m)^*; m >= 3 must be a power of the odd prime p,
+    which the caller has found (this function does not factorize m)."""
+    rest = m
+    while p >= 3 and rest > 1 and rest % p == 0:
+        rest //= p
+    if m < 3 or rest != 1 or not is_prime(p):
+        raise BadModulus(f"modulus must be a power >= 3 of the odd prime p, got m = {m}, p = {p}")
     phi = m // p * (p - 1)
     if pow(g, phi, m) != 1:  # not coprime
         return False

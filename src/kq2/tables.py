@@ -13,11 +13,6 @@ closed-form tables can be perturbed by an extra Z/2 summand.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Callable
-from contextlib import contextmanager
-from functools import partial
-
 from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, subtract_summand
 from .errors import (
     DegreeOutOfRange,
@@ -29,6 +24,10 @@ from .errors import (
 from .fields import FieldLike, require_two_regular, resolve
 from .numtheory import nu2, val2_q_power
 from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # collections.abc is not imported at run time, to keep start-up short
+    from collections.abc import Callable
 
 
 def w(m: int, a: int) -> int:
@@ -136,19 +135,22 @@ def kq_fq(n: int, eps: int, q: int) -> FgAb2:
 _FAULTS: set[tuple[str, int]] = set()
 
 
-@contextmanager
-def fault_injection(table: str, row: int):
-    """Temporarily corrupt one stored table row by an extra Z/2 summand."""
-    if table not in _TABLE_ROWS:
-        raise KeyError(f"unknown table {table!r}")
-    if not 0 <= row < 8:
-        raise ValueError(f"row must be in 0..7, got {row}")
-    key = (table, row)
-    _FAULTS.add(key)
-    try:
-        yield
-    finally:
-        _FAULTS.discard(key)
+class fault_injection:
+    """Temporarily corrupt one stored table row by an extra Z/2 summand:
+    ``with fault_injection(table, row): ...``."""
+
+    def __init__(self, table: str, row: int) -> None:
+        if table not in _TABLE_ROWS:
+            raise KeyError(f"unknown table {table!r}")
+        if not 0 <= row < 8:
+            raise ValueError(f"row must be in 0..7, got {row}")
+        self._key = (table, row)
+
+    def __enter__(self) -> None:
+        _FAULTS.add(self._key)
+
+    def __exit__(self, *exc_info) -> None:
+        _FAULTS.discard(self._key)
 
 
 def fault_sites() -> list[tuple[str, int]]:
@@ -156,8 +158,14 @@ def fault_sites() -> list[tuple[str, int]]:
     return [(name, row) for name in sorted(_TABLE_ROWS) for row in range(8)]
 
 
-class _Ctx(namedtuple("_Ctx", "n k r a q")):
-    __slots__ = ()
+class _Ctx:
+    """The arguments of one table row: the degree n, k = n // 8, the
+    field's r and a, and the auxiliary prime q (None where no row needs it)."""
+
+    __slots__ = ("n", "k", "r", "a", "q")
+
+    def __init__(self, n: int, k: int, r: int, a: int, q: int | None) -> None:
+        self.n, self.k, self.r, self.a, self.q = n, k, r, a, q
 
     def t(self) -> int:
         if self.q is None:
@@ -446,30 +454,28 @@ class TheoryTag(Record):
             raise UsageError(f"theory {self.name} needs a degree")
 
 
-def _signed(name: str, evaluate, **rules) -> tuple[TheoryTag, TheoryTag]:
-    """The orthogonal and symplectic entries of ``name``; ``evaluate`` takes
-    the sign first."""
-    return tuple(
-        TheoryTag(name + sign, partial(evaluate, eps), eps, **rules)
-        for sign, eps in (("+", 1), ("-", -1))
-    )
+def _signed(name: str, evaluator, **rules) -> tuple[TheoryTag, TheoryTag]:
+    """The orthogonal and symplectic entries of ``name``; ``evaluator(eps)``
+    returns the evaluator of the sign eps."""
+    return (TheoryTag(name + "+", evaluator(1), 1, **rules),
+            TheoryTag(name + "-", evaluator(-1), -1, **rules))
 
 
 THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("K", lambda n, spec, q: k_rf(n, spec)),
-    *_signed("KQ", lambda eps, n, spec, q: kq_rf(n, eps, spec), allows_degree_minus_one=True),
-    *_signed("V", lambda eps, n, spec, q: v_rf(n, eps, spec)),
-    *_signed("U", lambda eps, n, spec, q: u_rf(n, eps, spec)),
+    *_signed("KQ", lambda eps: lambda n, spec, q: kq_rf(n, eps, spec), allows_degree_minus_one=True),
+    *_signed("V", lambda eps: lambda n, spec, q: v_rf(n, eps, spec)),
+    *_signed("U", lambda eps: lambda n, spec, q: u_rf(n, eps, spec)),
     TheoryTag("W", lambda n, spec, q: witt(spec), needs_degree=False),
     TheoryTag("W'", lambda n, spec, q: cowitt(spec), needs_degree=False),
     TheoryTag("W1", lambda n, spec, q: w1(spec), needs_degree=False),
     TheoryTag("Kbar", lambda n, spec, q: k_bar(n, resolve(spec).a)),
-    *_signed("KQbar", lambda eps, n, spec, q: kq_bar(n, eps, q), needs_q=True),
-    *_signed("Vbar", lambda eps, n, spec, q: v_bar(n, eps)),
+    *_signed("KQbar", lambda eps: lambda n, spec, q: kq_bar(n, eps, q), needs_q=True),
+    *_signed("Vbar", lambda eps: lambda n, spec, q: v_bar(n, eps)),
     TheoryTag("KO", lambda n, spec, q: ko(n)),
     TheoryTag("KU", lambda n, spec, q: ku(n)),
     TheoryTag("KFq", lambda n, spec, q: k_fq(n, q), needs_q=True),
-    *_signed("KQFq", lambda eps, n, spec, q: kq_fq(n, eps, q), needs_q=True),
+    *_signed("KQFq", lambda eps: lambda n, spec, q: kq_fq(n, eps, q), needs_q=True),
 )}
 
 

@@ -14,8 +14,6 @@ single-row perturbation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from . import tables as tb
 from .abgroup import (
     C2,
@@ -31,6 +29,10 @@ from .abgroup import (
 )
 from .fields import FieldLike, ResolvedField, choose_q, find_q_for_a, require_two_regular
 from .record import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # collections.abc is not imported at run time, to keep start-up short
+    from collections.abc import Iterable
 
 REPORT_HEADER = (
     "consistency suite: compares isomorphism classes only; connecting maps "

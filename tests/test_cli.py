@@ -126,6 +126,22 @@ def test_table_rejects_degreeless_theory(capsys):
     assert code == 1
 
 
+# a table has at most one column per theory, so its cost is bounded; the
+# check runs after aliases resolve and before any field work
+@pytest.mark.parametrize("theories, named", [
+    ("K,K", "K"),
+    ("KQ+,kq+", "KQ+"),
+    ("V-,K, v- ", "V-"),
+    ("W',WPRIME", "W'"),
+    (",".join(["K"] * 65_000), "K"),
+])
+def test_table_rejects_a_theory_named_twice(capsys, monkeypatch, theories, named):
+    _patch_everywhere(monkeypatch, fields, "parse_field", _refuse)
+    code, out, err = run(capsys, "table", "--n-max", "8", "--field", "Q", "--theories", theories)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: theory {named} is named twice in --theories\n"
+
+
 def test_kbar_note_flags_resolved_order(capsys):
     code, out, _ = run(capsys, "group", "--theory", "Kbar", "--n", "7", "--field", "Q")
     assert code == 0
@@ -327,9 +343,9 @@ def test_each_command_factorizes_a_large_d_once(capsys, monkeypatch, argv):
     assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(sqrt 999999999989)") == {999999999989: 1}
 
 
-# Q(zeta m)+ factorizes m three times: when the spec checks that m is a prime
-# power, in is_primitive_root, and in the one euler_phi(m) that gives both r
-# and the phi <= 66 rule; phi = 10 is factorized for the primitive-root test
+# Q(zeta m)+ factorizes m once, when the spec checks that m is a prime power;
+# the spec keeps the prime, so phi(m) and the primitive-root test need no
+# more factorization of m.  phi = 10 is factorized for the primitive-root test
 @pytest.mark.parametrize("argv", [
     ("group", "--theory", "KQ+", "--n", "3"),
     ("table", "--n-max", "8"),
@@ -337,8 +353,8 @@ def test_each_command_factorizes_a_large_d_once(capsys, monkeypatch, argv):
     ("regular",),
     ("find-q",),
 ])
-def test_each_command_factorizes_m_three_times(capsys, monkeypatch, argv):
-    assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(zeta 11)+") == {11: 3, 10: 1}
+def test_each_command_factorizes_m_once(capsys, monkeypatch, argv):
+    assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(zeta 11)+") == {11: 1, 10: 1}
 
 
 # every usage check runs before the field is parsed or resolved
@@ -421,7 +437,7 @@ def test_verify_builds_few_groups(capsys, monkeypatch):
         original(self)
 
     for constructor in (abgroup.Z, abgroup.C, abgroup.C2):
-        constructor.cache_clear()
+        constructor.clear()
     monkeypatch.setattr(abgroup.FgAb2, "__post_init__", counting)
     code, _, _ = run(capsys, "verify", "--n-max", "350", "--field", "Q(zeta 11)+")
     assert code == 0

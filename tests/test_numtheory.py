@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from kq2 import numtheory as nt
 from kq2.errors import BadModulus, BoundExceeded, EvenQ, NonPositive
+from kq2.fields import MaxRealCycloOdd, resolve
 
 
 def slow_two_part(n):
@@ -85,12 +86,14 @@ def test_squarefree_part_examples():
 
 
 def test_euler_phi_and_primitive_roots():
-    assert nt.euler_phi(29) == 28
-    assert nt.is_primitive_root(2, 5)
-    assert not nt.is_primitive_root(2, 7)
-    assert nt.is_primitive_root(2, 9)
-    with pytest.raises(BadModulus):
-        nt.is_primitive_root(2, 15)
+    # phi(m) = m / p * (p - 1) from the prime p that the spec keeps; r = phi / 2
+    assert [resolve(MaxRealCycloOdd(m)).r for m in (29, 25, 27)] == [14, 10, 9]
+    assert nt.is_primitive_root(2, 5, 5)
+    assert not nt.is_primitive_root(2, 7, 7)
+    assert nt.is_primitive_root(2, 9, 3)
+    for m, p in [(15, 3), (15, 5), (9, 9), (9, 1), (8, 2), (1, 3), (0, 3), (-9, 3)]:
+        with pytest.raises(BadModulus):
+            nt.is_primitive_root(2, m, p)
 
 
 def test_sophie_germain_type():
