@@ -107,8 +107,16 @@ def direct_sum(*groups: FgAb2) -> FgAb2:
     """Direct sum; rank adds and torsion multisets merge.
 
     Associative and commutative with neutral element the zero group; a sum
-    with at most one nonzero operand returns that operand (or ZERO).
+    with at most one nonzero operand returns that operand (or ZERO).  One
+    shared value per operand tuple, like Z, C and C2.
     """
+    total = _SUMS.get(groups)
+    if total is None:
+        total = _SUMS[groups] = _sum(groups)
+    return total
+
+
+def _sum(groups: tuple[FgAb2, ...]) -> FgAb2:
     nonzero = [g for g in groups if g.rank or g.torsion]
     if len(nonzero) <= 1:
         return nonzero[0] if nonzero else ZERO
@@ -118,13 +126,20 @@ def direct_sum(*groups: FgAb2) -> FgAb2:
     return FgAb2(sum(g.rank for g in nonzero), tuple(torsion))
 
 
+_SUMS: dict[tuple[FgAb2, ...], FgAb2] = {}
+
+
 def n_copies(k: int, g: FgAb2) -> FgAb2:
-    """k-fold direct sum of g; k = 0 gives the zero group."""
+    """k-fold direct sum of g; k = 0 gives the zero group.  One shared value
+    per (k, g), like direct_sum."""
     if k < 0:
         raise ValueError(f"copy count must be nonnegative, got {k}")
     if k == 1 or g.is_zero:
         return g
-    return FgAb2(k * g.rank, g.torsion * k)
+    return _COPIES[k, g]
+
+
+_COPIES = _Memo(lambda key: FgAb2(key[0] * key[1].rank, key[1].torsion * key[0]))
 
 
 def subtract_summand(total: FgAb2, part: FgAb2) -> FgAb2:

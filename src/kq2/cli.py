@@ -184,36 +184,43 @@ def _cmd_table(args) -> int:
     notes: list[str] = []
     _generic_note(field, notes)
     q = _choose_q(args, field, notes)
+    # each theory's field and q rules are checked once, when its column is built
+    columns = [tables.column(tag, field, q) for tag in tags]
+    # the tables are 8-periodic, so a few distinct rows fill the table, and a
+    # few distinct groups fill those rows: each degree keeps the index of its
+    # row among the distinct ones, and each row and group is rendered once
+    distinct_rows: dict[tuple, int] = {}
     rows = []
     for n in range(0, args.n_max + 1):
         groups = []
-        for tag in tags:
+        for col in columns:
             try:
-                groups.append(tables.query(tag, n, field, q))
+                groups.append(col(n))
             except DegreeOutOfRange:
                 groups.append(None)  # theory not defined in this degree
-        rows.append((n, groups))
+        rows.append((n, distinct_rows.setdefault(tuple(groups), len(distinct_rows))))
     _kbar_note(tags, range(args.n_max + 1), notes)
-    # the tables are 8-periodic, so a few distinct groups fill every cell
-    distinct = dict.fromkeys(g for _, groups in rows for g in groups)
+    distinct = dict.fromkeys(g for groups in distinct_rows for g in groups)
     text = {g: "-" if g is None else format_group(g) for g in distinct}
     if args.json:
         as_json = {g: None if g is None else {**group_to_json(g), "formatted": text[g]} for g in distinct}
+        # one dict per distinct row, which _dumps renders once
+        bodies = [{tag.name: as_json[g] for tag, g in zip(tags, groups)} for groups in distinct_rows]
         _emit(args, {
             "query": {"command": "table", "theories": [t.name for t in tags],
                       "n_max": args.n_max, "field": args.field},
             "field": _field_meta(field),
             "q": q,
-            "results": [{"n": n, "groups": {tag.name: as_json[g] for tag, g in zip(tags, groups)}}
-                        for n, groups in rows],
+            "results": [{"n": n, "groups": bodies[i]} for n, i in rows],
             "notes": notes,
         }, [])
         return EXIT_OK
-    header = ["n"] + [tag.name for tag in tags]
-    table_rows = [[str(n)] + [text[g] for g in groups] for n, groups in rows]
-    widths = [max(len(row[i]) for row in [header] + table_rows) for i in range(len(header))]
-    human = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
-             for row in [header] + table_rows]
+    cells = [[tag.name for tag in tags]] + [[text[g] for g in groups] for groups in distinct_rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(tags))]
+    padded = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
+    first = len(str(args.n_max))  # the width of the degree column, which "n" never exceeds
+    human = [f"{degree:<{first}}  {padded[i]}".rstrip()
+             for degree, i in [("n", 0)] + [(n, i + 1) for n, i in rows]]
     _emit(args, {}, human + [f"# {note}" for note in notes])
     return EXIT_OK
 

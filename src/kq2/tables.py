@@ -5,6 +5,9 @@ the field parameters r (real embeddings), a (2-adic size), k = n // 8 and,
 where torsion orders depend on it, the auxiliary prime q.  Theories over the
 ring of 2-integers R_F require a 2-regular field; the barred building-block
 theories, the topological theories, and the finite-field theories do not.
+Every theory of the registry is read through ``column(tag, field, q)``,
+which checks the theory's rules once and returns its groups as a function
+of the degree.
 
 The module also carries a fault-injection switch used by the verification
 suite to prove its own discriminating power: any single row of the stored
@@ -116,7 +119,7 @@ def kq_fq(n: int, eps: int, q: int) -> FgAb2:
         raise NegativeDegree(f"kq_fq needs n >= 0, got {n}")
     _check_eps(eps)
     if eps == 1:
-        return subtract_summand(kq_bar(n, 1, q), ko(n))
+        return subtract_summand(_eval_row("kq_bar+", _Ctx(n, n // 8, 1, 2, q)), ko(n))
     row = n % 8
     if row == 0:
         return Z(1) if n == 0 else ZERO
@@ -259,7 +262,9 @@ _TABLE_ROWS = {
         lambda c: Z(1),
         lambda c: C(c.t()),
     ),
-    # one-real-place building block, algebraic
+    # one-real-place building block, algebraic (n >= 1); the degree 7 mod 8
+    # order w(4k+4) is the one choice compatible with the K-theory splitting
+    # identity, which the verification suite asserts
     "k_bar": (
         lambda c: _from_degree_8(c),
         lambda c: direct_sum(Z(1), C(2)),
@@ -302,78 +307,14 @@ def _eval_row(table: str, ctx: _Ctx) -> FgAb2:
     return g
 
 
-def _rf_ctx(n: int, spec: FieldLike) -> _Ctx:
-    field = require_two_regular(spec)
-    if n < 0:
-        raise NegativeDegree(f"table degree must be >= 0, got {n}")
-    return _Ctx(n=n, k=n // 8, r=field.r, a=field.a, q=None)
-
-
-# ---------------------------------------------------------------------------
-# Theories over the 2-integers of a 2-regular field
-#
-# Every function that reads the field takes a spec or its resolved record
-# (fields.resolve); a record skips re-deciding 2-regularity in each call.
-
-
-def k_rf(n: int, spec: FieldLike) -> FgAb2:
-    """2-primary algebraic K-groups of the 2-integers of the field."""
-    return _eval_row("k_rf", _rf_ctx(n, spec))
-
-
-def kq_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
-    """2-primary hermitian K-groups of the 2-integers of the field."""
-    _check_eps(eps)
-    return _eval_row("kq_rf+" if eps == 1 else "kq_rf-", _rf_ctx(n, spec))
-
-
-def v_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
-    """Homotopy of the fiber of the forgetful map, hermitian to algebraic."""
-    _check_eps(eps)
-    return _eval_row("v_rf+" if eps == 1 else "v_rf-", _rf_ctx(n, spec))
-
-
-def u_rf(n: int, eps: int, spec: FieldLike) -> FgAb2:
-    """Homotopy of the fiber of the hyperbolic map; the sign-swapped
-    V-theory shifted one degree down."""
-    _check_eps(eps)
-    if n < 1:
-        raise DegreeOutOfRange(f"u_rf needs n >= 1, got {n}")
-    return v_rf(n - 1, -eps, spec)
-
-
-# ---------------------------------------------------------------------------
-# Barred (one real place) building blocks
-
-
-def kq_bar(n: int, eps: int, q: int) -> FgAb2:
-    """Hermitian K-groups of the one-real-place building block."""
-    _check_eps(eps)
-    if n < 0:
-        raise NegativeDegree(f"kq_bar needs n >= 0, got {n}")
-    ctx = _Ctx(n=n, k=n // 8, r=1, a=2, q=q)
-    return _eval_row("kq_bar+" if eps == 1 else "kq_bar-", ctx)
-
-
-def v_bar(n: int, eps: int) -> FgAb2:
-    """V-theory of the one-real-place building block."""
-    _check_eps(eps)
-    if n < 0:
-        raise NegativeDegree(f"v_bar needs n >= 0, got {n}")
-    ctx = _Ctx(n=n, k=n // 8, r=1, a=2, q=None)
-    return _eval_row("v_bar+" if eps == 1 else "v_bar-", ctx)
-
-
-def k_bar(n: int, a: int) -> FgAb2:
-    """Algebraic K-groups of the one-real-place building block (n >= 1).
-
-    The torsion order in degree 7 mod 8 is w(4k+4, a); this choice is the
-    unique one compatible with the K-theory splitting identity and is
-    asserted by the verification suite (see k_bar_uses_resolved_order).
-    """
-    if n < 0:
-        raise NegativeDegree(f"k_bar needs n >= 0, got {n}")
-    return _eval_row("k_bar", _Ctx(n=n, k=n // 8, r=1, a=a, q=None))
+def _reader(table: str, r: int, a: int, q: int | None) -> Callable[[int], FgAb2]:
+    """n -> the stored row of ``table`` at degree n, for the field
+    parameters r and a and the auxiliary prime q."""
+    def read(n: int) -> FgAb2:
+        if n < 0:
+            raise NegativeDegree(f"{table} needs n >= 0, got {n}")
+        return _eval_row(table, _Ctx(n, n // 8, r, a, q))
+    return read
 
 
 def k_bar_uses_resolved_order(n: int) -> bool:
@@ -418,22 +359,23 @@ def low_dim(spec: FieldLike, eps: int) -> dict[int, FgAb2]:
     field = require_two_regular(spec)
     if eps == -1:
         return {-1: ZERO, 0: Z(1), 1: ZERO}
-    return {-1: ZERO, 0: kq_rf(0, 1, field), 1: C2(field.r + 2)}
+    return {-1: ZERO, 0: column(THEORIES["KQ+"], field, None)(0), 1: C2(field.r + 2)}
 
 
 # ---------------------------------------------------------------------------
-# Theory registry (shared by the CLI)
+# Theory registry (shared by the CLI and the verification suite)
 
 _ALIASES = {"WPRIME": "W'", "W′": "W'"}
 
 
 class TheoryTag(Record):
-    """One theory of the registry: its name, its evaluator
-    ``evaluate(n, spec, q)`` (spec: a field spec or its resolved record),
-    its sign, and its q and degree rules."""
+    """One theory of the registry: its name, ``build(field, q)``, its sign,
+    and its q and degree rules.  ``build`` checks what the theory needs of
+    the field (a spec or its resolved record) and returns the theory's
+    unmemoized ``n -> group`` reader; ``column`` calls it."""
 
     name: str
-    evaluate: Callable[[int | None, FieldLike, int | None], FgAb2]
+    build: Callable[[FieldLike, int | None], Callable[[int | None], FgAb2]]
     eps: int | None = None
     needs_q: bool = False
     needs_degree: bool = True
@@ -454,41 +396,99 @@ class TheoryTag(Record):
             raise UsageError(f"theory {self.name} needs a degree")
 
 
-def _signed(name: str, evaluator, **rules) -> tuple[TheoryTag, TheoryTag]:
-    """The orthogonal and symplectic entries of ``name``; ``evaluator(eps)``
-    returns the evaluator of the sign eps."""
-    return (TheoryTag(name + "+", evaluator(1), 1, **rules),
-            TheoryTag(name + "-", evaluator(-1), -1, **rules))
+def _signed(name: str, build, **rules) -> tuple[TheoryTag, TheoryTag]:
+    """The orthogonal and symplectic entries of ``name``; ``build(eps)``
+    returns the reader builder of the sign eps."""
+    return (TheoryTag(name + "+", build(1), 1, **rules),
+            TheoryTag(name + "-", build(-1), -1, **rules))
+
+
+def _sign(table: str, eps: int) -> str:
+    return table + ("+" if eps == 1 else "-")
+
+
+def _rf(table: str):
+    """The reader builder of a table over the 2-integers: the field must be
+    2-regular."""
+    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+        field = require_two_regular(field)
+        return _reader(table, field.r, field.a, None)
+    return build
+
+
+def _u(eps: int):
+    """The reader builder of U at the sign eps: the V-theory of the other
+    sign, one degree down."""
+    v = _rf(_sign("v_rf", -eps))
+
+    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+        read = v(field, q)
+
+        def shifted(n: int) -> FgAb2:
+            if n < 1:
+                raise DegreeOutOfRange(f"u_rf needs n >= 1, got {n}")
+            return read(n - 1)
+        return shifted
+    return build
+
+
+def _constant(group_of):
+    """The reader builder of a theory without a degree axis."""
+    def build(field: FieldLike, q: int | None) -> Callable[[int | None], FgAb2]:
+        g = group_of(field)
+        return lambda n: g
+    return build
 
 
 THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
-    TheoryTag("K", lambda n, spec, q: k_rf(n, spec)),
-    *_signed("KQ", lambda eps: lambda n, spec, q: kq_rf(n, eps, spec), allows_degree_minus_one=True),
-    *_signed("V", lambda eps: lambda n, spec, q: v_rf(n, eps, spec)),
-    *_signed("U", lambda eps: lambda n, spec, q: u_rf(n, eps, spec)),
-    TheoryTag("W", lambda n, spec, q: witt(spec), needs_degree=False),
-    TheoryTag("W'", lambda n, spec, q: cowitt(spec), needs_degree=False),
-    TheoryTag("W1", lambda n, spec, q: w1(spec), needs_degree=False),
-    TheoryTag("Kbar", lambda n, spec, q: k_bar(n, resolve(spec).a)),
-    *_signed("KQbar", lambda eps: lambda n, spec, q: kq_bar(n, eps, q), needs_q=True),
-    *_signed("Vbar", lambda eps: lambda n, spec, q: v_bar(n, eps)),
-    TheoryTag("KO", lambda n, spec, q: ko(n)),
-    TheoryTag("KU", lambda n, spec, q: ku(n)),
-    TheoryTag("KFq", lambda n, spec, q: k_fq(n, q), needs_q=True),
-    *_signed("KQFq", lambda eps: lambda n, spec, q: kq_fq(n, eps, q), needs_q=True),
+    TheoryTag("K", _rf("k_rf")),
+    *_signed("KQ", lambda eps: _rf(_sign("kq_rf", eps)), allows_degree_minus_one=True),
+    *_signed("V", lambda eps: _rf(_sign("v_rf", eps))),
+    *_signed("U", _u),
+    TheoryTag("W", _constant(witt), needs_degree=False),
+    TheoryTag("W'", _constant(cowitt), needs_degree=False),
+    TheoryTag("W1", _constant(w1), needs_degree=False),
+    TheoryTag("Kbar", lambda field, q: _reader("k_bar", 1, resolve(field).a, None)),
+    *_signed("KQbar", lambda eps: lambda field, q: _reader(_sign("kq_bar", eps), 1, 2, q), needs_q=True),
+    *_signed("Vbar", lambda eps: lambda field, q: _reader(_sign("v_bar", eps), 1, 2, None)),
+    TheoryTag("KO", lambda field, q: ko),
+    TheoryTag("KU", lambda field, q: ku),
+    TheoryTag("KFq", lambda field, q: lambda n: k_fq(n, q), needs_q=True),
+    *_signed("KQFq", lambda eps: lambda field, q: lambda n: kq_fq(n, eps, q), needs_q=True),
 )}
+
+
+def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | None], FgAb2]:
+    """The groups of one theory on one field as a function of the degree:
+    ``column(tag, field, q)(n)``.
+
+    The theory's rules are checked here, once per column and not once per
+    cell: q must be given where a row needs it, and the tables over the
+    2-integers need a 2-regular field.  Each degree is evaluated once per
+    column.  While a fault is injected the memo is neither read nor
+    filled, so a column sees the fault switch whenever it was built."""
+    if tag.needs_q and q is None:
+        raise UsageError(f"theory {tag.name} needs q")
+    read = tag.build(field, q)
+    memo: dict[int | None, FgAb2] = {}
+
+    def cell(n: int | None) -> FgAb2:
+        if _FAULTS:
+            return read(n)
+        g = memo.get(n)
+        if g is None:
+            g = memo[n] = read(n)
+        return g
+    return cell
 
 
 def query(tag: TheoryTag, n: int | None, spec: FieldLike, q: int | None) -> FgAb2:
     """Evaluate one theory at one degree, under the degree and q rules of
     its registry entry; n = -1 goes to the low-degree computation."""
     tag.check_degree(n)
-    if not tag.needs_degree:
-        return tag.evaluate(n, spec, q)
-    if tag.allows_degree_minus_one and n == -1:
-        return low_dim(spec, tag.eps)[-1]
-    if n < 0:
-        raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
-    if tag.needs_q and q is None:
-        raise UsageError(f"theory {tag.name} needs q")
-    return tag.evaluate(n, spec, q)
+    if tag.needs_degree:
+        if tag.allows_degree_minus_one and n == -1:
+            return low_dim(spec, tag.eps)[-1]
+        if n < 0:
+            raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
+    return column(tag, spec, q)(n)

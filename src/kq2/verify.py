@@ -78,25 +78,25 @@ def _equality_report(name: str, cases: Iterable[tuple[dict, FgAb2, FgAb2]], deta
     return CheckReport(name, True, f"{details} ({checked} cases)")
 
 
+_SIGN = {1: "+", -1: "-"}
+
+
+def _columns(field: ResolvedField, q: int) -> dict:
+    """The column of every theory with a degree axis, on one field and q."""
+    return {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
+
+
 # The five splittings of the R_F tables into the one-real-place building
-# block plus topological copies: identity, report name, first degree, and
-# the two sides as functions of (n, field, q).
+# block plus topological copies: identity (the R_F theory), report name,
+# first degree, the building block, and the topological theory, its copies
+# per real place beyond the first and its degree shift.
 _SPLITTINGS = (
-    ("KQ+", "splitting KQ+ = KQbar+ + (r-1) KO", 0,
-     lambda n, f, q: tb.kq_rf(n, 1, f),
-     lambda n, f, q: direct_sum(tb.kq_bar(n, 1, q), n_copies(f.r - 1, tb.ko(n)))),
-    ("KQ-", "splitting KQ- = KQbar- + (r-1) KO[6]", 0,
-     lambda n, f, q: tb.kq_rf(n, -1, f),
-     lambda n, f, q: direct_sum(tb.kq_bar(n, -1, q), n_copies(f.r - 1, tb.ko(n + 6)))),
-    ("V+", "splitting V+ = Vbar+ + 2(r-1) KO", 0,
-     lambda n, f, q: tb.v_rf(n, 1, f),
-     lambda n, f, q: direct_sum(tb.v_bar(n, 1), n_copies(2 * (f.r - 1), tb.ko(n)))),
-    ("V-", "splitting V- = Vbar- + (r-1) KU", 0,
-     lambda n, f, q: tb.v_rf(n, -1, f),
-     lambda n, f, q: direct_sum(tb.v_bar(n, -1), n_copies(f.r - 1, tb.ku(n)))),
+    ("KQ+", "splitting KQ+ = KQbar+ + (r-1) KO", 0, "KQbar+", "KO", 1, 0),
+    ("KQ-", "splitting KQ- = KQbar- + (r-1) KO[6]", 0, "KQbar-", "KO", 1, 6),
+    ("V+", "splitting V+ = Vbar+ + 2(r-1) KO", 0, "Vbar+", "KO", 2, 0),
+    ("V-", "splitting V- = Vbar- + (r-1) KU", 0, "Vbar-", "KU", 1, 0),
     ("K", "splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))", 1,
-     lambda n, f, q: tb.k_rf(n, f),
-     lambda n, f, q: direct_sum(tb.k_bar(n, f.a), n_copies(f.r - 1, tb.ko(n - 1)))),
+     "Kbar", "KO", 1, -1),
 )
 
 
@@ -107,30 +107,33 @@ def check_splittings(spec: FieldLike, q: int | None = None, n_max: int = 64) -> 
     q = choose_q(field, q)
     if n_max < N_MAX_LEAST:
         raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
+    col = _columns(field, q)
     return [
         _equality_report(
             name,
             # consumed by _equality_report before the next identity is bound
-            (({"identity": identity, "n": n, "r": field.r}, lhs(n, field, q), rhs(n, field, q))
+            (({"identity": identity, "n": n, "r": field.r}, col[identity](n),
+              direct_sum(col[block](n), n_copies(copies * (field.r - 1), col[top](n + shift))))
              for n in range(first, n_max + 1)),
             f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}",
         )
-        for identity, name, first, lhs, rhs in _SPLITTINGS
+        for identity, name, first, block, top, copies, shift in _SPLITTINGS
     ]
 
 
-def _mv_window(r: int, q: int, eps: int, n_lo: int, n_hi: int) -> ExactWindow:
+def _mv_window(col: dict, r: int, eps: int, n_lo: int, n_hi: int) -> ExactWindow:
     """One stretch of the Mayer-Vietoris sequence for the pullback that
     defines the barred theory, ordered as it appears in the sequence:
 
         ... -> r * KQ_{n+1}(C) -> KQbar_n -> KQ_n(Fq) + r * KQ_n(R)
             -> r * KQ_n(C) -> ...
     """
+    block, finite = col["KQbar" + _SIGN[eps]], col["KQFq" + _SIGN[eps]]
     groups: list[FgAb2] = []
     for n in range(n_hi, n_lo - 1, -1):
         groups.append(n_copies(r, tb.kq_top(n + 1, eps, "C")))
-        groups.append(direct_sum(tb.kq_bar(n, eps, q), _split_summand(r, eps, n)))
-        groups.append(direct_sum(tb.kq_fq(n, eps, q), n_copies(r, tb.kq_top(n, eps, "R"))))
+        groups.append(direct_sum(block(n), _split_summand(r, eps, n)))
+        groups.append(direct_sum(finite(n), n_copies(r, tb.kq_top(n, eps, "R"))))
     return ExactWindow(tuple(groups), bounded=False)
 
 
@@ -150,12 +153,13 @@ def check_les(spec: FieldLike, q: int | None = None) -> list[CheckReport]:
     field = require_two_regular(spec)
     q = choose_q(field, q)
     r = field.r
+    col = _columns(field, q)
     reports: list[CheckReport] = []
 
     for eps in (1, -1):
         failure = None
         for n_lo in (1, 9):
-            window = _mv_window(r, q, eps, n_lo, n_lo + 7)
+            window = _mv_window(col, r, eps, n_lo, n_lo + 7)
             if not exact_window_check(window):
                 failure = {
                     "eps": eps,
@@ -174,7 +178,7 @@ def check_les(spec: FieldLike, q: int | None = None) -> list[CheckReport]:
 
     # degree-1 sequence: 0 -> r*K_2(C) -> K_1(R_F) -> r*K_1(R) + K_1(Fq) -> 0
     a_grp = n_copies(r, tb.ku(2))
-    b_grp = tb.k_rf(1, field)
+    b_grp = col["K"](1)
     c_grp = direct_sum(C2(r), tb.k_fq(1, q))
     passed = ses_consistent(a_grp, b_grp, c_grp)
     reports.append(
@@ -221,14 +225,14 @@ def check_les(spec: FieldLike, q: int | None = None) -> list[CheckReport]:
         n3 = 8 * k + 3
         groups = (
             ZERO,
-            tb.kq_bar(n3 + 2, -1, q),
-            tb.kq_fq(n3 + 2, -1, q),
+            col["KQbar-"](n3 + 2),
+            col["KQFq-"](n3 + 2),
             tb.ko(n3 + 7),
-            tb.kq_bar(n3 + 1, -1, q),
-            tb.kq_fq(n3 + 1, -1, q),
+            col["KQbar-"](n3 + 1),
+            col["KQFq-"](n3 + 1),
             tb.ko(n3 + 6),
-            tb.kq_bar(n3, -1, q),
-            tb.kq_fq(n3, -1, q),
+            col["KQbar-"](n3),
+            col["KQFq-"](n3),
             ZERO,
         )
         window = ExactWindow(groups, bounded=True)
@@ -270,13 +274,14 @@ def check_t_w(a_range: Iterable[int], n_max: int = 400) -> CheckReport:
 
 def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]:
     r = field.r
+    col = _columns(field, q)
     reports: list[CheckReport] = []
 
     reports.append(
         _equality_report(
             "V+ is 2r copies of KO",
             (
-                ({"n": n, "r": r}, tb.v_rf(n, 1, field), n_copies(2 * r, tb.ko(n)))
+                ({"n": n, "r": r}, col["V+"](n), n_copies(2 * r, tb.ko(n)))
                 for n in range(0, n_max + 1)
             ),
             f"n <= {n_max}",
@@ -286,7 +291,7 @@ def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]
         _equality_report(
             "U-theory is sign-swapped V-theory shifted by one",
             (
-                ({"n": n, "eps": eps}, tb.u_rf(n, eps, field), tb.v_rf(n - 1, -eps, field))
+                ({"n": n, "eps": eps}, col["U" + _SIGN[eps]](n), col["V" + _SIGN[-eps]](n - 1))
                 for n in range(1, n_max + 1)
                 for eps in (1, -1)
             ),
@@ -297,7 +302,7 @@ def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]
         _equality_report(
             "V-theory 8-periodicity",
             (
-                ({"n": n, "eps": eps}, tb.v_rf(n, eps, field), tb.v_rf(n + 8, eps, field))
+                ({"n": n, "eps": eps}, col["V" + _SIGN[eps]](n), col["V" + _SIGN[eps]](n + 8))
                 for n in range(0, n_max + 1)
                 for eps in (1, -1)
             ),
@@ -308,7 +313,7 @@ def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]
         _equality_report(
             "orthogonal finite-field groups complement KO in the building block",
             (
-                ({"n": n}, tb.kq_bar(n, 1, q), direct_sum(tb.kq_fq(n, 1, q), tb.ko(n)))
+                ({"n": n}, col["KQbar+"](n), direct_sum(col["KQFq+"](n), tb.ko(n)))
                 for n in range(0, n_max + 1)
             ),
             f"n <= {n_max}",
@@ -319,7 +324,7 @@ def _check_extras(field: ResolvedField, q: int, n_max: int) -> list[CheckReport]
         for eps in (1, -1):
             ld = tb.low_dim(field, eps)
             for n in (0, 1):
-                yield ({"n": n, "eps": eps}, ld[n], tb.kq_rf(n, eps, field))
+                yield ({"n": n, "eps": eps}, ld[n], col["KQ" + _SIGN[eps]](n))
 
     reports.append(
         _equality_report(

@@ -1,6 +1,9 @@
+import doctest
+
 import pytest
 from hypothesis import given, strategies as st
 
+import kq2.abgroup
 from kq2.abgroup import (
     C,
     C2,
@@ -41,6 +44,26 @@ def test_rejects_non_two_power_torsion(bad):
 def test_rejects_negative_rank():
     with pytest.raises(ValueError):
         FgAb2(-1, ())
+
+
+def test_module_docstring_examples():
+    result = doctest.testmod(kq2.abgroup)
+    assert (result.failed, result.attempted) == (0, 2)
+
+
+@given(st.lists(groups, max_size=5), st.randoms(use_true_random=False))
+def test_memoized_direct_sum_is_the_merge_of_its_operands(operands, rng):
+    expected = FgAb2(sum(g.rank for g in operands), tuple(t for g in operands for t in g.torsion))
+    shuffled = list(operands)
+    rng.shuffle(shuffled)
+    for order in (operands, shuffled, operands, [FgAb2(g.rank, g.torsion) for g in shuffled]):
+        assert direct_sum(*order) == expected
+
+
+@given(st.integers(0, 6), groups)
+def test_memoized_n_copies_is_the_merge_of_k_copies(k, g):
+    expected = FgAb2(k * g.rank, g.torsion * k)
+    assert n_copies(k, g) == n_copies(k, FgAb2(g.rank, g.torsion)) == expected
 
 
 def test_direct_sum_examples():

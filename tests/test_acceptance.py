@@ -29,6 +29,11 @@ Q = Rationals()
 SQUAREFREE_200 = [d for d in range(2, 201) if nt.squarefree_part(d)[0]]
 
 
+def cell(name, n, field, q=None):
+    """One group of a theory on a field, read through its column."""
+    return tb.column(tb.THEORIES[name], field, q)(n)
+
+
 @contextmanager
 def budget(criterion, seconds):
     start = time.perf_counter()
@@ -41,13 +46,13 @@ def budget(criterion, seconds):
 def test_criterion_1_rational_golden_values():
     """Rational field golden values (r = 1, a = 2, q = 3)."""
     with budget("1", 1.0):
-        assert tb.kq_rf(1, 1, Q) == C2(3)
-        assert tb.kq_rf(3, -1, Q) == C(16)
-        assert tb.k_rf(3, Q) == C(16)  # 2-part of the classical K_3(Z) = Z/48
-        assert tb.kq_rf(0, -1, Q) == Z(1)
+        assert cell("KQ+", 1, Q) == C2(3)
+        assert cell("KQ-", 3, Q) == C(16)
+        assert cell("K", 3, Q) == C(16)  # 2-part of the classical K_3(Z) = Z/48
+        assert cell("KQ-", 0, Q) == Z(1)
         # the orthogonal degree-3 group has order w(2, 2) = 8; the symplectic
         # and algebraic groups carry the doubled order 16
-        assert tb.kq_rf(3, 1, Q) == C(8)
+        assert cell("KQ+", 3, Q) == C(8)
 
 
 @pytest.mark.xfail(
@@ -61,7 +66,7 @@ def test_criterion_1_rational_golden_values():
     ),
 )
 def test_criterion_1_literal_orthogonal_degree_3():
-    assert tb.kq_rf(3, 1, Q) == C(16)
+    assert cell("KQ+", 3, Q) == C(16)
 
 
 def test_criterion_2_regularity_criterion_vs_oracle():
@@ -131,8 +136,8 @@ def test_criterion_5_splitting_identities():
             failures = [rep for rep in reports if not rep.passed]
             assert not failures, failures
         # the resolved degree 7 mod 8 order, explicitly
-        assert tb.k_bar(7, 2) == C(tb.w(4, 2))
-        assert tb.k_bar(15, 2) == C(tb.w(8, 2))
+        assert cell("Kbar", 7, Q) == C(tb.w(4, 2))
+        assert cell("Kbar", 15, Q) == C(tb.w(8, 2))
 
 
 def test_criterion_6_v_plus_wedge_and_periodicity():
@@ -142,8 +147,8 @@ def test_criterion_6_v_plus_wedge_and_periodicity():
         for r in (1, 2, 4):
             spec = Generic(r=r, a=2, regular_claim=True)
             for n in range(0, 65):
-                assert tb.v_rf(n, 1, spec) == n_copies(2 * r, tb.ko(n)), (r, n)
-                assert tb.v_rf(n, 1, spec) == tb.v_rf(n + 8, 1, spec), (r, n)
+                assert cell("V+", n, spec) == n_copies(2 * r, tb.ko(n)), (r, n)
+                assert cell("V+", n, spec) == cell("V+", n + 8, spec), (r, n)
 
 
 def test_criterion_7_exact_sequence_conditions():
@@ -202,6 +207,6 @@ def test_criterion_10_number_theory_oracles():
 
 def test_acceptance_summary_values():
     """A few cross-module spot values quoted elsewhere in the suite."""
-    assert parse_group("Z/2 + Z/16") == tb.kq_rf(3, -1, RealQuadratic(6))
+    assert parse_group("Z/2 + Z/16") == cell("KQ-", 3, RealQuadratic(6))
     assert find_q_for_a(3) == 7
     assert tb.t(7, 7) == 32

@@ -62,6 +62,27 @@ def test_group_on_irregular_field_exits_2(capsys):
     assert "NotTwoRegular" in err
 
 
+# U is V one degree down, so U+ and U- have no degree 0; the field is still
+# checked first, in every degree
+@pytest.mark.parametrize("argv", [
+    ("table", "--n-max", "0", "--theories", "U+,U-"),
+    ("table", "--n-max", "8", "--theories", "U+"),
+    ("group", "--theory", "U-", "--n", "0"),
+    ("group", "--theory", "U+", "--n", "0"),
+])
+def test_u_on_irregular_field_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--field", "Q(sqrt 7)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: NotTwoRegular: Q(sqrt 7) is not 2-regular")
+
+
+def test_u_in_degree_0_is_out_of_range_on_a_regular_field(capsys):
+    code, out, _ = run(capsys, "table", "--n-max", "1", "--theories", "U+,U-", "--field", "Q")
+    assert code == 0 and out.splitlines()[1].split() == ["0", "-", "-"]
+    code, _, err = run(capsys, "group", "--theory", "U-", "--n", "0", "--field", "Q")
+    assert code == 2 and err == "error: DegreeOutOfRange: u_rf needs n >= 1, got 0\n"
+
+
 def test_inadmissible_q_exits_2(capsys):
     code, _, err = run(capsys, "group", "--theory", "KQ+", "--n", "1", "--field", "Q", "--q", "7")
     assert code == 2
@@ -240,7 +261,7 @@ def _patch_everywhere(monkeypatch, target, name, fn):
 
 
 @pytest.mark.parametrize("argv, target, name", [
-    (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "query"),
+    (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "column"),
     (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
     (("adams", "--q", str(Q_BOUND + 2)), adams, "_expand"),
     (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "resolve"),
@@ -404,6 +425,35 @@ def test_each_command_resolves_the_field_and_chooses_q_once(capsys, monkeypatch,
     assert resolved == [fields.RealQuadratic(5)]
     field = resolve(resolved[0])
     assert chosen == [(field, None if q is None else 5)] + [(field, int(q or 3))] * (choices - 1)
+
+
+def _two_regular_checks(capsys, monkeypatch, *argv):
+    calls = []
+    require = fields.require_two_regular
+
+    def counting(spec):
+        calls.append(spec)
+        return require(spec)
+
+    _patch_everywhere(monkeypatch, fields, "require_two_regular", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
+
+
+# the field is checked once per column, not once per cell
+def test_table_checks_the_field_once_per_column(capsys, monkeypatch):
+    columns = len(DEGREE_THEORIES.split(","))
+    assert columns == 17
+    checks = _two_regular_checks(capsys, monkeypatch, "table", "--n-max", "200",
+                                 "--theories", DEGREE_THEORIES, "--field", "Q(zeta 11)+")
+    assert 0 < checks <= columns
+
+
+def test_verify_checks_the_field_a_fixed_number_of_times(capsys, monkeypatch):
+    small = _two_regular_checks(capsys, monkeypatch, "verify", "--n-max", "16", "--field", "Q(zeta 11)+")
+    large = _two_regular_checks(capsys, monkeypatch, "verify", "--n-max", "350", "--field", "Q(zeta 11)+")
+    assert small == large > 0
 
 
 # table and verify pay per distinct group, not per cell

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from kq2 import tables as tb
-from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, parse_group
+from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, parse_group, subtract_summand
 from kq2.errors import (
     DegreeOutOfRange,
     EvenN,
@@ -12,6 +12,7 @@ from kq2.errors import (
     OddM,
     UsageError,
 )
+from kq2.cli import N_MAX_BOUND
 from kq2.fields import Generic, Rationals, RealQuadratic, choose_q, parse_field, resolve
 
 Q = Rationals()
@@ -21,6 +22,14 @@ R2 = Generic(r=2, a=2, regular_claim=True)
 
 def G(text):
     return parse_group(text)
+
+
+def cell(name, n, field, q=None):
+    """One group of a theory on a field, read through its column."""
+    return tb.column(tb.THEORIES[name], field, q)(n)
+
+
+SIGN = {1: "+", -1: "-"}
 
 
 def test_w_examples():
@@ -78,36 +87,36 @@ def test_kq_fq():
     assert tb.kq_fq(3, -1, 3) == C(8)
     # the orthogonal groups complement KO inside the building block
     for n in range(0, 33):
-        assert tb.kq_bar(n, 1, 3) == direct_sum(tb.kq_fq(n, 1, 3), tb.ko(n))
+        assert cell("KQbar+", n, Q, 3) == direct_sum(tb.kq_fq(n, 1, 3), tb.ko(n))
 
 
 def test_kq_rf_golden():
-    assert tb.kq_rf(9, 1, Q) == C2(3)
-    assert tb.kq_rf(3, -1, D6) == G("Z/2 + Z/16")
-    assert tb.k_rf(3, Q) == C(16)
-    assert tb.kq_rf(3, 1, Q) == C(8)  # orthogonal value is w_2 = 8, not 16
-    assert tb.kq_rf(0, -1, Q) == Z(1)
-    assert tb.kq_rf(0, 1, Q) == G("Z^2 + Z/2")
-    assert tb.kq_rf(1, 1, Q) == C2(3)
+    assert cell("KQ+", 9, Q) == C2(3)
+    assert cell("KQ-", 3, D6) == G("Z/2 + Z/16")
+    assert cell("K", 3, Q) == C(16)
+    assert cell("KQ+", 3, Q) == C(8)  # orthogonal value is w_2 = 8, not 16
+    assert cell("KQ-", 0, Q) == Z(1)
+    assert cell("KQ+", 0, Q) == G("Z^2 + Z/2")
+    assert cell("KQ+", 1, Q) == C2(3)
 
 
 def test_v_u_golden():
-    assert tb.v_rf(8, 1, R2) == Z(4)
-    assert tb.u_rf(9, -1, R2) == Z(4)
-    assert tb.v_rf(0, -1, R2) == G("Z^2 + Z/2")
+    assert cell("V+", 8, R2) == Z(4)
+    assert cell("U-", 9, R2) == Z(4)
+    assert cell("V-", 0, R2) == G("Z^2 + Z/2")
     with pytest.raises(DegreeOutOfRange):
-        tb.u_rf(0, 1, Q)
+        cell("U+", 0, Q)
 
 
 def test_barred_tables():
-    assert tb.kq_bar(4, -1, 3) == C(2)
-    assert tb.v_bar(0, 1) == Z(2)
-    assert tb.k_bar(1, 2) == G("Z + Z/2")
-    assert tb.k_bar(7, 2) == C(16)
+    assert cell("KQbar-", 4, Q, 3) == C(2)
+    assert cell("Vbar+", 0, Q) == Z(2)
+    assert cell("Kbar", 1, Q) == G("Z + Z/2")
+    assert cell("Kbar", 7, Q) == C(16)
     assert tb.k_bar_uses_resolved_order(7)
     assert not tb.k_bar_uses_resolved_order(3)
     with pytest.raises(DegreeOutOfRange):
-        tb.k_bar(0, 2)
+        cell("Kbar", 0, Q)
 
 
 def test_witt_groups():
@@ -120,9 +129,9 @@ def test_witt_groups():
 def test_not_two_regular_is_loud():
     for bad in (RealQuadratic(34), resolve(RealQuadratic(34))):
         for fn in (
-            lambda: tb.k_rf(1, bad),
-            lambda: tb.kq_rf(1, 1, bad),
-            lambda: tb.v_rf(1, 1, bad),
+            lambda: cell("K", 1, bad),
+            lambda: cell("KQ+", 1, bad),
+            lambda: cell("V+", 1, bad),
             lambda: tb.witt(bad),
             lambda: tb.w1(bad),
             lambda: tb.square_classes(bad),
@@ -131,7 +140,7 @@ def test_not_two_regular_is_loud():
             with pytest.raises(NotTwoRegular):
                 fn()
         # the building block does not read the regularity verdict
-        assert tb.query(tb.THEORIES["Kbar"], 3, bad, 3) == tb.k_bar(3, 2)
+        assert tb.query(tb.THEORIES["Kbar"], 3, bad, 3) == cell("Kbar", 3, Q)
 
 
 def test_low_dim():
@@ -141,7 +150,7 @@ def test_low_dim():
     for eps in (1, -1):
         ld = tb.low_dim(Q, eps)
         for n in (0, 1):
-            assert ld[n] == tb.kq_rf(n, eps, Q)
+            assert ld[n] == cell("KQ" + SIGN[eps], n, Q)
 
 
 def test_t_equals_w_on_admissible_pairs():
@@ -158,28 +167,28 @@ def test_v_plus_is_wedge_of_ko():
     for r in (1, 2, 4):
         spec = Generic(r=r, a=2, regular_claim=True)
         for n in range(0, 32):
-            assert tb.v_rf(n, 1, spec) == n_copies(2 * r, tb.ko(n))
+            assert cell("V+", n, spec) == n_copies(2 * r, tb.ko(n))
 
 
 def test_periodicity():
     for n in range(0, 24):
         for eps in (1, -1):
-            assert tb.v_rf(n, eps, R2) == tb.v_rf(n + 8, eps, R2)
+            assert cell("V" + SIGN[eps], n, R2) == cell("V" + SIGN[eps], n + 8, R2)
     # K and KQ rows repeat except in degrees 7 mod 8 where the torsion
     # order grows with k through w(4k+4)
     for n in range(1, 24):
         if n % 8 != 7:
-            assert tb.k_rf(n, Q) == tb.k_rf(n + 8, Q)
-            assert tb.kq_rf(n, 1, Q) == tb.kq_rf(n + 8, 1, Q)
-            assert tb.kq_rf(n, -1, Q) == tb.kq_rf(n + 8, -1, Q)
-    assert tb.k_rf(7, Q) == C(16)
-    assert tb.k_rf(15, Q) == C(32)  # template-periodic, not value-periodic
+            assert cell("K", n, Q) == cell("K", n + 8, Q)
+            assert cell("KQ+", n, Q) == cell("KQ+", n + 8, Q)
+            assert cell("KQ-", n, Q) == cell("KQ-", n + 8, Q)
+    assert cell("K", 7, Q) == C(16)
+    assert cell("K", 15, Q) == C(32)  # template-periodic, not value-periodic
 
 
 def test_u_is_shifted_v():
     for n in range(1, 25):
         for eps in (1, -1):
-            assert tb.u_rf(n, eps, R2) == tb.v_rf(n - 1, -eps, R2)
+            assert cell("U" + SIGN[eps], n, R2) == cell("V" + SIGN[-eps], n - 1, R2)
 
 
 def test_theory_dispatch():
@@ -203,10 +212,10 @@ def test_registry_names_parse():
 
 
 def test_fault_injection_is_scoped():
-    clean = tb.kq_bar(4, -1, 3)
+    clean = cell("KQbar-", 4, Q, 3)
     with tb.fault_injection("kq_bar-", 4):
-        assert tb.kq_bar(4, -1, 3) != clean
-    assert tb.kq_bar(4, -1, 3) == clean
+        assert cell("KQbar-", 4, Q, 3) != clean
+    assert cell("KQbar-", 4, Q, 3) == clean
     assert len(tb.fault_sites()) == 80
 
 
@@ -247,13 +256,83 @@ def test_table_functions_agree_on_spec_and_record(text):
     for eps in (1, -1):
         assert tb.low_dim(field, eps) == tb.low_dim(spec, eps)
     for n in range(0, 17):
-        assert tb.k_rf(n, field) == tb.k_rf(n, spec)
+        assert cell("K", n, field) == cell("K", n, spec)
         for eps in (1, -1):
-            assert tb.kq_rf(n, eps, field) == tb.kq_rf(n, eps, spec)
-            assert tb.v_rf(n, eps, field) == tb.v_rf(n, eps, spec)
+            assert cell("KQ" + SIGN[eps], n, field) == cell("KQ" + SIGN[eps], n, spec)
+            assert cell("V" + SIGN[eps], n, field) == cell("V" + SIGN[eps], n, spec)
             if n >= 1:
-                assert tb.u_rf(n, eps, field) == tb.u_rf(n, eps, spec)
+                assert cell("U" + SIGN[eps], n, field) == cell("U" + SIGN[eps], n, spec)
         for tag in tb.THEORIES.values():
             if tag.needs_degree and n >= 1:
                 assert tb.query(tag, n, field, q) == tb.query(tag, n, spec, q)
 
+
+
+# The column path against a brute-force reader of the stored rows.  The
+# reference reads tb._TABLE_ROWS through tb._Ctx on its own, and takes the
+# injected fault as an argument instead of reading the fault switch.
+
+REFERENCE_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+")
+# every degree up to 64, and 8 * 2^j - 1, where w(4k+4) grows, up to the CLI bound
+REFERENCE_DEGREES = list(range(65)) + [8 * 2**j - 1 for j in range(4, 64) if 8 * 2**j - 1 <= N_MAX_BOUND]
+
+
+def _reference_row(table, n, r, a, q, fault):
+    g = tb._TABLE_ROWS[table][n % 8](tb._Ctx(n, n // 8, r, a, q))
+    return direct_sum(g, C(2)) if fault == (table, n % 8) else g
+
+
+# the stored table of each theory that reads the row store
+RF_TABLES = {"K": "k_rf", "KQ+": "kq_rf+", "KQ-": "kq_rf-", "V+": "v_rf+", "V-": "v_rf-"}
+BAR_TABLES = {"KQbar+": "kq_bar+", "KQbar-": "kq_bar-", "Vbar+": "v_bar+", "Vbar-": "v_bar-"}
+
+
+def _reference(name, n, field, q, fault):
+    """The group of theory ``name`` in degree n, read from the stored rows."""
+    if name in RF_TABLES:
+        return _reference_row(RF_TABLES[name], n, field.r, field.a, None, fault)
+    if name in ("U+", "U-"):  # V of the other sign, one degree down
+        if n < 1:
+            raise DegreeOutOfRange(n)
+        return _reference_row("v_rf-" if name == "U+" else "v_rf+", n - 1, field.r, field.a, None, fault)
+    if name == "Kbar":
+        return _reference_row("k_bar", n, 1, field.a, None, fault)
+    if name in BAR_TABLES:
+        return _reference_row(BAR_TABLES[name], n, 1, 2, q, fault)
+    if name == "KQFq+":
+        return subtract_summand(_reference_row("kq_bar+", n, 1, 2, q, fault), tb.ko(n))
+    return {"KO": tb.ko, "KU": tb.ku, "KFq": lambda n: tb.k_fq(n, q),
+            "KQFq-": lambda n: tb.kq_fq(n, -1, q)}[name](n)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except DegreeOutOfRange as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", REFERENCE_FIELDS)
+def test_every_column_matches_the_stored_rows(text):
+    field = resolve(parse_field(text))
+    q = choose_q(field, None)
+    names = [name for name, tag in tb.THEORIES.items() if tag.needs_degree]
+    assert len(names) == 17
+    # built once, before any fault: a memo that outlived a fault switch, in
+    # either direction, would show below
+    columns = {name: tb.column(tb.THEORIES[name], field, q) for name in names}
+    clean = {(name, n): _outcome(_reference, name, n, field, q, None)
+             for name in names for n in REFERENCE_DEGREES}
+    assert sum(isinstance(v, type) for v in clean.values()) == 3  # U+, U- and Kbar in degree 0
+
+    def check(expected):
+        for name in names:
+            read = columns[name]
+            for n in REFERENCE_DEGREES:
+                assert _outcome(read, n) == expected(name, n), (name, n)
+
+    check(lambda name, n: clean[name, n])
+    for site in tb.fault_sites():
+        with tb.fault_injection(*site):
+            check(lambda name, n: _outcome(_reference, name, n, field, q, site))
+        check(lambda name, n: clean[name, n])

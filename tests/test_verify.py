@@ -18,6 +18,12 @@ REGRESSION_SPECS = (
     + [MaxRealCyclo2(b) for b in (2, 3, 4)]
     + [MaxRealCycloOdd(m) for m in (5, 11)]
 )
+Q = Rationals()  # the building-block columns do not read the field
+
+
+def cell(name, n, field, q=None):
+    """One group of a theory on a field, read through its column."""
+    return tb.column(tb.THEORIES[name], field, q)(n)
 
 
 @pytest.mark.parametrize("spec", REGRESSION_SPECS, ids=str)
@@ -50,13 +56,13 @@ def test_check_splittings_example_values():
     from kq2.abgroup import C2, direct_sum, n_copies
 
     spec = Generic(r=3, a=2, regular_claim=True)
-    lhs = tb.kq_rf(12, -1, spec)
-    rhs = direct_sum(tb.kq_bar(12, -1, 3), n_copies(2, tb.ko(18)))
+    lhs = cell("KQ-", 12, spec)
+    rhs = direct_sum(cell("KQbar-", 12, Q, 3), n_copies(2, tb.ko(18)))
     assert lhs == rhs == C2(3)
 
     spec2 = Generic(r=2, a=2, regular_claim=True)
-    assert tb.v_rf(1, 1, spec2) == C2(4)
-    assert direct_sum(tb.v_bar(1, 1), n_copies(2, tb.ko(1))) == C2(4)
+    assert cell("V+", 1, spec2) == C2(4)
+    assert direct_sum(cell("Vbar+", 1, Q), n_copies(2, tb.ko(1))) == C2(4)
 
 
 @pytest.mark.parametrize("spec", [Rationals(), RealQuadratic(6), MaxRealCyclo2(4)], ids=str)
