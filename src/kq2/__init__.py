@@ -10,7 +10,6 @@ suite that cross-checks every inter-table identity.
 from .abgroup import (
     C,
     C2,
-    ExactWindow,
     FgAb2,
     Z,
     ZERO,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "C",
     "C2",
-    "ExactWindow",
     "FgAb2",
     "FieldInvariants",
     "FieldSpec",

@@ -172,43 +172,29 @@ def ses_consistent(a: FgAb2, b: FgAb2, c: FgAb2) -> bool:
     return tb % ta == 0 and (ta * tc) % tb == 0
 
 
-class ExactWindow(Record):
-    """Consecutive terms of an exact sequence.
-
-    ``bounded`` means the window is flanked by zero groups (or by maps that
-    are provably zero) on both sides.
-    """
-
-    groups: tuple[FgAb2, ...]
-    bounded: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.groups:
-            raise EmptyWindow("exact window must contain at least one group")
-        object.__setattr__(self, "groups", tuple(self.groups))
-
-
 def alternating_rank_sum(groups) -> int:
     return sum((-1) ** i * g.rank for i, g in enumerate(groups))
 
 
-def exact_window_check(w: ExactWindow) -> bool:
-    """Necessary exactness conditions for a window of groups.
+def exact_window_check(groups: tuple[FgAb2, ...]) -> bool:
+    """Necessary exactness conditions for consecutive terms of an exact
+    sequence flanked by zero groups (or by maps that are provably zero) on
+    both sides.
 
-    Bounded all-finite windows must telescope: the alternating product of
-    the group orders is 1.  As soon as free parts appear only the rank Euler
+    All-finite windows must telescope: the alternating product of the group
+    orders is 1.  As soon as free parts appear only the rank Euler
     characteristic is asserted (boundary maps are not modeled, so torsion
-    telescoping is not determined).  Unbounded windows, supplied as one full
-    period of a periodic long exact sequence, are held to the rank condition.
+    telescoping is not determined).  A full period of a periodic long exact
+    sequence, which has no zero ends, is held to the rank condition alone:
+    ``alternating_rank_sum(period) == 0``.
     """
-    if not w.groups:
+    if not groups:
         raise EmptyWindow("exact window must contain at least one group")
-    all_finite = all(g.is_finite for g in w.groups)
-    if w.bounded and all_finite:
-        even = math.prod(g.torsion_order() for g in w.groups[0::2])
-        odd = math.prod(g.torsion_order() for g in w.groups[1::2])
+    if all(g.is_finite for g in groups):
+        even = math.prod(g.torsion_order() for g in groups[0::2])
+        odd = math.prod(g.torsion_order() for g in groups[1::2])
         return even == odd
-    return alternating_rank_sum(w.groups) == 0
+    return alternating_rank_sum(groups) == 0
 
 
 def format_group(g: FgAb2) -> str:

@@ -151,9 +151,6 @@ def _cyclotomic_criterion(m: int, phi: int) -> tuple[bool, str]:
     return False, f"m = {m} is outside the certified list"
 
 
-_UNVERIFIED = "generic spec without verification data (treated as claimed regular)"
-
-
 class ResolvedField(Record):
     """A field spec with its parameters r and a_F and its 2-regularity
     verdict, computed once; it prints as the spec."""
@@ -201,7 +198,8 @@ def resolve(spec: FieldLike) -> ResolvedField:
     if isinstance(spec, Generic):
         claim = spec.regular_claim
         if claim is None:
-            return ResolvedField(spec, spec.r, spec.a, True, _UNVERIFIED)
+            return ResolvedField(spec, spec.r, spec.a, True,
+                                 "generic spec without verification data (treated as claimed regular)")
         reason = "caller claims 2-regular" if claim else "caller claims not 2-regular"
         return ResolvedField(spec, spec.r, spec.a, claim, reason)
     raise InvalidSpec(f"unknown field spec {spec!r}")
@@ -215,8 +213,10 @@ def is_two_regular(spec: FieldLike) -> tuple[bool, str]:
 
 def is_unverified_generic(spec: FieldLike) -> bool:
     """Whether only the trust in a generic spec without a claim admits the
-    field."""
-    return resolve(spec).reason == _UNVERIFIED
+    field: a Generic spec (or its record) with no regularity claim."""
+    if isinstance(spec, ResolvedField):
+        spec = spec.spec
+    return isinstance(spec, Generic) and spec.regular_claim is None
 
 
 def require_two_regular(spec: FieldLike) -> ResolvedField:

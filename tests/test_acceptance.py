@@ -20,8 +20,10 @@ from kq2.fields import (
     Generic,
     Rationals,
     RealQuadratic,
+    choose_q,
     find_q_for_a,
     is_two_regular,
+    require_two_regular,
     two_regular_oracle,
 )
 
@@ -32,6 +34,14 @@ SQUAREFREE_200 = [d for d in range(2, 201) if nt.squarefree_part(d)[0]]
 def cell(name, n, field, q=None):
     """One group of a theory on a field, read through its column."""
     return tb.column(tb.THEORIES[name], field, q)(n)
+
+
+def checked(spec, q):
+    """The field and the columns that verify.run_all hands its checks: the
+    2-regular field and the column of every theory with a degree axis."""
+    field = require_two_regular(spec)
+    q = choose_q(field, q)
+    return field, {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
 
 
 @contextmanager
@@ -131,7 +141,8 @@ def test_criterion_5_splitting_identities():
     with budget("5", 1.0):
         for r in (1, 2, 4, 8):
             spec = Generic(r=r, a=2, regular_claim=True)
-            reports = vf.check_splittings(spec, 3, 64)
+            field, col = checked(spec, 3)
+            reports = vf.check_splittings(field, col, 64)
             assert len(reports) == 5
             failures = [rep for rep in reports if not rep.passed]
             assert not failures, failures
@@ -156,7 +167,7 @@ def test_criterion_7_exact_sequence_conditions():
     degree 3 mod 8 telescoping window."""
     with budget("7", 1.0):
         for spec in (Q, RealQuadratic(6), Generic(r=4, a=2, regular_claim=True)):
-            reports = vf.check_les(spec, None)
+            reports = vf.check_les(*checked(spec, None))
             failures = [rep for rep in reports if not rep.passed]
             assert not failures, (spec, failures)
             names = [rep.name for rep in reports]

@@ -396,14 +396,14 @@ def test_usage_errors_come_before_field_work(capsys, monkeypatch, argv, refused)
     assert (code, out) == (1, "") and err.startswith("usage error: ")
 
 
-# verify's run_all, check_splittings and check_les each re-check the q they
-# are given, as they re-check 2-regularity; only the command's own call may
-# search for q
+# each command chooses q once; verify's run_all checks the q it is handed
+# once more, at the library boundary, and the check functions below it take
+# the checked field and columns
 @pytest.mark.parametrize("q", [None, "5"])
 @pytest.mark.parametrize("argv, choices", [
     (("group", "--theory", "KQ+", "--n", "3"), 1),
     (("table", "--n-max", "8", "--theories", DEGREE_THEORIES), 1),
-    (("verify", "--n-max", "16"), 4),
+    (("verify", "--n-max", "16"), 2),
 ])
 def test_each_command_resolves_the_field_and_chooses_q_once(capsys, monkeypatch, argv, choices, q):
     resolved, chosen = [], []
@@ -454,6 +454,25 @@ def test_verify_checks_the_field_a_fixed_number_of_times(capsys, monkeypatch):
     small = _two_regular_checks(capsys, monkeypatch, "verify", "--n-max", "16", "--field", "Q(zeta 11)+")
     large = _two_regular_checks(capsys, monkeypatch, "verify", "--n-max", "350", "--field", "Q(zeta 11)+")
     assert small == large > 0
+
+
+# verify builds one column per theory with a degree axis, plus the KQ+ column
+# that tables.low_dim reads, whatever --n-max is
+def test_verify_builds_each_column_once(capsys, monkeypatch):
+    built = []
+    column = tb.column
+
+    def counting(tag, field, q):
+        built.append(tag.name)
+        return column(tag, field, q)
+
+    _patch_everywhere(monkeypatch, tb, "column", counting)
+    for n_max in ("16", "350"):
+        built.clear()
+        code, _, _ = run(capsys, "verify", "--n-max", n_max, "--field", "Q(zeta 11)+")
+        assert code == 0
+        assert len(built) == 18
+        assert Counter(built) == Counter(DEGREE_THEORIES.split(",") + ["KQ+"])
 
 
 # table and verify pay per distinct group, not per cell

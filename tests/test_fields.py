@@ -66,6 +66,11 @@ def test_generic_claims():
     assert f.is_two_regular(f.Generic(r=2, a=2, regular_claim=True))[0]
     assert not f.is_two_regular(f.Generic(r=2, a=2, regular_claim=False))[0]
     assert f.is_unverified_generic(f.Generic(r=2, a=2))
+    assert f.is_unverified_generic(f.resolve(f.Generic(r=2, a=2)))
+    assert not f.is_unverified_generic(f.Generic(r=2, a=2, regular_claim=True))
+    assert not f.is_unverified_generic(f.Generic(r=2, a=2, regular_claim=False))
+    assert not f.is_unverified_generic(f.resolve(f.Generic(r=2, a=2, regular_claim=True)))
+    assert not f.is_unverified_generic(f.Rationals())
     assert f.is_two_regular(f.Generic(r=2, a=2))[0]  # unverified but usable
 
 

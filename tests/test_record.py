@@ -15,8 +15,6 @@ from kq2.record import Record
 # fresh on every call
 SAMPLES = {
     abgroup.FgAb2: lambda: [abgroup.FgAb2(1, (2,)), abgroup.FgAb2(0, (4, 2))],
-    abgroup.ExactWindow: lambda: [abgroup.ExactWindow((abgroup.Z(1),)),
-                                  abgroup.ExactWindow((abgroup.Z(1), abgroup.C(2)), bounded=False)],
     f.Rationals: lambda: [f.Rationals()],
     f.RealQuadratic: lambda: [f.RealQuadratic(5), f.RealQuadratic(6)],
     f.MaxRealCyclo2: lambda: [f.MaxRealCyclo2(5), f.MaxRealCyclo2(4)],

@@ -89,3 +89,12 @@ def test_fault_injection_spot_checks(site):
     assert all(rep.passed for rep in vf.run_all(spec, q, 16))
     with tb.fault_injection(*site):
         assert not all(rep.passed for rep in vf.run_all(spec, q, 16))
+
+
+def test_failing_ses_reports_name_their_own_groups(monkeypatch):
+    monkeypatch.setattr(vf, "ses_consistent", lambda a, b, c: False)
+    failed = [rep for rep in vf.run_all(RealQuadratic(6), 3, 16) if not rep.passed]
+    assert len(failed) == 3
+    for rep in failed:
+        groups = rep.counterexample
+        assert rep.details == f"0 -> {groups['a']} -> {groups['b']} -> {groups['c']} -> 0"
