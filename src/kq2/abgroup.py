@@ -110,10 +110,7 @@ def direct_sum(*groups: FgAb2) -> FgAb2:
     with at most one nonzero operand returns that operand (or ZERO).  One
     shared value per operand tuple, like Z, C and C2.
     """
-    total = _SUMS.get(groups)
-    if total is None:
-        total = _SUMS[groups] = _sum(groups)
-    return total
+    return _SUMS(groups)
 
 
 def _sum(groups: tuple[FgAb2, ...]) -> FgAb2:
@@ -126,7 +123,7 @@ def _sum(groups: tuple[FgAb2, ...]) -> FgAb2:
     return FgAb2(sum(g.rank for g in nonzero), tuple(torsion))
 
 
-_SUMS: dict[tuple[FgAb2, ...], FgAb2] = {}
+_SUMS = _Memo(_sum)
 
 
 def n_copies(k: int, g: FgAb2) -> FgAb2:

@@ -10,8 +10,10 @@ and the low-degree computations.  Boundary maps are not modeled, so the
 checks are necessary-condition checks; they do not by themselves prove the
 tables correct.  Fault injection in the tests adds one Z/2 to each of the
 80 stored rows of tables.fault_sites() in turn, and the suite rejects every
-one; the symplectic finite-field column KQFq- is coded outside the row
-store, so that test does not reach it.
+one.  The rows of KO, KU, KFq and the symplectic finite-field column KQFq-
+are stored too, but kept off the fault switch, so that test does not reach
+them.  The low-degree computations read no stored row, so the low-degree
+report compares two independent derivations.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .abgroup import (
     n_copies,
     ses_consistent,
 )
-from .fields import FieldLike, ResolvedField, choose_q, find_q_for_a, require_two_regular
+from .fields import FieldLike, ResolvedField, choose_q, require_two_regular
 from .record import Record
 
 TYPE_CHECKING = False
@@ -128,16 +130,15 @@ def _mv_window(col: dict, r: int, eps: int, n_lo: int, n_hi: int) -> tuple[FgAb2
             -> r * KQ_n(C) -> ...
     """
     block, finite = col["KQbar" + _SIGN[eps]], col["KQFq" + _SIGN[eps]]
+    ko, ku = col["KO"], col["KU"]
     groups: list[FgAb2] = []
     for n in range(n_hi, n_lo - 1, -1):
-        groups.append(n_copies(r, tb.kq_top(n + 1, eps, "C")))
-        groups.append(direct_sum(block(n), _split_summand(r, eps, n)))
-        groups.append(direct_sum(finite(n), n_copies(r, tb.kq_top(n, eps, "R"))))
+        # KQ of R is KO + KO (eps = +1) or KU (eps = -1); KQ of C is KO,
+        # four degrees up for eps = -1
+        groups.append(n_copies(r, ko(n + 1) if eps == 1 else ko(n + 5)))
+        groups.append(direct_sum(block(n), n_copies(r - 1, ko(n) if eps == 1 else ko(n + 6))))
+        groups.append(direct_sum(finite(n), n_copies(2 * r, ko(n)) if eps == 1 else n_copies(r, ku(n))))
     return tuple(groups)
-
-
-def _split_summand(r: int, eps: int, n: int) -> FgAb2:
-    return n_copies(r - 1, tb.ko(n) if eps == 1 else tb.ko(n + 6))
 
 
 def check_les(field: ResolvedField, col: dict) -> list[CheckReport]:
@@ -177,7 +178,7 @@ def check_les(field: ResolvedField, col: dict) -> list[CheckReport]:
     # coWitt discriminant rows: 0 -> Z^r -> Z^r + Z/2 -> (Z/2)^(r+1) -> 0
     for name, a, b, c in (
         ("K_1 short exact sequence rank/order consistency",
-         n_copies(r, tb.ku(2)), col["K"](1), direct_sum(C2(r), col["KFq"](1))),
+         n_copies(r, col["KU"](2)), col["K"](1), direct_sum(C2(r), col["KFq"](1))),
         ("coWitt discriminant sequence (2-integers row)",
          Z(r), tb.cowitt(field), tb.square_classes(field)),
         ("coWitt discriminant sequence (archimedean/residue row)",
@@ -196,10 +197,10 @@ def check_les(field: ResolvedField, col: dict) -> list[CheckReport]:
             ZERO,
             col["KQbar-"](n3 + 2),
             col["KQFq-"](n3 + 2),
-            tb.ko(n3 + 7),
+            col["KO"](n3 + 7),
             col["KQbar-"](n3 + 1),
             col["KQFq-"](n3 + 1),
-            tb.ko(n3 + 6),
+            col["KO"](n3 + 6),
             col["KQbar-"](n3),
             col["KQFq-"](n3),
             ZERO,
@@ -215,91 +216,53 @@ def check_les(field: ResolvedField, col: dict) -> list[CheckReport]:
     return reports
 
 
-def check_t_w(a_range: Iterable[int], n_max: int = 400) -> CheckReport:
-    """The identity t(n, q) = w((n+1)/2, a) for admissible q and
-    n = 3 (mod 4)."""
-    checked = 0
-    for a in a_range:
-        q = find_q_for_a(a)
-        for n in range(3, n_max + 1, 4):
-            checked += 1
-            lhs = tb.t(n, q)
-            rhs = tb.w((n + 1) // 2, a)
-            if lhs != rhs:
-                return CheckReport(
-                    "valuation identity t(n, q) = w((n+1)/2, a)",
-                    False,
-                    f"fails at a={a}, q={q}, n={n}",
-                    {"a": a, "q": q, "n": n, "t": lhs, "w": rhs},
-                )
-    return CheckReport(
-        "valuation identity t(n, q) = w((n+1)/2, a)",
-        True,
-        f"all n = 3 (mod 4), n <= {n_max} ({checked} cases)",
-    )
+def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
+    """The identity t(n, q) = w((n+1)/2, a) for n = 3 (mod 4), at a field's
+    2-adic parameter a and an admissible q for it."""
+    name = "valuation identity t(n, q) = w((n+1)/2, a)"
+    degrees = range(3, n_max + 1, 4)
+    for n in degrees:
+        lhs, rhs = tb.t(n, q), tb.w((n + 1) // 2, a)
+        if lhs != rhs:
+            return CheckReport(name, False, f"fails at a={a}, q={q}, n={n}",
+                               {"a": a, "q": q, "n": n, "t": lhs, "w": rhs})
+    return CheckReport(name, True, f"all n = 3 (mod 4), n <= {n_max} ({len(degrees)} cases)")
 
 
 def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
-    r = field.r
-    reports: list[CheckReport] = []
-
-    reports.append(
+    r, ko = field.r, col["KO"]
+    degrees = range(0, n_max + 1)
+    low = {eps: tb.low_dim(field, eps) for eps in (1, -1)}
+    return [
         _equality_report(
             "V+ is 2r copies of KO",
-            (
-                ({"n": n, "r": r}, col["V+"](n), n_copies(2 * r, tb.ko(n)))
-                for n in range(0, n_max + 1)
-            ),
+            (({"n": n, "r": r}, col["V+"](n), n_copies(2 * r, ko(n))) for n in degrees),
             f"n <= {n_max}",
-        )
-    )
-    reports.append(
+        ),
         _equality_report(
             "U-theory is sign-swapped V-theory shifted by one",
-            (
-                ({"n": n, "eps": eps}, col["U" + _SIGN[eps]](n), col["V" + _SIGN[-eps]](n - 1))
-                for n in range(1, n_max + 1)
-                for eps in (1, -1)
-            ),
+            (({"n": n, "eps": eps}, col["U" + _SIGN[eps]](n), col["V" + _SIGN[-eps]](n - 1))
+             for n in range(1, n_max + 1) for eps in (1, -1)),
             f"1 <= n <= {n_max}",
-        )
-    )
-    reports.append(
+        ),
         _equality_report(
             "V-theory 8-periodicity",
-            (
-                ({"n": n, "eps": eps}, col["V" + _SIGN[eps]](n), col["V" + _SIGN[eps]](n + 8))
-                for n in range(0, n_max + 1)
-                for eps in (1, -1)
-            ),
+            (({"n": n, "eps": eps}, col["V" + _SIGN[eps]](n), col["V" + _SIGN[eps]](n + 8))
+             for n in degrees for eps in (1, -1)),
             f"n <= {n_max}",
-        )
-    )
-    reports.append(
+        ),
         _equality_report(
             "orthogonal finite-field groups complement KO in the building block",
-            (
-                ({"n": n}, col["KQbar+"](n), direct_sum(col["KQFq+"](n), tb.ko(n)))
-                for n in range(0, n_max + 1)
-            ),
+            (({"n": n}, col["KQbar+"](n), direct_sum(col["KQFq+"](n), ko(n))) for n in degrees),
             f"n <= {n_max}",
-        )
-    )
-
-    def low_dim_cases():
-        for eps in (1, -1):
-            ld = tb.low_dim(field, eps)
-            for n in (0, 1):
-                yield ({"n": n, "eps": eps}, ld[n], col["KQ" + _SIGN[eps]](n))
-
-    reports.append(
+        ),
         _equality_report(
             "low-degree computations agree with the table",
-            low_dim_cases(),
+            (({"n": n, "eps": eps}, low[eps][n], col["KQ" + _SIGN[eps]](n))
+             for eps in (1, -1) for n in (0, 1)),
             "degrees 0 and 1, both signs",
-        )
-    )
-    return reports
+        ),
+    ]
 
 
 def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
@@ -313,7 +276,7 @@ def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[Chec
     col = {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
     reports = check_splittings(field, col, n_max)
     reports += check_les(field, col)
-    reports += [check_t_w([field.a], min(4 * n_max, 400))]
+    reports += [check_t_w(field.a, q, min(4 * n_max, 400))]
     reports += _check_extras(field, col, n_max)
     return sorted(reports, key=lambda rep: rep.name)
 

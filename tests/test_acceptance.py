@@ -158,7 +158,7 @@ def test_criterion_6_v_plus_wedge_and_periodicity():
         for r in (1, 2, 4):
             spec = Generic(r=r, a=2, regular_claim=True)
             for n in range(0, 65):
-                assert cell("V+", n, spec) == n_copies(2 * r, tb.ko(n)), (r, n)
+                assert cell("V+", n, spec) == n_copies(2 * r, cell("KO", n, spec)), (r, n)
                 assert cell("V+", n, spec) == cell("V+", n + 8, spec), (r, n)
 
 

@@ -456,8 +456,7 @@ def test_verify_checks_the_field_a_fixed_number_of_times(capsys, monkeypatch):
     assert small == large > 0
 
 
-# verify builds one column per theory with a degree axis, plus the KQ+ column
-# that tables.low_dim reads, whatever --n-max is
+# verify builds one column per theory with a degree axis, whatever --n-max is
 def test_verify_builds_each_column_once(capsys, monkeypatch):
     built = []
     column = tb.column
@@ -471,8 +470,8 @@ def test_verify_builds_each_column_once(capsys, monkeypatch):
         built.clear()
         code, _, _ = run(capsys, "verify", "--n-max", n_max, "--field", "Q(zeta 11)+")
         assert code == 0
-        assert len(built) == 18
-        assert Counter(built) == Counter(DEGREE_THEORIES.split(",") + ["KQ+"])
+        assert len(built) == 17
+        assert Counter(built) == Counter(DEGREE_THEORIES.split(","))
 
 
 # table and verify pay per distinct group, not per cell

@@ -22,7 +22,8 @@ SAMPLES = {
     f.Generic: lambda: [f.Generic(r=2, a=3), f.Generic(2, 3, regular_claim=True)],
     f.FieldInvariants: lambda: [f.two_regular_oracle(f.RealQuadratic(d)) for d in (5, 34)],
     f.ResolvedField: lambda: [f.resolve(f.RealQuadratic(5)), f.resolve(f.Rationals())],
-    tb.TheoryTag: lambda: [tb.TheoryTag("KO", tb.ko), tb.TheoryTag("KQFq+", tb.kq_fq, 1, needs_q=True)],
+    tb.TheoryTag: lambda: [tb.TheoryTag("KO", tb.THEORIES["KO"].build),
+                           tb.TheoryTag("KQFq+", tb.THEORIES["KQFq+"].build, 1, needs_q=True)],
     vf.CheckReport: lambda: [vf.CheckReport("a", True, "x"), vf.CheckReport("b", True, "x")],
     nt.QuadUnit: lambda: [nt.QuadUnit(3, 1, 1, 7, 2), nt.QuadUnit(1, 1, 1, 2, -1)],
     nt.DyadicData: lambda: [nt._quadratic_data(d).dyadic for d in (5, 34)],

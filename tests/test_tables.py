@@ -49,45 +49,43 @@ def test_t_examples():
 
 
 def test_ko_ku():
-    assert tb.ko(2) == C(2)
-    assert tb.ko(8) == Z(1)
-    assert tb.ku(5) == ZERO
-    assert [tb.ko(n) for n in range(8)] == [
+    assert cell("KO", 2, Q) == C(2)
+    assert cell("KO", 8, Q) == Z(1)
+    assert cell("KU", 5, Q) == ZERO
+    assert [cell("KO", n, Q) for n in range(8)] == [
         Z(1), C(2), C(2), ZERO, Z(1), ZERO, ZERO, ZERO,
     ]
     with pytest.raises(NegativeDegree):
-        tb.ko(-1)
+        cell("KO", -1, Q)
 
 
 def test_kq_top():
-    assert tb.kq_top(2, 1, "R") == C2(2)
-    assert tb.kq_top(1, -1, "R") == ZERO
-    assert tb.kq_top(0, -1, "C") == Z(1)
-    for n in range(12):
-        assert tb.kq_top(n, 1, "R") == direct_sum(tb.ko(n), tb.ko(n))
-        assert tb.kq_top(n, 1, "C") == tb.ko(n)
-        assert tb.kq_top(n, -1, "R") == tb.ku(n)
-        assert tb.kq_top(n, -1, "C") == tb.ko(n + 4)
+    # KQ+ of R is KO + KO and KQ+ of C is KO; KQ- of R is KU and KQ- of C
+    # is KO four degrees up
+    ko, ku = tb.column(tb.THEORIES["KO"], Q, None), tb.column(tb.THEORIES["KU"], Q, None)
+    assert direct_sum(ko(2), ko(2)) == C2(2)  # KQ+ of R in degree 2
+    assert ku(1) == ZERO  # KQ- of R in degree 1
+    assert ko(4) == Z(1)  # KQ- of C in degree 0
 
 
 def test_k_fq():
-    assert tb.k_fq(2, 3) == ZERO
-    assert tb.k_fq(1, 3) == C(2)
-    assert tb.k_fq(3, 3) == C(8)
-    assert tb.k_fq(0, 3) == Z(1)
-    assert tb.k_fq(7, 3) == C(16)
+    assert cell("KFq", 2, Q, 3) == ZERO
+    assert cell("KFq", 1, Q, 3) == C(2)
+    assert cell("KFq", 3, Q, 3) == C(8)
+    assert cell("KFq", 0, Q, 3) == Z(1)
+    assert cell("KFq", 7, Q, 3) == C(16)
 
 
 def test_kq_fq():
-    assert tb.kq_fq(1, 1, 3) == C2(2)
-    assert tb.kq_fq(7, -1, 3) == C(16)
-    assert tb.kq_fq(0, -1, 3) == Z(1)
-    assert tb.kq_fq(0, 1, 3) == direct_sum(Z(1), C(2))
-    assert tb.kq_fq(5, -1, 3) == C2(2)
-    assert tb.kq_fq(3, -1, 3) == C(8)
+    assert cell("KQFq+", 1, Q, 3) == C2(2)
+    assert cell("KQFq-", 7, Q, 3) == C(16)
+    assert cell("KQFq-", 0, Q, 3) == Z(1)
+    assert cell("KQFq+", 0, Q, 3) == direct_sum(Z(1), C(2))
+    assert cell("KQFq-", 5, Q, 3) == C2(2)
+    assert cell("KQFq-", 3, Q, 3) == C(8)
     # the orthogonal groups complement KO inside the building block
     for n in range(0, 33):
-        assert cell("KQbar+", n, Q, 3) == direct_sum(tb.kq_fq(n, 1, 3), tb.ko(n))
+        assert cell("KQbar+", n, Q, 3) == direct_sum(cell("KQFq+", n, Q, 3), cell("KO", n, Q))
 
 
 def test_kq_rf_golden():
@@ -167,7 +165,7 @@ def test_v_plus_is_wedge_of_ko():
     for r in (1, 2, 4):
         spec = Generic(r=r, a=2, regular_claim=True)
         for n in range(0, 32):
-            assert cell("V+", n, spec) == n_copies(2 * r, tb.ko(n))
+            assert cell("V+", n, spec) == n_copies(2 * r, cell("KO", n, Q))
 
 
 def test_periodicity():
@@ -217,6 +215,15 @@ def test_fault_injection_is_scoped():
         assert cell("KQbar-", 4, Q, 3) != clean
     assert cell("KQbar-", 4, Q, 3) == clean
     assert len(tb.fault_sites()) == 80
+
+
+# KO, KU, KFq and KQFq- are stored rows too, but not fault sites
+def test_unfaulted_rows_are_off_the_fault_switch():
+    for table in ("ko", "ku", "k_fq", "kq_fq-"):
+        with pytest.raises(KeyError):
+            tb.fault_injection(table, 0)
+    tables = ("k_bar", "k_rf", "kq_bar+", "kq_bar-", "kq_rf+", "kq_rf-", "v_bar+", "v_bar-", "v_rf+", "v_rf-")
+    assert tb.fault_sites() == [(table, row) for table in tables for row in range(8)]
 
 
 GOLDEN_SHA256 = "bf1534835ee003463accdff6b480dc7033b2555695a57c893ec720c152b0f07d"
@@ -270,7 +277,8 @@ def test_table_functions_agree_on_spec_and_record(text):
 
 # The column path against a brute-force reader of the stored rows.  The
 # reference reads tb._TABLE_ROWS through tb._Ctx on its own, and takes the
-# injected fault as an argument instead of reading the fault switch.
+# injected fault as an argument instead of reading the fault switch; the
+# theories outside tb._TABLE_ROWS are the closed forms of CLOSED_FORMS.
 
 REFERENCE_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+")
 # every degree up to 64, and 8 * 2^j - 1, where w(4k+4) grows, up to the CLI bound
@@ -300,9 +308,26 @@ def _reference(name, n, field, q, fault):
     if name in BAR_TABLES:
         return _reference_row(BAR_TABLES[name], n, 1, 2, q, fault)
     if name == "KQFq+":
-        return subtract_summand(_reference_row("kq_bar+", n, 1, 2, q, fault), tb.ko(n))
-    return {"KO": tb.ko, "KU": tb.ku, "KFq": lambda n: tb.k_fq(n, q),
-            "KQFq-": lambda n: tb.kq_fq(n, -1, q)}[name](n)
+        return subtract_summand(_reference_row("kq_bar+", n, 1, 2, q, fault), _closed_form("KO", n, q))
+    return _closed_form(name, n, q)
+
+
+# the theories kept off the fault switch, written out here rather than read
+# from the rows: one period in n mod 8, where "t" stands for Z/t(n, q); KFq
+# and KQFq- also have a Z in degree 0, and only there
+CLOSED_FORMS = {
+    "KO": (Z(1), C(2), C(2), ZERO, Z(1), ZERO, ZERO, ZERO),
+    "KU": (Z(1), ZERO) * 4,
+    "KFq": (ZERO, "t") * 4,
+    "KQFq-": (ZERO, ZERO, ZERO, "t", C(2), C2(2), C(2), "t"),
+}
+
+
+def _closed_form(name, n, q):
+    if n == 0:
+        return Z(1)
+    g = CLOSED_FORMS[name][n % 8]
+    return C(tb.t(n, q)) if g == "t" else g
 
 
 def _outcome(read, *args):

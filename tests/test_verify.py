@@ -9,6 +9,7 @@ from kq2.fields import (
     MaxRealCycloOdd,
     Rationals,
     RealQuadratic,
+    find_q_for_a,
     resolve,
 )
 
@@ -47,8 +48,35 @@ def test_run_all_rejects_inadmissible_q():
 
 
 def test_check_t_w():
-    rep = vf.check_t_w([2, 3, 4, 5], 200)
-    assert rep.passed
+    # the least admissible prime of each a, and two larger admissible ones
+    pairs = [(a, find_q_for_a(a)) for a in range(2, 6)] + [(2, 5), (3, 23)]
+    for a, q in pairs:
+        rep = vf.check_t_w(a, q, 200)
+        assert rep.passed, (a, q)
+        assert rep.details == "all n = 3 (mod 4), n <= 200 (50 cases)"
+
+
+def test_t_w_report_checks_the_chosen_q(monkeypatch):
+    seen = set()
+    t = tb.t
+
+    def recording(n, q):
+        seen.add(q)
+        return t(n, q)
+
+    monkeypatch.setattr(tb, "t", recording)
+    reports = {rep.name: rep for rep in vf.run_all(Q, 5, 16)}
+    assert reports["valuation identity t(n, q) = w((n+1)/2, a)"].passed
+    assert seen == {5}
+
+
+def test_low_degree_report_reads_no_table():
+    name = "low-degree computations agree with the table"
+    assert {rep.name: rep for rep in vf.run_all(Q, None, 16)}[name].passed
+    with tb.fault_injection("kq_rf+", 0):
+        report = {rep.name: rep for rep in vf.run_all(Q, None, 16)}[name]
+    assert not report.passed
+    assert report.counterexample == {"n": 0, "eps": 1, "expected": "Z^2 + Z/2", "actual": "Z^2 + Z/2 + Z/2"}
 
 
 def test_check_splittings_example_values():
@@ -57,12 +85,12 @@ def test_check_splittings_example_values():
 
     spec = Generic(r=3, a=2, regular_claim=True)
     lhs = cell("KQ-", 12, spec)
-    rhs = direct_sum(cell("KQbar-", 12, Q, 3), n_copies(2, tb.ko(18)))
+    rhs = direct_sum(cell("KQbar-", 12, Q, 3), n_copies(2, cell("KO", 18, Q)))
     assert lhs == rhs == C2(3)
 
     spec2 = Generic(r=2, a=2, regular_claim=True)
     assert cell("V+", 1, spec2) == C2(4)
-    assert direct_sum(cell("Vbar+", 1, Q), n_copies(2, tb.ko(1))) == C2(4)
+    assert direct_sum(cell("Vbar+", 1, Q), n_copies(2, cell("KO", 1, Q))) == C2(4)
 
 
 @pytest.mark.parametrize("spec", [Rationals(), RealQuadratic(6), MaxRealCyclo2(4)], ids=str)
