@@ -369,11 +369,13 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
 
 
 def reduced_forms(D: int) -> set[Form]:
-    """All reduced indefinite forms of (nonsquare) discriminant D > 0.
+    """The reduced indefinite forms (a, b, c) of (nonsquare) discriminant
+    D > 0 with a > 0.  Every other reduced form is the negation (-a, b, -c)
+    of one of these.
 
     (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
     sqrt(D) + b, i.e. (s - b + 2)//2 <= |a| <= (s + b)//2 with s =
-    isqrt(D).  For each such b the admissible |a| are the divisors of
+    isqrt(D).  For each such b the admissible a are the divisors of
     m_b = (D - b^2)/4 in that interval.  All m_b are factored at once by a
     quadratic sieve: an odd prime p divides m_b iff b = +-sqrt(D) (mod p),
     so each root strikes one arithmetic progression of b (Cohen, GTM 138,
@@ -408,29 +410,31 @@ def reduced_forms(D: int) -> set[Form]:
 
     forms: set[Form] = set()
     for b, left, primes in zip(bs, rest, factors):
-        lo, hi = (s - b + 2) // 2, (s + b) // 2
-        e2 = nu2(left)
+        m = (D - b * b) >> 2
+        # 2a * 2|c| = D - b^2 = (sqrt(D) - b)(sqrt(D) + b), so a lies in the
+        # interval exactly when |c| does: it suffices to find the smaller of
+        # the two, a divisor of m_b up to sqrt(m_b) (which is <= (s + b)//2).
+        lo, top = (s - b + 2) // 2, isqrt(m)
+        e2 = (left & -left).bit_length() - 1  # nu2(left), inlined
         if e2:
             primes.append((2, e2))
-        # The cofactor has no prime factor <= sqrt(m_b), so it is prime; above hi
-        # it divides no admissible |a|.
-        if 1 < left >> e2 <= hi:
-            primes.append((left >> e2, 1))
-        divisors = [1]  # the divisors of m_b up to hi
+        # The odd cofactor left >> e2 has no prime factor <= limit, so it is
+        # 1 or a prime above every top and divides no divisor we need.
+        divisors = [1]  # the divisors of m_b up to top
         for p, e in primes:
             more = []
             for a in divisors:
                 for _ in range(e):
                     a *= p
-                    if a > hi:
+                    if a > top:
                         break
                     more.append(a)
             divisors += more
-        m = (D - b * b) >> 2
         for a in divisors:
             if a >= lo:
-                forms.add((a, b, -(m // a)))
-                forms.add((-a, b, m // a))
+                c = m // a
+                forms.add((a, b, -c))
+                forms.add((c, b, -a))
     return forms
 
 
@@ -440,28 +444,46 @@ def principal_form(D: int) -> Form:
     return (1, b0, (b0 * b0 - D) // 4)
 
 
-def _form_cycles(D: int) -> tuple[dict[Form, int], int]:
+def _form_cycles(D: int) -> tuple[dict[Form, int], list[int]]:
     """Split the reduced forms of discriminant D into rho-cycles.
 
-    Returns the index form -> cycle number and the number of cycles.
+    Only the forms with a > 0 are enumerated.  Since rho(-f) = -rho(f) and
+    rho changes the sign of a, sigma(f) = -rho(f) permutes them, and its
+    orbit through f is f, -rho(f), rho^2(f), -rho^3(f), ...  An orbit of
+    even length holds the forms with a > 0 of two cycles: the rho-cycle of
+    f (its even steps) and the negation of that cycle (its odd steps).  An
+    orbit of odd length meets -f, so its cycle is its own negation.
+
+    Returns the index (form with a > 0) -> cycle number, and for each
+    cycle the number of its negation; the number of cycles is the narrow
+    class number.
     """
     s = isqrt(D)
     forms = reduced_forms(D)
     cycle_of: dict[Form, int] = {}
-    count = 0
+    negation: list[int] = []
     for f in forms:
         if f in cycle_of:
             continue
+        count = len(negation)
+        orbit = []
         g = f
         while g not in cycle_of:
             if g not in forms:
                 raise RuntimeError(f"cycle through {f} left the reduced-form set (D={D})")
             cycle_of[g] = count
-            g = _rho(g, D, s)
+            orbit.append(g)
+            a, b, c = _rho(g, D, s)
+            g = (-a, b, -c)
         if g != f:
             raise RuntimeError(f"cycle through {f} ran into another cycle (D={D})")
-        count += 1
-    return cycle_of, count
+        if len(orbit) % 2:
+            negation.append(count)
+        else:
+            for g in orbit[1::2]:
+                cycle_of[g] = count + 1
+            negation += (count + 1, count)
+    return cycle_of, negation
 
 
 def _sqrt_mod_2pow(D: int, e: int) -> int:
@@ -515,34 +537,36 @@ def _dyadic_forms(d: int, D: int, k: int) -> list[Form]:
     return out
 
 
-def _dyadic_data(d: int, D: int, cycle_of: dict[Form, int], h_narrow: int) -> DyadicData:
+def _dyadic_data(d: int, D: int, cycle_of: dict[Form, int], negation: list[int]) -> DyadicData:
     """Splitting of 2 and the order of the dyadic ideal class.
 
     Principality of a power of the dyadic prime is decided by reducing its
     form and looking up its cycle: the principal cycle (narrow) or the
-    principal-or-negated-principal cycles (wide).  Explicit norm +-2
-    generators are extracted from the continued fraction of sqrt(d) when 2
-    is ramified.
+    principal-or-negated-principal cycles (wide).  ``cycle_of`` indexes the
+    reduced forms with a > 0; a reduced form with a < 0 lies on the
+    negation of the cycle of its negation.  Explicit norm +-2 generators
+    are extracted from the continued fraction of sqrt(d) when 2 is ramified.
     """
     if d % 8 == 5:
         # 2 inert: the dyadic prime is (2) itself
         return DyadicData(1, 1, 1, False, QuadUnit(2, 0, 1, d, 4))
 
     s = isqrt(D)
-    a, b0, c0 = principal_form(D)
-    princ, neg = cycle_of[(a, b0, c0)], cycle_of[(-a, b0, -c0)]
+    princ = cycle_of[principal_form(D)]
+    neg = negation[princ]
 
     def cycle(f: Form) -> int:
-        g = _reduce_form(f, D, s)
+        a, b, c = _reduce_form(f, D, s)
+        g = (a, b, c) if a > 0 else (-a, b, -c)
         if g not in cycle_of:
             raise RuntimeError(f"reduction of {f} is not among the reduced forms (D={D})")
-        return cycle_of[g]
+        return cycle_of[g] if a > 0 else negation[cycle_of[g]]
 
     if d % 8 == 1:
         # 2 split: two dyadic primes; walk powers until one is principal
         order = narrow_order = None
         neg_gen = None
-        for k in range(1, h_narrow + 1):
+        for k in range(1, len(negation) + 1):
             cycles = {cycle(f) for f in _dyadic_forms(d, D, k)}
             if narrow_order is None and princ in cycles:
                 narrow_order = k
@@ -593,14 +617,18 @@ def _quadratic_data(d: int) -> QuadraticData:
     """quadratic_data for a d already known to be squarefree and in bounds."""
     D = d if d % 4 == 1 else 4 * d
     unit = _fundamental_unit(d)
-    cycle_of, h_narrow = _form_cycles(D)
-    if unit.norm == -1:
-        h = h_narrow
-    else:
-        if h_narrow % 2 != 0:
-            raise RuntimeError(f"narrow class number parity inconsistent for d={d}")
-        h = h_narrow // 2
-    return QuadraticData(unit, ClassData(d, D, h, h_narrow), _dyadic_data(d, D, cycle_of, h_narrow))
+    cycle_of, negation = _form_cycles(D)
+    h_narrow = len(negation)
+    # Cl+ = Cl exactly when the unit has norm -1: then every cycle is its
+    # own negation, and otherwise none is.
+    self_negative = sum(i == j for i, j in enumerate(negation))
+    if self_negative != (h_narrow if unit.norm == -1 else 0):
+        raise RuntimeError(
+            f"{self_negative} of {h_narrow} form cycles are their own negation,"
+            f" but the fundamental unit has norm {unit.norm} (d={d})"
+        )
+    h = h_narrow if unit.norm == -1 else h_narrow // 2
+    return QuadraticData(unit, ClassData(d, D, h, h_narrow), _dyadic_data(d, D, cycle_of, negation))
 
 
 def signature_span(elements) -> set[tuple[int, int]]:

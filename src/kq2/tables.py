@@ -282,13 +282,11 @@ def _eval_row(table: str, ctx: _Ctx) -> FgAb2:
 
 
 def _reader(table: str, r: int, a: int, q: int | None) -> Callable[[int], FgAb2]:
-    """n -> the stored row of ``table`` at degree n, for the field
-    parameters r and a and the auxiliary prime q."""
+    """n -> the stored row of ``table`` at degree n >= 0, for the field
+    parameters r and a and the auxiliary prime q; ``column`` checks n."""
     ctx = _Ctx(0, 0, r, a, q)  # each read sets its degree: one _Ctx per cell cost a third of a read
 
     def read(n: int) -> FgAb2:
-        if n < 0:
-            raise NegativeDegree(f"{table} needs n >= 0, got {n}")
         ctx.n, ctx.k = n, n // 8
         return _eval_row(table, ctx)
     return read
@@ -455,19 +453,26 @@ def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | N
     The theory's rules are checked here, once per column and not once per
     cell: q must be given where a row needs it, and the tables over the
     2-integers need a 2-regular field.  Each degree is evaluated once per
-    column.  While a fault is injected the memo is neither read nor
-    filled, so a column sees the fault switch whenever it was built."""
+    column; a negative degree of a theory with a degree axis raises
+    NegativeDegree, which names the theory.  While a fault is injected the
+    memo is neither read nor filled, so a column sees the fault switch
+    whenever it was built."""
     if tag.needs_q and q is None:
         raise UsageError(f"theory {tag.name} needs q")
     read = tag.build(field, q)
     memo: dict[int | None, FgAb2] = {}
 
+    def checked(n: int | None) -> FgAb2:
+        if tag.needs_degree and n < 0:
+            raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
+        return read(n)
+
     def cell(n: int | None) -> FgAb2:
         if _FAULTS:
-            return read(n)
+            return checked(n)
         g = memo.get(n)
         if g is None:
-            g = memo[n] = read(n)
+            g = memo[n] = checked(n)
         return g
     return cell
 

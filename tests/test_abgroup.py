@@ -1,4 +1,5 @@
 import doctest
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,31 @@ def test_memoized_direct_sum_is_the_merge_of_its_operands(operands, rng):
 def test_memoized_n_copies_is_the_merge_of_k_copies(k, g):
     expected = FgAb2(k * g.rank, g.torsion * k)
     assert n_copies(k, g) == n_copies(k, FgAb2(g.rank, g.torsion)) == expected
+
+
+def multiset_difference(total, part):
+    """total minus part by multiset difference, or None for a non-summand."""
+    left = Counter(total.torsion)
+    left.subtract(part.torsion)
+    if total.rank < part.rank or min(left.values(), default=0) < 0:
+        return None
+    return FgAb2(total.rank - part.rank, tuple(left.elements()))
+
+
+@given(groups, groups)
+def test_memoized_subtract_summand_is_a_multiset_difference(total, part):
+    expected = multiset_difference(total, part)
+    for _ in range(2):  # the second call reads the shared value, or fails again
+        if expected is None:
+            with pytest.raises(ValueError, match="is not a summand of"):
+                subtract_summand(total, part)
+        else:
+            assert subtract_summand(total, part) == expected
+            assert subtract_summand(FgAb2(total.rank, total.torsion), part) is subtract_summand(total, part)
+    summed = direct_sum(part, total)
+    assert subtract_summand(summed, part) == total
+    if expected is None:
+        assert (total, part) not in kq2.abgroup._DIFFERENCES
 
 
 def test_direct_sum_examples():

@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kq2 import numtheory as nt
+from kq2 import cli, numtheory as nt
 from kq2.errors import BadModulus, BoundExceeded, EvenQ, NonPositive
 from kq2.fields import MaxRealCycloOdd, resolve
 
@@ -235,9 +236,11 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+@functools.cache
 def reference_reduced_forms(D):
     """The trial-division enumeration that the sieve in reduced_forms
-    replaced, kept as a brute-force reference."""
+    replaced, kept as a brute-force reference: every reduced form, of
+    both signs of a."""
     s = math.isqrt(D)
     forms = set()
     for b in range(1, s + 1):
@@ -250,18 +253,29 @@ def reference_reduced_forms(D):
                 f = (a, b, c)
                 if nt._is_reduced(f, D):
                     forms.add(f)
-    return forms
+    return frozenset(forms)
+
+
+def negate(f):
+    a, b, c = f
+    return (-a, b, -c)
 
 
 def field_discriminant(d):
     return d if d % 4 == 1 else 4 * d
 
 
+def assert_positive_half_of_reference(D):
+    ref = reference_reduced_forms(D)
+    # closed under negation, so the forms with a > 0 determine all of them
+    assert {negate(f) for f in ref} == ref
+    assert nt.reduced_forms(D) == {f for f in ref if f[0] > 0}
+
+
 def test_reduced_forms_match_reference_small():
     for d in range(2, 3000):
         if nt.squarefree_part(d)[0]:
-            D = field_discriminant(d)
-            assert nt.reduced_forms(D) == reference_reduced_forms(D), d
+            assert_positive_half_of_reference(field_discriminant(d))
 
 
 def seeded_large_d(seed=2009, per_class=2, low=10**5, high=10**6):
@@ -277,8 +291,148 @@ def seeded_large_d(seed=2009, per_class=2, low=10**5, high=10**6):
 
 @pytest.mark.parametrize("d", seeded_large_d())
 def test_reduced_forms_match_reference_large(d):
+    assert_positive_half_of_reference(field_discriminant(d))
+
+
+def brute_rho(f, D):
+    """rho(a, b, c) = (c, b', c'), with b' the largest value = -b (mod 2|c|)
+    below sqrt(D), found by scanning."""
+    _, b, c = f
+    t = 2 * abs(c)
+    b2 = max(x for x in range(math.isqrt(D), math.isqrt(D) - t, -1) if (x + b) % t == 0)
+    return (c, b2, (b2 * b2 - D) // (4 * c))
+
+
+@functools.cache
+def reference_cycles(D):
+    """The rho-cycles of every reduced form, both signs of a, walked one
+    form at a time."""
+    cycles, seen = [], set()
+    for f in sorted(reference_reduced_forms(D)):
+        if f in seen:
+            continue
+        cycle, g = set(), f
+        while g not in cycle:
+            cycle.add(g)
+            g = brute_rho(g, D)
+        assert g == f
+        seen |= cycle
+        cycles.append(frozenset(cycle))
+    return tuple(cycles)
+
+
+def assert_cycles_match_reference(D):
+    cycle_of, negation = nt._form_cycles(D)
+    assert set(cycle_of) == nt.reduced_forms(D)
+
+    def label(f):
+        return cycle_of[f] if f[0] > 0 else negation[cycle_of[negate(f)]]
+
+    cycles = reference_cycles(D)
+    assert len(negation) == len(cycles)
+    # the same partition of all reduced forms: one label per reference cycle
+    labels = [{label(f) for f in cycle} for cycle in cycles]
+    assert all(len(ls) == 1 for ls in labels)
+    number = {cycle: ls.pop() for cycle, ls in zip(cycles, labels)}
+    assert sorted(number.values()) == list(range(len(cycles)))
+    # the same negation map
+    for cycle in cycles:
+        assert negation[number[cycle]] == number[frozenset(map(negate, cycle))]
+
+
+def test_form_cycles_match_two_sign_walk_small():
+    for d in range(2, 3000):
+        if nt.squarefree_part(d)[0]:
+            assert_cycles_match_reference(field_discriminant(d))
+
+
+@pytest.mark.parametrize("d", seeded_large_d())
+def test_form_cycles_match_two_sign_walk_large(d):
+    assert_cycles_match_reference(field_discriminant(d))
+
+
+def reference_dyadic_orders(d):
+    """(class order, narrow class order) of a dyadic prime of Q(sqrt d), 2
+    not inert, read off the cycles of the two-sign walk: the first power
+    whose form reduces onto the principal cycle (narrow), or onto it or its
+    negation (wide)."""
     D = field_discriminant(d)
-    assert nt.reduced_forms(D) == reference_reduced_forms(D)
+    label = {f: i for i, cycle in enumerate(reference_cycles(D)) for f in cycle}
+    p = nt.principal_form(D)
+    princ, neg = label[p], label[negate(p)]
+
+    def cycles(k):
+        return {label[nt._reduce_form(f, D, math.isqrt(D))] for f in nt._dyadic_forms(d, D, k)}
+
+    if d % 8 != 1:  # ramified: the square of the dyadic prime is (2)
+        (c,) = cycles(1)
+        return (1 if c in (princ, neg) else 2), (1 if c == princ else 2)
+    order = narrow = None
+    k = 0
+    while order is None or narrow is None:
+        k += 1
+        found = cycles(k)
+        if narrow is None and princ in found:
+            narrow = k
+        if order is None and found & {princ, neg}:
+            order = k
+    return order, narrow
+
+
+def test_dyadic_orders_match_two_sign_walk():
+    for d in range(2, 3000):
+        if d % 8 != 5 and nt.squarefree_part(d)[0]:
+            dy = nt.quadratic_data(d).dyadic
+            assert (dy.class_order, dy.narrow_class_order) == reference_dyadic_orders(d), d
+
+
+def test_cycles_are_self_negative_exactly_for_norm_minus_one():
+    # Cl+ = Cl exactly when the fundamental unit has norm -1
+    for d in [d for d in range(2, 3000) if nt.squarefree_part(d)[0]] + seeded_large_d():
+        _, negation = nt._form_cycles(field_discriminant(d))
+        self_negative = [negation[i] == i for i in range(len(negation))]
+        assert all(self_negative) if nt.fundamental_unit(d).norm == -1 else not any(self_negative), d
+
+
+def _leaves_the_set(real):
+    def rho(f, D, s):
+        a, b, c = real(f, D, s)
+        return (7 * a, b, c)
+    return rho, "left the reduced-form set"
+
+
+def _merges_cycles(real):
+    # every form steps to the same form, so a second orbit runs into the first
+    return (lambda f, D, s: real(nt.principal_form(D), D, s)), "ran into another cycle"
+
+
+@pytest.mark.parametrize("d", [10, 3])  # unit norm -1 and +1, each with h+ = 2
+@pytest.mark.parametrize("mutant", [_leaves_the_set, _merges_cycles])
+def test_a_broken_rho_fails_the_self_checks(monkeypatch, capsys, d, mutant):
+    rho, message = mutant(nt._rho)
+    monkeypatch.setattr(nt, "_rho", rho)
+    with pytest.raises(RuntimeError, match=message):
+        nt.quadratic_data(d)
+    assert cli.main(["regular", "--oracle", "--field", f"Q(sqrt {d})"]) == cli.EXIT_VERIFY
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
+@pytest.mark.parametrize("d", [10, 3])
+def test_a_negation_map_against_the_unit_norm_fails_the_self_check(monkeypatch, capsys, d):
+    real = nt._form_cycles
+
+    def flipped(D):
+        # self-negative cycles become a pair and a pair becomes two self-negative cycles
+        cycle_of, negation = real(D)
+        assert len(negation) == 2
+        return cycle_of, [negation[1], negation[0]]
+
+    monkeypatch.setattr(nt, "_form_cycles", flipped)
+    with pytest.raises(RuntimeError, match="their own negation"):
+        nt.quadratic_data(d)
+    assert cli.main(["regular", "--oracle", "--field", f"Q(sqrt {d})"]) == cli.EXIT_VERIFY
+    assert "their own negation" in capsys.readouterr().err
 
 
 def test_sqrt_mod_prime():

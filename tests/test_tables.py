@@ -59,6 +59,20 @@ def test_ko_ku():
         cell("KO", -1, Q)
 
 
+@pytest.mark.parametrize("name, q", [("KQFq+", 5), ("KO", None), ("K", None), ("U+", None)])
+def test_a_negative_degree_names_the_theory(name, q):
+    # KQFq+ reads the kq_bar+ and KO rows, K the k_rf rows, U+ the v_rf- rows
+    read = tb.column(tb.THEORIES[name], Q, q)
+    message = f"theory {name} needs n >= 0, got -1"
+    for _ in range(2):  # a failed read leaves nothing in the memo
+        with pytest.raises(NegativeDegree) as caught:
+            read(-1)
+        assert str(caught.value) == message
+    with tb.fault_injection("kq_bar+", 7), pytest.raises(NegativeDegree) as caught:
+        read(-1)
+    assert str(caught.value) == message
+
+
 def test_kq_top():
     # KQ+ of R is KO + KO and KQ+ of C is KO; KQ- of R is KU and KQ- of C
     # is KO four degrees up
