@@ -139,35 +139,6 @@ def n_copies(k: int, g: FgAb2) -> FgAb2:
 _COPIES = _Memo(lambda key: FgAb2(key[0] * key[1].rank, key[1].torsion * key[0]))
 
 
-def subtract_summand(total: FgAb2, part: FgAb2) -> FgAb2:
-    """Remove a direct summand, i.e. solve total = part + result.  One shared
-    value per (total, part), like direct_sum.
-
-    Raises ValueError when part is not a summand of total, on every call:
-    nothing is kept for such a pair.
-    """
-    return _DIFFERENCES[total, part]
-
-
-def _difference(key: tuple[FgAb2, FgAb2]) -> FgAb2:
-    total, part = key
-    rank = total.rank - part.rank
-    if rank < 0:
-        raise ValueError(f"{part} is not a summand of {total} (rank)")
-    remaining = list(total.torsion)
-    for t in part.torsion:
-        try:
-            remaining.remove(t)
-        except ValueError:
-            raise ValueError(f"{part} is not a summand of {total} (torsion {t})") from None
-    return FgAb2(rank, tuple(remaining))
-
-
-# _Memo.__missing__ stores a value only once build returns, so a ValueError
-# leaves no entry.
-_DIFFERENCES = _Memo(_difference)
-
-
 def ses_consistent(a: FgAb2, b: FgAb2, c: FgAb2) -> bool:
     """Necessary conditions for a short exact sequence 0 -> a -> b -> c -> 0.
 

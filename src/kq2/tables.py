@@ -5,19 +5,21 @@ the field parameters r (real embeddings), a (2-adic size), k = n // 8 and,
 where torsion orders depend on it, the auxiliary prime q.  Theories over the
 ring of 2-integers R_F require a 2-regular field; the barred building-block
 theories, the topological theories, and the finite-field theories do not.
-Every theory of the registry is read through ``column(tag, field, q)``,
-which checks the theory's rules once and returns its groups as a function
-of the degree.
+The finite-field theories are not stored: they are derived from the
+topological rows as the fiber of the Adams operation psi^q - 1.  Every
+theory of the registry is read through ``column(tag, field, q)``, which
+checks the theory's rules once and returns its groups as a function of the
+degree.
 
 The module also carries a fault-injection switch used by the verification
 suite to prove its own discriminating power: any single row of the stored
 tables over R_F and of the building block can be perturbed by an extra Z/2
-summand.  The topological and finite-field rows are kept off the switch.
+summand.  The topological rows are kept off the switch.
 """
 
 from __future__ import annotations
 
-from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, subtract_summand
+from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum
 from .errors import (
     DegreeOutOfRange,
     EvenN,
@@ -216,10 +218,9 @@ _TABLE_ROWS = {
     ),
 }
 
-# The topological and finite-field theories, stored and read like the tables
-# above but kept off the fault switch: fault_sites() lists the rows the
-# verification suite is shown to reject a fault in, and the suite does not
-# reject one in kq_fq- rows 0, 1, 2, 6 or 7.
+# The homotopy groups of the topological theories, stored and read like the
+# tables above but kept off the fault switch, which covers the paper's tables.
+# The finite-field theories are derived from them (see _adams_fiber).
 _UNFAULTED_ROWS = {
     # real topological K-theory, period 8
     "ko": (
@@ -242,31 +243,6 @@ _UNFAULTED_ROWS = {
         lambda c: ZERO,
         lambda c: Z(1),
         lambda c: ZERO,
-    ),
-    # 2-primary algebraic K of the field with q elements
-    "k_fq": (
-        lambda c: _d0(c),
-        lambda c: C(c.t()),
-        lambda c: ZERO,
-        lambda c: C(c.t()),
-        lambda c: ZERO,
-        lambda c: C(c.t()),
-        lambda c: ZERO,
-        lambda c: C(c.t()),
-    ),
-    # hermitian K of the field with q elements, symplectic column: the
-    # fixture forced by the fiber of the Adams-operation self-map of
-    # topological symplectic K-theory, cross-checked by the long-exact-
-    # sequence counting in the verification suite
-    "kq_fq-": (
-        lambda c: _d0(c),
-        lambda c: ZERO,
-        lambda c: ZERO,
-        lambda c: C(c.t()),
-        lambda c: C(2),
-        lambda c: C2(2),
-        lambda c: C(2),
-        lambda c: C(c.t()),
     ),
 }
 
@@ -420,11 +396,36 @@ def _field_free(table: str):
     return lambda field, q: _reader(table, 1, 2, q)
 
 
-def _kq_fq_plus(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-    """The reader of KQFq+: the building block's orthogonal row minus the
-    KO row, so a fault in kq_bar+ reaches it too."""
-    bar, ko = _reader("kq_bar+", 1, 2, q), _reader("ko", 1, 2, q)
-    return lambda n: subtract_summand(bar(n), ko(n))
+def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
+    """The reader builder of a finite-field theory: pi_n of the fiber F of
+    psi^q - 1 on the theory X whose pi_m is the stored ``top`` row at
+    m + shift (Quillen, Annals 96, 1972; Friedlander, Topology 15, 1976).
+    ku gives KFq, ko gives KQFq+, and KSp, ko four degrees up, KQFq-.
+
+    psi^q acts as q^weight(m) on a Z in pi_m X and as the identity on a
+    Z/2, since q is odd.  So pi_n F is coker(psi^q - 1 on pi_(n+1) X), the
+    2-part Z/val2_q_power(q, weight(n+1)) on a Z and Z/2 on a Z/2, extended
+    by ker(psi^q - 1 on pi_n X): Z on pi_0, where the weight is 0, 0 on any
+    other Z, and Z/2 on a Z/2.
+
+    Both ends are Z/2 only in degrees 1 mod 8 of KQFq+ and 5 mod 8 of
+    KQFq-, where pi_n F is Z/4 or (Z/2)^2, and the split sum is taken.  In
+    degree 1 it is KQ_1(F_q) = O(F_q)^ab, detected by the determinant and
+    the spinor norm (Friedlander).  In the other degrees the fiber sequence
+    does not decide the extension, and the split sum is kept as the
+    tabulated choice."""
+    read = _reader(top, 1, 2, None)
+    pi = tuple(read(m + shift) for m in range(8))  # pi_m X at m mod 8
+
+    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+        def fiber(n: int) -> FgAb2:
+            above, here = pi[(n + 1) % 8], pi[n % 8]
+            coker = C(val2_q_power(q, weight(n + 1))) if above.rank else above
+            if here.torsion or (here.rank and not weight(n)):
+                return direct_sum(coker, here)  # here is the kernel
+            return coker
+        return fiber
+    return build
 
 
 THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
@@ -440,9 +441,9 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     *_signed("Vbar", lambda eps: _field_free(_sign("v_bar", eps))),
     TheoryTag("KO", _field_free("ko")),
     TheoryTag("KU", _field_free("ku")),
-    TheoryTag("KFq", _field_free("k_fq"), needs_q=True),
-    TheoryTag("KQFq+", _kq_fq_plus, 1, needs_q=True),
-    TheoryTag("KQFq-", _field_free("kq_fq-"), -1, needs_q=True),
+    TheoryTag("KFq", _adams_fiber("ku", 0, lambda m: m // 2), needs_q=True),
+    TheoryTag("KQFq+", _adams_fiber("ko", 0, lambda m: m // 4 * 2), 1, needs_q=True),
+    TheoryTag("KQFq-", _adams_fiber("ko", 4, lambda m: m // 4 * 2), -1, needs_q=True),
 )}
 
 

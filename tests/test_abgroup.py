@@ -1,5 +1,4 @@
 import doctest
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +18,6 @@ from kq2.abgroup import (
     n_copies,
     parse_group,
     ses_consistent,
-    subtract_summand,
 )
 from kq2.errors import EmptyWindow
 
@@ -67,31 +65,6 @@ def test_memoized_n_copies_is_the_merge_of_k_copies(k, g):
     assert n_copies(k, g) == n_copies(k, FgAb2(g.rank, g.torsion)) == expected
 
 
-def multiset_difference(total, part):
-    """total minus part by multiset difference, or None for a non-summand."""
-    left = Counter(total.torsion)
-    left.subtract(part.torsion)
-    if total.rank < part.rank or min(left.values(), default=0) < 0:
-        return None
-    return FgAb2(total.rank - part.rank, tuple(left.elements()))
-
-
-@given(groups, groups)
-def test_memoized_subtract_summand_is_a_multiset_difference(total, part):
-    expected = multiset_difference(total, part)
-    for _ in range(2):  # the second call reads the shared value, or fails again
-        if expected is None:
-            with pytest.raises(ValueError, match="is not a summand of"):
-                subtract_summand(total, part)
-        else:
-            assert subtract_summand(total, part) == expected
-            assert subtract_summand(FgAb2(total.rank, total.torsion), part) is subtract_summand(total, part)
-    summed = direct_sum(part, total)
-    assert subtract_summand(summed, part) == total
-    if expected is None:
-        assert (total, part) not in kq2.abgroup._DIFFERENCES
-
-
 def test_direct_sum_examples():
     assert direct_sum(Z(1), C(2)) == FgAb2(1, (2,))
     assert direct_sum(ZERO, C(8)) == C(8)
@@ -104,14 +77,6 @@ def test_n_copies_examples():
     assert n_copies(2, FgAb2(1, (2,))) == FgAb2(2, (2, 2))
     with pytest.raises(ValueError):
         n_copies(-1, Z(1))
-
-
-def test_subtract_summand():
-    assert subtract_summand(FgAb2(2, (2, 16)), FgAb2(1, (16,))) == FgAb2(1, (2,))
-    with pytest.raises(ValueError):
-        subtract_summand(C(2), C(4))
-    with pytest.raises(ValueError):
-        subtract_summand(ZERO, Z(1))
 
 
 def test_ses_consistent_examples():

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from kq2 import tables as tb
-from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, parse_group, subtract_summand
+from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, parse_group
 from kq2.errors import (
     DegreeOutOfRange,
     EvenN,
@@ -61,7 +61,7 @@ def test_ko_ku():
 
 @pytest.mark.parametrize("name, q", [("KQFq+", 5), ("KO", None), ("K", None), ("U+", None)])
 def test_a_negative_degree_names_the_theory(name, q):
-    # KQFq+ reads the kq_bar+ and KO rows, K the k_rf rows, U+ the v_rf- rows
+    # KQFq+ is derived from the ko rows, K reads the k_rf rows, U+ the v_rf- rows
     read = tb.column(tb.THEORIES[name], Q, q)
     message = f"theory {name} needs n >= 0, got -1"
     for _ in range(2):  # a failed read leaves nothing in the memo
@@ -231,9 +231,9 @@ def test_fault_injection_is_scoped():
     assert len(tb.fault_sites()) == 80
 
 
-# KO, KU, KFq and KQFq- are stored rows too, but not fault sites
+# KO and KU are stored rows too, but not fault sites
 def test_unfaulted_rows_are_off_the_fault_switch():
-    for table in ("ko", "ku", "k_fq", "kq_fq-"):
+    for table in ("ko", "ku"):
         with pytest.raises(KeyError):
             tb.fault_injection(table, 0)
     tables = ("k_bar", "k_rf", "kq_bar+", "kq_bar-", "kq_rf+", "kq_rf-", "v_bar+", "v_bar-", "v_rf+", "v_rf-")
@@ -321,27 +321,48 @@ def _reference(name, n, field, q, fault):
         return _reference_row("k_bar", n, 1, field.a, None, fault)
     if name in BAR_TABLES:
         return _reference_row(BAR_TABLES[name], n, 1, 2, q, fault)
-    if name == "KQFq+":
-        return subtract_summand(_reference_row("kq_bar+", n, 1, 2, q, fault), _closed_form("KO", n, q))
     return _closed_form(name, n, q)
 
 
-# the theories kept off the fault switch, written out here rather than read
-# from the rows: one period in n mod 8, where "t" stands for Z/t(n, q); KFq
-# and KQFq- also have a Z in degree 0, and only there
+# the theories off the fault switch, written out here rather than read from
+# the rows: one period in n mod 8, where "t" stands for Z/t(n, q); the
+# finite-field theories also have a Z in degree 0, and only there
 CLOSED_FORMS = {
     "KO": (Z(1), C(2), C(2), ZERO, Z(1), ZERO, ZERO, ZERO),
     "KU": (Z(1), ZERO) * 4,
     "KFq": (ZERO, "t") * 4,
+    "KQFq+": (C(2), C2(2), C(2), "t", ZERO, ZERO, ZERO, "t"),
     "KQFq-": (ZERO, ZERO, ZERO, "t", C(2), C2(2), C(2), "t"),
 }
+FINITE_FIELD = ("KFq", "KQFq+", "KQFq-")
 
 
 def _closed_form(name, n, q):
-    if n == 0:
-        return Z(1)
     g = CLOSED_FORMS[name][n % 8]
-    return C(tb.t(n, q)) if g == "t" else g
+    if g == "t":
+        return C(tb.t(n, q))
+    return direct_sum(Z(1), g) if n == 0 and name in FINITE_FIELD else g
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 1021])
+def test_finite_field_columns_are_the_closed_forms(q):
+    for name in FINITE_FIELD:
+        read = tb.column(tb.THEORIES[name], Q, q)
+        assert [read(n) for n in range(65)] == [_closed_form(name, n, q) for n in range(65)], name
+
+
+def test_the_fiber_sequence_leaves_two_extensions_open():
+    # pi_n of the fiber of psi^q - 1 is an extension of its kernel on pi_n
+    # by its cokernel on pi_(n+1); the extension is open where the kernel is
+    # torsion, which is where pi_n is Z/2, and the cokernel is not zero
+    ko = CLOSED_FORMS["KO"]
+    pi = {"KFq": CLOSED_FORMS["KU"], "KQFq+": ko, "KQFq-": ko[4:] + ko[:4]}  # KSp is KO four up
+    open_degrees = {(name, n) for name, row in pi.items() for n in range(8)
+                    if row[n].torsion and row[(n + 1) % 8] != ZERO}
+    assert open_degrees == {("KQFq+", 1), ("KQFq-", 5)}
+    for name, n in open_degrees:
+        assert pi[name][n] == pi[name][n + 1] == C(2)  # the cokernel of psi^q - 1 = 0 is Z/2
+        assert CLOSED_FORMS[name][n] == C2(2)  # the split sum
 
 
 def _outcome(read, *args):
