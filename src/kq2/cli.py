@@ -9,6 +9,7 @@ Exit codes:
   2  domain error (not 2-regular, inadmissible q, bound exceeded, ...)
   3  verification failure, or any failed internal self-check (RuntimeError
      or any other ValueError)
+A reader that closes the output pipe early ends the command with 0.
 
 The argv parser and the help text are read from one table, _COMMANDS.
 verify and adams are imported only where used, to keep start-up short.
@@ -186,19 +187,25 @@ def _cmd_table(args) -> int:
     q = _choose_q(args, field, notes)
     # each theory's field and q rules are checked once, when its column is built
     columns = [tables.column(tag, field, q) for tag in tags]
-    # the tables are 8-periodic, so a few distinct rows fill the table, and a
-    # few distinct groups fill those rows: each degree keeps the index of its
+    # the tables are almost 8-periodic, so one row of groups per period
+    # class fills the table, a few distinct rows are among them, and a few
+    # distinct groups fill those rows: each degree keeps the index of its
     # row among the distinct ones, and each row and group is rendered once
     distinct_rows: dict[tuple, int] = {}
+    class_rows: dict[int, int] = {}  # period degree -> index of its row
     rows = []
     for n in range(0, args.n_max + 1):
-        groups = []
-        for col in columns:
-            try:
-                groups.append(col(n))
-            except DegreeOutOfRange:
-                groups.append(None)  # theory not defined in this degree
-        rows.append((n, distinct_rows.setdefault(tuple(groups), len(distinct_rows))))
+        p = tables.period_degree(n)
+        i = class_rows.get(p)
+        if i is None:
+            groups = []
+            for col in columns:
+                try:
+                    groups.append(col(p))
+                except DegreeOutOfRange:
+                    groups.append(None)  # theory not defined in this degree
+            i = class_rows[p] = distinct_rows.setdefault(tuple(groups), len(distinct_rows))
+        rows.append((n, i))
     _kbar_note(tags, range(args.n_max + 1), notes)
     distinct = dict.fromkeys(g for groups in distinct_rows for g in groups)
     text = {g: "-" if g is None else format_group(g) for g in distinct}
@@ -530,7 +537,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The console script: main on sys.argv.  A reader that closes the
+    output pipe early (``kq2 table ... | head``) has what it asked for, so
+    the command ends quietly with EXIT_OK."""
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe shows here, not in the shutdown flush
+    except BrokenPipeError:
+        import os
+        # the unwritten output would fail again when the interpreter flushes
+        # stdout at exit; /dev/null takes it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_OK
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -416,10 +416,14 @@ def reduced_forms(D: int) -> set[Form]:
         # the two, a divisor of m_b up to sqrt(m_b) (which is <= (s + b)//2).
         lo, top = (s - b + 2) // 2, isqrt(m)
         e2 = (left & -left).bit_length() - 1  # nu2(left), inlined
-        if e2:
-            primes.append((2, e2))
         # The odd cofactor left >> e2 has no prime factor <= limit, so it is
         # 1 or a prime above every top and divides no divisor we need.
+        # Every divisor up to top thus divides the smooth part m // (left >> e2):
+        # when that is below lo, no divisor lies in the interval.
+        if m // (left >> e2) < lo:
+            continue
+        if e2:
+            primes.append((2, e2))
         divisors = [1]  # the divisors of m_b up to top
         for p, e in primes:
             more = []

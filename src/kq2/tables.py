@@ -9,7 +9,9 @@ The finite-field theories are not stored: they are derived from the
 topological rows as the fiber of the Adams operation psi^q - 1.  Every
 theory of the registry is read through ``column(tag, field, q)``, which
 checks the theory's rules once and returns its groups as a function of the
-degree.
+degree.  The groups are almost 8-periodic: a degree n reads the same rows
+as its period degree ``period_degree(n)``, and a column evaluates each
+period class once.
 
 The module also carries a fault-injection switch used by the verification
 suite to prove its own discriminating power: any single row of the stored
@@ -268,6 +270,25 @@ def _reader(table: str, r: int, a: int, q: int | None) -> Callable[[int], FgAb2]
     return read
 
 
+def period_degree(n: int) -> int:
+    """The least degree whose groups are those of degree n >= 0 in every
+    theory: n itself below 8, else the least degree >= 8 with the same
+    n mod 8 and the same e = nu2(n // 8 + 1).
+
+    The paper's groups are almost periodic with period 8: every row reads
+    the degree only through n mod 8, whether n = 0, and e.  With k = n // 8,
+    w(4k + 4, a) = 2^(a + 2 + e), w(4k + 2, a) = 2^(a + 1) does not depend
+    on k, and t(n, q) and the cokernels of psi^q - 1 are 2-parts of
+    q^m - 1 (m >= 1), which read m only through nu2(m): fixed by n mod 8,
+    or 2 + e where m = 4(k + 1).  The result is 8(2^e - 1) + n mod 8 for
+    e >= 1 and 16 + n mod 8 for e = 0, never above n."""
+    if n < 8:
+        return n
+    m = n // 8 + 1
+    power = m & -m  # 2^e, nu2 inlined: verify and table call this once a cell
+    return 8 * (power - 1) + n % 8 if power > 1 else 16 + n % 8
+
+
 def k_bar_uses_resolved_order(n: int) -> bool:
     """Degrees whose stored torsion order comes from the even-index
     convention w(4k+4) rather than a literal transcription."""
@@ -453,27 +474,28 @@ def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | N
 
     The theory's rules are checked here, once per column and not once per
     cell: q must be given where a row needs it, and the tables over the
-    2-integers need a 2-regular field.  Each degree is evaluated once per
-    column; a negative degree of a theory with a degree axis raises
-    NegativeDegree, which names the theory.  While a fault is injected the
-    memo is neither read nor filled, so a column sees the fault switch
-    whenever it was built."""
+    2-integers need a 2-regular field.  Each period class of degrees (see
+    period_degree) is evaluated once per column, at its period degree; a
+    negative degree of a theory with a degree axis raises NegativeDegree,
+    which names the theory.  While a fault is injected the memo is neither
+    read nor filled, and degree n itself is read, so a column sees the
+    fault switch whenever it was built."""
     if tag.needs_q and q is None:
         raise UsageError(f"theory {tag.name} needs q")
     read = tag.build(field, q)
-    memo: dict[int | None, FgAb2] = {}
+    if not tag.needs_degree:
+        return read
+    memo: dict[int, FgAb2] = {}
 
-    def checked(n: int | None) -> FgAb2:
-        if tag.needs_degree and n < 0:
+    def cell(n: int) -> FgAb2:
+        if n < 0:
             raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
-        return read(n)
-
-    def cell(n: int | None) -> FgAb2:
         if _FAULTS:
-            return checked(n)
-        g = memo.get(n)
+            return read(n)
+        p = period_degree(n)
+        g = memo.get(p)
         if g is None:
-            g = memo[n] = checked(n)
+            g = memo[p] = read(p)
         return g
     return cell
 

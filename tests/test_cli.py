@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +11,8 @@ from hypothesis import given, strategies as st
 from kq2 import abgroup, adams, cli, fields, numtheory as nt, tables as tb, verify
 from kq2.adams import Q_BOUND
 from kq2.cli import N_MAX_BOUND, _dumps, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -558,3 +564,20 @@ def test_an_internal_value_error_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "group", "--theory", "KQFq+", "--n", "3")
     assert (code, out) == (cli.EXIT_VERIFY, "")
     assert err == "internal error: no 2-part for q = 3, m = 2\n"
+
+
+def test_a_closed_output_pipe_ends_quietly():
+    # the console script on a pipe whose reader is gone, as after `| head -n 1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from kq2.cli import entrypoint; sys.exit(entrypoint())",
+             "table", "--n-max", str(N_MAX_BOUND), "--theories", "K,KO", "--field", "Q"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_OK

@@ -396,3 +396,59 @@ def test_every_column_matches_the_stored_rows(text):
         with tb.fault_injection(*site):
             check(lambda name, n: _outcome(_reference, name, n, field, q, site))
         check(lambda name, n: clean[name, n])
+
+
+PERIOD_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^7)+", "Q(zeta 11)+", "generic r=3 a=4 regular")
+DEGREE_THEORIES = [tag for tag in tb.THEORIES.values() if tag.needs_degree]
+
+
+def test_period_degree_is_a_degree_of_the_same_class():
+    for n in range(N_MAX_BOUND + 1):
+        p = tb.period_degree(n)
+        assert p <= n and p % 8 == n % 8 and (p < 8) == (n < 8)
+        if n >= 8:  # the same nu2(k + 1), which w(4k+4) reads
+            assert tb.w(4 * (p // 8) + 4, 2) == tb.w(4 * (n // 8) + 4, 2)
+    assert [tb.period_degree(n) for n in (7, 8, 16, 24, 32, 255, 263, 10000)] == [7, 8, 16, 24, 16, 255, 23, 16]
+
+
+@pytest.mark.parametrize("text", PERIOD_FIELDS)
+def test_columns_match_the_unmemoized_readers_at_every_degree(text):
+    field = resolve(parse_field(text))
+    degrees = range(N_MAX_BOUND + 1)
+    for tag in DEGREE_THEORIES:
+        for q in (3, 7, 1021) if tag.needs_q else (3,):  # the other theories read no q
+            column, read = tb.column(tag, field, q), tag.build(field, q)
+            assert [_outcome(column, n) for n in degrees] == [_outcome(read, n) for n in degrees], (tag.name, q)
+
+
+def test_raw_readers_read_the_period_degree_under_every_fault():
+    field = resolve(parse_field("generic r=3 a=4 regular"))
+    readers = [(tag.name, tag.build(field, 7)) for tag in DEGREE_THEORIES]
+    for site in tb.fault_sites():
+        with tb.fault_injection(*site):
+            for name, read in readers:
+                for n in range(513):
+                    assert _outcome(read, n) == _outcome(read, tb.period_degree(n)), (site, name, n)
+
+
+def _count_row_reads(monkeypatch):
+    calls = []
+    eval_row = tb._eval_row
+    monkeypatch.setattr(tb, "_eval_row", lambda table, ctx: calls.append(ctx.n) or eval_row(table, ctx))
+    return calls
+
+
+def test_table_reads_each_period_class_once(monkeypatch, capsys):
+    from kq2 import cli
+    calls = _count_row_reads(monkeypatch)
+    names = [tag.name for tag in DEGREE_THEORIES]
+    assert cli.main(["table", "--n-max", str(N_MAX_BOUND), "--theories", ",".join(names), "--field", "Q"]) == 0
+    assert sum(line[:1].isdigit() for line in capsys.readouterr().out.splitlines()) == N_MAX_BOUND + 1
+    assert 0 < len(calls) <= 17 * len({tb.period_degree(n) for n in range(N_MAX_BOUND + 1)})
+
+
+def test_verify_reads_each_period_class_once(monkeypatch):
+    from kq2 import verify
+    calls = _count_row_reads(monkeypatch)
+    assert all(rep.passed for rep in verify.run_all(parse_field("Q(zeta 11)+"), None, 350))
+    assert 0 < len(calls) <= 800

@@ -148,6 +148,32 @@ def test_paired_faults_escape_only_where_documented(text):
     assert escapes <= PAIRED_ESCAPES
 
 
+@pytest.mark.parametrize("text", ["Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+"])
+def test_reports_match_a_per_degree_reference_under_every_fault(text, monkeypatch):
+    # with period_degree the identity, every column memoizes and every
+    # report evaluates each degree on its own; at n_max 64, degrees 32..39,
+    # 48..55 and 64 have the period degrees 16..23 and 16, and 40..47 have 8..15
+    spec = parse_field(text)
+    period_degree = tb.period_degree
+
+    def reports(per_degree, *sites):
+        monkeypatch.setattr(tb, "period_degree", (lambda n: n) if per_degree else period_degree)
+        with contextlib.ExitStack() as stack:
+            for site in sites:
+                stack.enter_context(tb.fault_injection(*site))
+            return vf.run_all(spec, None, 64)
+
+    faults = [()] + [(site,) for site in tb.fault_sites()] + [
+        ((table, row), (bar, row)) for table, bar in PAIRED_TABLES.items() for row in range(8)]
+    escapes = set()
+    for sites in faults:
+        got = reports(False, *sites)
+        assert got == reports(True, *sites), sites
+        if len(sites) == 2 and all(rep.passed for rep in got):
+            escapes.add(sites[0])
+    assert escapes == PAIRED_ESCAPES
+
+
 def test_failing_ses_reports_name_their_own_groups(monkeypatch):
     monkeypatch.setattr(vf, "ses_consistent", lambda a, b, c: False)
     failed = [rep for rep in vf.run_all(RealQuadratic(6), 3, 16) if not rep.passed]
