@@ -85,15 +85,17 @@ def _kbar_note(tags, degrees, notes: list[str]) -> None:
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for trees of
     str-keyed dicts, lists, tuples, str, int, bool and None.  A container met
-    again at the same nesting depth reuses the pieces rendered the first
-    time, so a table that repeats a few group dicts in every row pays per
-    group.
+    again at the same nesting depth reuses the text rendered the first
+    time, joined into one string when it is met again, so a table that
+    repeats a few group dicts in every row pays per group.
 
     Strings go through json.dumps's own C encoder; the json package is not
     imported, because it imports re, enum, functools and collections."""
     from _json import encode_basestring_ascii as string
     out: list[str] = []
-    memo: dict[tuple[int, int], tuple[object, int, int]] = {}  # holding o keeps its id unique
+    # (id, depth) -> (o, its pieces in out, or their text once joined);
+    # holding o keeps its id unique
+    memo: dict[tuple[int, int], tuple[object, slice | str]] = {}
 
     def scalar(o) -> str:
         if o is None:
@@ -115,8 +117,11 @@ def _dumps(obj) -> str:
             return
         key = (id(o), depth)
         if key in memo:
-            _, first, last = memo[key]
-            out.extend(out[first:last])
+            text = memo[key][1]
+            if type(text) is slice:  # met again for the first time: join its pieces once
+                text = "".join(out[text])
+                memo[key] = (o, text)
+            out.append(text)
             return
         start, pad = len(out), "\n" + "  " * (depth + 1)
         if isinstance(o, dict):
@@ -129,7 +134,7 @@ def _dumps(obj) -> str:
             out.append(("," if i else brackets[0]) + pad + label)
             enc(v, depth + 1)
         out.append(pad[:-2] + brackets[1])
-        memo[key] = (o, start, len(out))
+        memo[key] = (o, slice(start, len(out)))
 
     enc(obj, 0)
     return "".join(out)
@@ -169,11 +174,13 @@ def _cmd_group(args) -> int:
 
 def _cmd_table(args) -> int:
     tags: list[TheoryTag] = []
+    names: set[str] = set()  # the names, not the tags, which compare field by field
     for name in args.theories.split(","):
         if name.strip():
             tag = TheoryTag.parse(name)
-            if tag in tags:  # stops at the first repeat, so a long list costs little
+            if tag.name in names:  # stops at the first repeat, so a long list costs little
                 raise UsageError(f"theory {tag.name} is named twice in --theories")
+            names.add(tag.name)
             tags.append(tag)
     if not tags:
         raise UsageError("no theories given")

@@ -16,9 +16,11 @@ the KO and KU rows, not stored, so the report that KQFq+ complements KO in
 the building block checks the stored kq_bar+ rows against that derivation.
 The low-degree computations read no stored row, so the low-degree report
 compares two independent derivations.  The groups read a degree only
-through its period degree (tables.period_degree), so each equality report
-over the degrees evaluates a case only when the period degrees of the cells
-it reads are new; it still counts every degree, and reports the first
+through its period degree (tables.period_degree).  run_all lists the period
+degrees once per run, and each equality report over the degrees takes the
+keys of its points, the period degrees of the cells each point reads, as
+slices and zips of that list: it evaluates a case only at the first point
+of each distinct key, still counts every point, and reports the first
 failing one.
 """
 
@@ -42,7 +44,7 @@ from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # collections.abc is not imported at run time, to keep start-up short
-    from collections.abc import Callable, Iterable
+    from collections.abc import Callable, Iterable, Sequence
 
 REPORT_HEADER = (
     "consistency suite: compares isomorphism classes only; connecting maps "
@@ -70,23 +72,20 @@ class CheckReport(Record):
         return out
 
 
-def _equality_report(name: str, points: Iterable[tuple], key: Callable, case: Callable,
+def _equality_report(name: str, points: Sequence[tuple], keys: Sequence, case: Callable,
                      details: str) -> CheckReport:
-    """Compare ``case(*point) = (params, expected, actual)`` at each point,
-    a tuple of arguments, in order.  ``key(*point)`` names the cells the
-    case reads by their period degrees (and signs); a group reads its
-    degree only through the period degree, so a case whose key was met
-    before repeats a passed comparison and is counted without being
-    evaluated."""
-    checked = 0
-    seen = set()
-    for point in points:
-        checked += 1
-        cells = key(*point)
-        if cells in seen:
-            continue
-        seen.add(cells)
-        params, expected, actual = case(*point)
+    """Compare ``case(*point) = (params, expected, actual)`` at the points,
+    tuples of arguments, in order.  ``keys[i]`` names the cells that the
+    case reads at ``points[i]`` by their period degrees (and signs); a group
+    reads its degree only through the period degree, so a point whose key
+    was met at an earlier point repeats a passed comparison.  Every point is
+    counted, and the case is evaluated only at the first point of each
+    distinct key, in ascending point order; the first failure found is the
+    first failing point."""
+    # key -> index of its first point: walked backwards, a key keeps its first index
+    firsts = dict(zip(reversed(keys), reversed(range(len(keys)))))
+    for i in sorted(firsts.values()):
+        params, expected, actual = case(*points[i])
         if expected != actual:
             return CheckReport(
                 name,
@@ -98,7 +97,7 @@ def _equality_report(name: str, points: Iterable[tuple], key: Callable, case: Ca
                     "actual": format_group(actual),
                 },
             )
-    return CheckReport(name, True, f"{details} ({checked} cases)")
+    return CheckReport(name, True, f"{details} ({len(keys)} cases)")
 
 
 def _report(name: str, passed: bool, details: str, counterexample: Callable[[], dict]) -> CheckReport:
@@ -123,18 +122,30 @@ _SPLITTINGS = (
 )
 
 
-def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
+def _period_degrees(n_max: int) -> list[int]:
+    """The period degrees (tables.period_degree) of the degrees 0..n_max + 8,
+    the highest that an equality report reads when it checks n <= n_max."""
+    period_degree = tb.period_degree
+    return [period_degree(n) for n in range(n_max + 9)]
+
+
+def check_splittings(field: ResolvedField, col: dict, n_max: int,
+                     pd: list[int] | None = None) -> list[CheckReport]:
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies, for n <= n_max;
     ``col`` maps each theory with a degree axis to its column on the
-    2-regular ``field`` (see run_all)."""
-    pd = tb.period_degree
+    2-regular ``field`` (see run_all), and ``pd`` is _period_degrees(n_max),
+    built here when not given."""
+    if pd is None:
+        pd = _period_degrees(n_max)
+    degrees = list(zip(range(n_max + 1)))  # the points (n,)
     return [
         _equality_report(
             name,
-            [(n,) for n in range(first, n_max + 1)],
+            degrees[first:],
+            # with no shift, both cells of a point have its period degree
+            list(zip(pd[first:n_max + 1], pd[first + shift:])) if shift else pd[first:n_max + 1],
             # consumed by _equality_report before the next identity is bound
-            lambda n: (pd(n), pd(n + shift)),
             lambda n: ({"identity": identity, "n": n, "r": field.r}, col[identity](n),
                        direct_sum(col[block](n), n_copies(copies * (field.r - 1), col[top](n + shift)))),
             f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}",
@@ -250,43 +261,47 @@ def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
     return CheckReport(name, True, f"all n = 3 (mod 4), n <= {n_max} ({len(degrees)} cases)")
 
 
-def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
-    r, ko, pd = field.r, col["KO"], tb.period_degree
-    degrees = [(n,) for n in range(0, n_max + 1)]
-    low = {eps: tb.low_dim(field, eps) for eps in (1, -1)}
+def _check_extras(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
+    r, ko = field.r, col["KO"]
+    signs = (1, -1)
+    degrees = list(zip(range(n_max + 1)))  # the points (n,)
+    signed = [(n, eps) for n in range(n_max + 1) for eps in signs]  # the points (n, eps)
+    periods = pd[:n_max + 1]
+    low = {eps: tb.low_dim(field, eps) for eps in signs}
+    low_points = [(n, eps) for eps in signs for n in (0, 1)]
     return [
         _equality_report(
             "V+ is 2r copies of KO",
             degrees,
-            pd,
+            periods,
             lambda n: ({"n": n, "r": r}, col["V+"](n), n_copies(2 * r, ko(n))),
             f"n <= {n_max}",
         ),
         _equality_report(
             "U-theory is sign-swapped V-theory shifted by one",
-            [(n, eps) for n in range(1, n_max + 1) for eps in (1, -1)],
-            lambda n, eps: (pd(n), pd(n - 1), eps),
+            signed[2:],
+            [(cells, eps) for cells in zip(pd[1:n_max + 1], pd[:n_max]) for eps in signs],
             lambda n, eps: ({"n": n, "eps": eps}, col["U" + _SIGN[eps]](n), col["V" + _SIGN[-eps]](n - 1)),
             f"1 <= n <= {n_max}",
         ),
         _equality_report(
             "V-theory 8-periodicity",
-            [(n, eps) for n in range(0, n_max + 1) for eps in (1, -1)],
-            lambda n, eps: (pd(n), pd(n + 8), eps),
+            signed,
+            [(cells, eps) for cells in zip(periods, pd[8:]) for eps in signs],
             lambda n, eps: ({"n": n, "eps": eps}, col["V" + _SIGN[eps]](n), col["V" + _SIGN[eps]](n + 8)),
             f"n <= {n_max}",
         ),
         _equality_report(
             "orthogonal finite-field groups complement KO in the building block",
             degrees,
-            pd,
+            periods,
             lambda n: ({"n": n}, col["KQbar+"](n), direct_sum(col["KQFq+"](n), ko(n))),
             f"n <= {n_max}",
         ),
         _equality_report(
             "low-degree computations agree with the table",
-            [(n, eps) for eps in (1, -1) for n in (0, 1)],
-            lambda n, eps: (n, eps),
+            low_points,
+            low_points,
             lambda n, eps: ({"n": n, "eps": eps}, low[eps][n], col["KQ" + _SIGN[eps]](n)),
             "degrees 0 and 1, both signs",
         ),
@@ -302,10 +317,11 @@ def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[Chec
     if n_max < N_MAX_LEAST:
         raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
     col = {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
-    reports = check_splittings(field, col, n_max)
+    pd = _period_degrees(n_max)
+    reports = check_splittings(field, col, n_max, pd)
     reports += check_les(field, col)
     reports += [check_t_w(field.a, q, min(4 * n_max, 400))]
-    reports += _check_extras(field, col, n_max)
+    reports += _check_extras(field, col, n_max, pd)
     return sorted(reports, key=lambda rep: rep.name)
 
 

@@ -117,9 +117,9 @@ def test_report_json_shape():
 @pytest.mark.parametrize("site", [("kq_rf+", 3), ("v_bar-", 0), ("k_rf", 7)])
 def test_fault_injection_spot_checks(site):
     spec, q = RealQuadratic(6), 3
-    assert all(rep.passed for rep in vf.run_all(spec, q, 16))
+    assert all(rep.passed for rep in vf.run_all(spec, q, 64))
     with tb.fault_injection(*site):
-        assert not all(rep.passed for rep in vf.run_all(spec, q, 16))
+        assert not all(rep.passed for rep in vf.run_all(spec, q, 64))
 
 
 # each table over the 2-integers and its barred building block
@@ -131,47 +131,113 @@ PAIRED_ESCAPES = {("kq_rf-", 2), ("kq_rf-", 6), ("kq_rf-", 7)} | {
     (table, row) for table in ("v_rf-", "k_rf") for row in range(8)}
 
 
+def run_faulty(spec, n_max, *sites):
+    """run_all on the default q with the given faults injected."""
+    with contextlib.ExitStack() as stack:
+        for site in sites:
+            stack.enter_context(tb.fault_injection(*site))
+        return vf.run_all(spec, None, n_max)
+
+
 @pytest.mark.parametrize("text", ["Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+"])
 def test_paired_faults_escape_only_where_documented(text):
+    # at n_max 64 many degrees share a period class (see the reference test)
     spec = parse_field(text)
 
     def caught(*sites):
-        with contextlib.ExitStack() as stack:
-            for site in sites:
-                stack.enter_context(tb.fault_injection(*site))
-            return not all(rep.passed for rep in vf.run_all(spec, None, 16))
+        return not all(rep.passed for rep in run_faulty(spec, 64, *sites))
 
     assert not caught()
     assert all(caught(site) for site in tb.fault_sites())
     escapes = {(table, row) for table, bar in PAIRED_TABLES.items() for row in range(8)
                if not caught((table, row), (bar, row))}
-    assert escapes <= PAIRED_ESCAPES
+    assert escapes == PAIRED_ESCAPES
+
+
+def per_degree_reference(monkeypatch, spec, n_max, *sites):
+    """run_all with period_degree the identity: every column memoizes each
+    degree, and every report evaluates each point on its own."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tb, "period_degree", lambda n: n)
+        return run_faulty(spec, n_max, *sites)
 
 
 @pytest.mark.parametrize("text", ["Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+"])
 def test_reports_match_a_per_degree_reference_under_every_fault(text, monkeypatch):
-    # with period_degree the identity, every column memoizes and every
-    # report evaluates each degree on its own; at n_max 64, degrees 32..39,
-    # 48..55 and 64 have the period degrees 16..23 and 16, and 40..47 have 8..15
+    # at n_max 64, degrees 32..39, 48..55 and 64 have the period degrees
+    # 16..23 and 16, and 40..47 have 8..15
     spec = parse_field(text)
-    period_degree = tb.period_degree
-
-    def reports(per_degree, *sites):
-        monkeypatch.setattr(tb, "period_degree", (lambda n: n) if per_degree else period_degree)
-        with contextlib.ExitStack() as stack:
-            for site in sites:
-                stack.enter_context(tb.fault_injection(*site))
-            return vf.run_all(spec, None, 64)
-
     faults = [()] + [(site,) for site in tb.fault_sites()] + [
         ((table, row), (bar, row)) for table, bar in PAIRED_TABLES.items() for row in range(8)]
     escapes = set()
     for sites in faults:
-        got = reports(False, *sites)
-        assert got == reports(True, *sites), sites
+        got = run_faulty(spec, 64, *sites)
+        assert got == per_degree_reference(monkeypatch, spec, 64, *sites), sites
         if len(sites) == 2 and all(rep.passed for rep in got):
             escapes.add(sites[0])
     assert escapes == PAIRED_ESCAPES
+
+
+@pytest.mark.parametrize("sites", [(), (("k_rf", 7),), (("v_rf+", 3),)], ids=str)
+@pytest.mark.parametrize("text", ["Q", "Q(zeta 2^5)+"])
+def test_reports_match_a_per_degree_reference_up_to_e_5(text, sites, monkeypatch):
+    # at n_max 350, e = nu2(n // 8 + 1) reaches 5 at n = 248..255; k_rf row 7
+    # holds w(4k + 4), whose order depends on e, and v_rf+ row 3 does not
+    spec = parse_field(text)
+    got = run_faulty(spec, 350, *sites)
+    assert got == per_degree_reference(monkeypatch, spec, 350, *sites)
+    assert all(rep.passed for rep in got) == (not sites)
+
+
+@pytest.mark.parametrize("name", ["KO", "V+", "V-"])
+def test_reports_match_a_per_degree_reference_when_one_period_class_is_off(name, monkeypatch):
+    # one theory gains a Z/2 on the period class of degree 255 (e = 5) only;
+    # the splittings read KO at n - 1 and n + 6 and the V-theory reports
+    # read V at n - 1 and n + 8, where a point's own period degree is often
+    # not new (pd(256) = 16), so every key must name each cell its point reads
+    from kq2.abgroup import C2, direct_sum
+    column, period_degree = tb.column, tb.period_degree
+
+    def off_by_one_class(tag, field, q):
+        col = column(tag, field, q)
+        if tag.name != name:
+            return col
+        return lambda n: direct_sum(col(n), C2(1)) if period_degree(n) == 255 else col(n)
+
+    monkeypatch.setattr(tb, "column", off_by_one_class)
+    spec = parse_field("Q(zeta 2^5)+")  # r = 8, so the splittings read KO
+    got = run_faulty(spec, 350)
+    assert got == per_degree_reference(monkeypatch, spec, 350)
+    assert not all(rep.passed for rep in got)
+
+
+def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
+    report, seen = vf._equality_report, {}
+
+    def recording(name, points, keys, case, details):
+        calls = []
+
+        def counted(*point):
+            calls.append(point)
+            return case(*point)
+
+        seen[name] = points, keys, calls
+        return report(name, points, keys, counted, details)
+
+    monkeypatch.setattr(vf, "_equality_report", recording)
+    reports = {rep.name: rep for rep in vf.run_all(parse_field("Q(zeta 2^5)+"), None, 350)}
+    assert len(seen) == 10  # the five splittings, four reports over the degrees, the low degrees
+    for name, (points, keys, calls) in seen.items():
+        assert len(keys) == len(points)
+        first = {}
+        for point, key in zip(points, keys):
+            first.setdefault(key, point)
+        # one call per distinct key, at its first point, in ascending point order
+        assert calls == list(first.values()), name
+        assert reports[name].passed
+        assert reports[name].details.endswith(f" ({len(points)} cases)")
+    # each report over the degrees n <= 350 shares cells between degrees
+    assert all(3 * len(calls) < len(points) for points, _, calls in seen.values() if len(points) > 4)
 
 
 def test_failing_ses_reports_name_their_own_groups(monkeypatch):
