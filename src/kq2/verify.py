@@ -16,12 +16,12 @@ the KO and KU rows, not stored, so the report that KQFq+ complements KO in
 the building block checks the stored kq_bar+ rows against that derivation.
 The low-degree computations read no stored row, so the low-degree report
 compares two independent derivations.  The groups read a degree only
-through its period degree (tables.period_degree).  run_all lists the period
-degrees once per run, and each equality report over the degrees takes the
-keys of its points, the period degrees of the cells each point reads, as
-slices and zips of that list: it evaluates a case only at the first point
-of each distinct key, still counts every point, and reports the first
-failing one.
+through its period degree (tables.period_degree).  The splittings and the
+per-degree extras each list the period degrees once per run, and each
+equality report over the degrees takes the keys of its points, the period
+degrees of the cells each point reads, as slices and zips of that list: it
+evaluates a case only at the first point of each distinct key, still counts
+every point, and reports the first failing one.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ def _equality_report(name: str, points: Sequence[tuple], keys: Sequence, case: C
     counted, and the case is evaluated only at the first point of each
     distinct key, in ascending point order; the first failure found is the
     first failing point."""
+    assert len(keys) == len(points), "one key per point"
     # key -> index of its first point: walked backwards, a key keeps its first index
     firsts = dict(zip(reversed(keys), reversed(range(len(keys)))))
     for i in sorted(firsts.values()):
@@ -129,22 +130,18 @@ def _period_degrees(n_max: int) -> list[int]:
     return [period_degree(n) for n in range(n_max + 9)]
 
 
-def check_splittings(field: ResolvedField, col: dict, n_max: int,
-                     pd: list[int] | None = None) -> list[CheckReport]:
+def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies, for n <= n_max;
     ``col`` maps each theory with a degree axis to its column on the
-    2-regular ``field`` (see run_all), and ``pd`` is _period_degrees(n_max),
-    built here when not given."""
-    if pd is None:
-        pd = _period_degrees(n_max)
+    2-regular ``field`` (see run_all)."""
+    pd = _period_degrees(n_max)
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
     return [
         _equality_report(
             name,
             degrees[first:],
-            # with no shift, both cells of a point have its period degree
-            list(zip(pd[first:n_max + 1], pd[first + shift:])) if shift else pd[first:n_max + 1],
+            list(zip(pd[first:n_max + 1], pd[first + shift:])),
             # consumed by _equality_report before the next identity is bound
             lambda n: ({"identity": identity, "n": n, "r": field.r}, col[identity](n),
                        direct_sum(col[block](n), n_copies(copies * (field.r - 1), col[top](n + shift)))),
@@ -261,8 +258,9 @@ def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
     return CheckReport(name, True, f"all n = 3 (mod 4), n <= {n_max} ({len(degrees)} cases)")
 
 
-def _check_extras(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
+def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
     r, ko = field.r, col["KO"]
+    pd = _period_degrees(n_max)
     signs = (1, -1)
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
     signed = [(n, eps) for n in range(n_max + 1) for eps in signs]  # the points (n, eps)
@@ -317,11 +315,10 @@ def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[Chec
     if n_max < N_MAX_LEAST:
         raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
     col = {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
-    pd = _period_degrees(n_max)
-    reports = check_splittings(field, col, n_max, pd)
+    reports = check_splittings(field, col, n_max)
     reports += check_les(field, col)
     reports += [check_t_w(field.a, q, min(4 * n_max, 400))]
-    reports += _check_extras(field, col, n_max, pd)
+    reports += _check_extras(field, col, n_max)
     return sorted(reports, key=lambda rep: rep.name)
 
 

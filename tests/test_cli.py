@@ -533,8 +533,9 @@ json_trees = st.recursive(
 
 @given(json_trees, json_trees)
 def test_dumps_matches_json_dumps(tree, shared):
-    # shared sits at three depths, twice at depth 2
-    obj = {"tree": tree, "a": shared, "b": [shared, {"c": shared}, shared], "empty": [{}, [], ()]}
+    # shared sits at three depths, three times at depth 2: its second copy
+    # there joins its pieces, and its third appends that text
+    obj = {"tree": tree, "a": shared, "b": [shared, {"c": shared}, shared, shared], "empty": [{}, [], ()]}
     for value in (tree, obj):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 

@@ -240,6 +240,12 @@ def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
     assert all(3 * len(calls) < len(points) for points, _, calls in seen.values() if len(points) > 4)
 
 
+def test_an_equality_report_needs_one_key_per_point():
+    # fewer keys than points would leave the later points unchecked
+    with pytest.raises(AssertionError):
+        vf._equality_report("r", [(0,), (1,)], [0], lambda n: ({"n": n}, 0, 0), "")
+
+
 def test_failing_ses_reports_name_their_own_groups(monkeypatch):
     monkeypatch.setattr(vf, "ses_consistent", lambda a, b, c: False)
     failed = [rep for rep in vf.run_all(RealQuadratic(6), 3, 16) if not rep.passed]
