@@ -87,7 +87,9 @@ def _dumps(obj) -> str:
     str-keyed dicts, lists, tuples, str, int, bool and None.  A container met
     again at the same nesting depth reuses the text rendered the first
     time, joined into one string when it is met again, so a table that
-    repeats a few group dicts in every row pays per group.
+    repeats a few group dicts in every row pays per group.  Each distinct
+    key tuple of a dict is checked, sorted and encoded once, so a table's
+    per-degree wrappers, which share their keys, pay for them once.
 
     Strings go through json.dumps's own C encoder; the json package is not
     imported, because it imports re, enum, functools and collections."""
@@ -96,6 +98,8 @@ def _dumps(obj) -> str:
     # (id, depth) -> (o, its pieces in out, or their text once joined);
     # holding o keeps its id unique
     memo: dict[tuple[int, int], tuple[object, slice | str]] = {}
+    # the keys of a dict in insertion order -> its sorted (label, key) pairs
+    layouts: dict[tuple, list[tuple[str, str]]] = {}
 
     def scalar(o) -> str:
         if o is None:
@@ -109,6 +113,9 @@ def _dumps(obj) -> str:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     def enc(o, depth: int) -> None:
+        if type(o) is int:  # not isinstance: a bool goes the scalar way
+            out.append(int.__repr__(o))
+            return
         if not isinstance(o, (dict, list, tuple)):
             out.append(scalar(o))
             return
@@ -125,9 +132,13 @@ def _dumps(obj) -> str:
             return
         start, pad = len(out), "\n" + "  " * (depth + 1)
         if isinstance(o, dict):
-            if not all(isinstance(k, str) for k in o):
-                raise TypeError("JSON object keys must be str")
-            items, brackets = [(string(k) + ": ", o[k]) for k in sorted(o)], "{}"
+            keys = tuple(o)
+            layout = layouts.get(keys)
+            if layout is None:
+                if not all(isinstance(k, str) for k in keys):
+                    raise TypeError("JSON object keys must be str")
+                layout = layouts[keys] = [(string(k) + ": ", k) for k in sorted(keys)]
+            items, brackets = [(label, o[k]) for label, k in layout], "{}"
         else:
             items, brackets = [("", v) for v in o], "[]"
         for i, (label, v) in enumerate(items):

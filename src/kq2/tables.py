@@ -9,9 +9,10 @@ The finite-field theories are not stored: they are derived from the
 topological rows as the fiber of the Adams operation psi^q - 1.  Every
 theory of the registry is read through ``column(tag, field, q)``, which
 checks the theory's rules once and returns its groups as a function of the
-degree.  The groups are almost 8-periodic: a degree n reads the same rows
-as its period degree ``period_degree(n)``, and a column evaluates each
-period class once.
+degree.  The groups are 8-periodic, except that degree 0 is its own class
+and degrees 7 mod 8 also read e = nu2(n // 8 + 1): a degree n reads the
+same rows as its period degree ``period_degree(n)``, and a column
+evaluates each period class once.
 
 The module also carries a fault-injection switch used by the verification
 suite to prove its own discriminating power: any single row of the stored
@@ -272,21 +273,26 @@ def _reader(table: str, r: int, a: int, q: int | None) -> Callable[[int], FgAb2]
 
 def period_degree(n: int) -> int:
     """The least degree whose groups are those of degree n >= 0 in every
-    theory: n itself below 8, else the least degree >= 8 with the same
-    n mod 8 and the same e = nu2(n // 8 + 1).
+    theory: n itself below 8; else 8 in degrees 0 mod 8, n mod 8 in
+    degrees 1 to 6 mod 8, and 8 * 2^e - 1 in degrees 7 mod 8, where
+    e = nu2(n // 8 + 1).  The result is never above n.
 
-    The paper's groups are almost periodic with period 8: every row reads
-    the degree only through n mod 8, whether n = 0, and e.  With k = n // 8,
-    w(4k + 4, a) = 2^(a + 2 + e), w(4k + 2, a) = 2^(a + 1) does not depend
-    on k, and t(n, q) and the cokernels of psi^q - 1 are 2-parts of
-    q^m - 1 (m >= 1), which read m only through nu2(m): fixed by n mod 8,
-    or 2 + e where m = 4(k + 1).  The result is 8(2^e - 1) + n mod 8 for
-    e >= 1 and 16 + n mod 8 for e = 0, never above n."""
+    The paper's groups are 8-periodic, except that degree 0 is its own
+    class and degrees 7 mod 8 also read e.  Degree 0 is read by the
+    [n = 0] summands and the k_bar degree-0 rule.  With k = n // 8,
+    w(4k + 2, a) = 2^(a + 1) does not depend on k, and w(4k + 4, a) =
+    2^(a + 2 + e).  t(n, q) and the cokernels of psi^q - 1 are 2-parts of
+    q^m - 1 for m >= 1, and for odd q, by lifting the exponent, v2(q^m - 1)
+    is v2(q - 1) for odd m and v2(q^2 - 1) for m = 2 (mod 4): it reads k
+    only at m = 4(k + 1), that is in degrees 7 mod 8, and there through
+    e alone."""
     if n < 8:
         return n
-    m = n // 8 + 1
-    power = m & -m  # 2^e, nu2 inlined: verify and table call this once a cell
-    return 8 * (power - 1) + n % 8 if power > 1 else 16 + n % 8
+    row = n % 8
+    if row == 7:
+        m = n // 8 + 1
+        return 8 * (m & -m) - 1  # m & -m = 2^e
+    return row or 8
 
 
 def k_bar_uses_resolved_order(n: int) -> bool:

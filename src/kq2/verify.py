@@ -16,7 +16,9 @@ the KO and KU rows, not stored, so the report that KQFq+ complements KO in
 the building block checks the stored kq_bar+ rows against that derivation.
 The low-degree computations read no stored row, so the low-degree report
 compares two independent derivations.  The groups read a degree only
-through its period degree (tables.period_degree).  The splittings and the
+through its period degree (tables.period_degree): they are 8-periodic,
+except that degree 0 is its own class and degrees 7 mod 8 also read
+e = nu2(n // 8 + 1).  The splittings and the
 per-degree extras each list the period degrees once per run, and each
 equality report over the degrees takes the keys of its points, the period
 degrees of the cells each point reads, as slices and zips of that list: it

@@ -536,8 +536,18 @@ def test_dumps_matches_json_dumps(tree, shared):
     # shared sits at three depths, three times at depth 2: its second copy
     # there joins its pieces, and its third appends that text
     obj = {"tree": tree, "a": shared, "b": [shared, {"c": shared}, shared, shared], "empty": [{}, [], ()]}
-    for value in (tree, obj):
+    # fresh dicts with one key tuple, as a table's per-degree wrappers, and
+    # the same keys in other insertion orders, which sort the same way
+    rows = [{"n": n, "groups": shared} for n in range(200)]
+    rows += [{"groups": tree, "n": -n} for n in range(3)]
+    if isinstance(tree, dict):
+        rows += [tree, dict(reversed(tree.items())), dict(sorted(tree.items()))]
+    for value in (tree, obj, rows):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    # a non-str key met after the str keys' layout is kept still raises
+    for bad in ({"n": 0, 1: shared}, {True: shared}, {"groups": shared, "n": 0, None: 0}):
+        with pytest.raises(TypeError):
+            _dumps(rows + [bad])
 
 
 @pytest.mark.parametrize("key", [1, None, True, 1.5, (1, 2)])

@@ -405,10 +405,12 @@ DEGREE_THEORIES = [tag for tag in tb.THEORIES.values() if tag.needs_degree]
 def test_period_degree_is_a_degree_of_the_same_class():
     for n in range(N_MAX_BOUND + 1):
         p = tb.period_degree(n)
-        assert p <= n and p % 8 == n % 8 and (p < 8) == (n < 8)
-        if n >= 8:  # the same nu2(k + 1), which w(4k+4) reads
+        assert p <= n and p % 8 == n % 8 and (p == 0) == (n == 0)
+        if n % 8 == 7:  # the same nu2(k + 1), which w(4k+4) reads
             assert tb.w(4 * (p // 8) + 4, 2) == tb.w(4 * (n // 8) + 4, 2)
-    assert [tb.period_degree(n) for n in (7, 8, 16, 24, 32, 255, 263, 10000)] == [7, 8, 16, 24, 16, 255, 23, 16]
+    assert [tb.period_degree(n) for n in (7, 8, 16, 24, 32, 255, 263, 10000)] == [7, 8, 8, 8, 8, 255, 7, 8]
+    assert len({tb.period_degree(n) for n in range(N_MAX_BOUND + 1)}) == 19
+    assert len({tb.period_degree(n) for n in range(359)}) == 14
 
 
 @pytest.mark.parametrize("text", PERIOD_FIELDS)
@@ -444,11 +446,11 @@ def test_table_reads_each_period_class_once(monkeypatch, capsys):
     names = [tag.name for tag in DEGREE_THEORIES]
     assert cli.main(["table", "--n-max", str(N_MAX_BOUND), "--theories", ",".join(names), "--field", "Q"]) == 0
     assert sum(line[:1].isdigit() for line in capsys.readouterr().out.splitlines()) == N_MAX_BOUND + 1
-    assert 0 < len(calls) <= 17 * len({tb.period_degree(n) for n in range(N_MAX_BOUND + 1)})
+    assert 0 < len(calls) <= 17 * 19  # one read per theory and period class; 264 were counted
 
 
 def test_verify_reads_each_period_class_once(monkeypatch):
     from kq2 import verify
     calls = _count_row_reads(monkeypatch)
     assert all(rep.passed for rep in verify.run_all(parse_field("Q(zeta 11)+"), None, 350))
-    assert 0 < len(calls) <= 800
+    assert 0 < len(calls) <= 17 * 14  # 14 period classes in n <= 358; 192 were counted

@@ -164,8 +164,9 @@ def per_degree_reference(monkeypatch, spec, n_max, *sites):
 
 @pytest.mark.parametrize("text", ["Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+"])
 def test_reports_match_a_per_degree_reference_under_every_fault(text, monkeypatch):
-    # at n_max 64, degrees 32..39, 48..55 and 64 have the period degrees
-    # 16..23 and 16, and 40..47 have 8..15
+    # at n_max 64 the reports read degrees up to 72; from 8 on, degrees
+    # 0 mod 8 have the period degree 8 and degrees 1..6 mod 8 have n mod 8,
+    # and of the degrees 7 mod 8, 23, 39, 55 and 71 have 7 and 47 has 15
     spec = parse_field(text)
     faults = [()] + [(site,) for site in tb.fault_sites()] + [
         ((table, row), (bar, row)) for table, bar in PAIRED_TABLES.items() for row in range(8)]
@@ -194,7 +195,7 @@ def test_reports_match_a_per_degree_reference_when_one_period_class_is_off(name,
     # one theory gains a Z/2 on the period class of degree 255 (e = 5) only;
     # the splittings read KO at n - 1 and n + 6 and the V-theory reports
     # read V at n - 1 and n + 8, where a point's own period degree is often
-    # not new (pd(256) = 16), so every key must name each cell its point reads
+    # not new (pd(256) = 8), so every key must name each cell its point reads
     from kq2.abgroup import C2, direct_sum
     column, period_degree = tb.column, tb.period_degree
 
