@@ -368,77 +368,99 @@ def _sqrt_mod_prime(n: int, p: int) -> int | None:
     return x
 
 
+def _lift_roots(roots: list[int], D: int, q: int, p: int) -> list[int]:
+    """The square roots of D modulo q*p, from those modulo q, a power of
+    the odd prime p: a root x prime to p lifts to one root by a Newton
+    step, and a root x divisible by p lifts to all of x + t*q or to none."""
+    qp = q * p
+    out: list[int] = []
+    for x in roots:
+        if x % p:
+            out.append((x - (x * x - D) * pow(2 * x, -1, qp)) % qp)
+        elif (x * x - D) % qp == 0:
+            out += range(x, qp, q)
+    return out
+
+
 def reduced_forms(D: int) -> set[Form]:
     """The reduced indefinite forms (a, b, c) of (nonsquare) discriminant
     D > 0 with a > 0.  Every other reduced form is the negation (-a, b, -c)
     of one of these.
 
     (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
-    sqrt(D) + b, i.e. (s - b + 2)//2 <= |a| <= (s + b)//2 with s =
-    isqrt(D).  For each such b the admissible a are the divisors of
-    m_b = (D - b^2)/4 in that interval.  All m_b are factored at once by a
-    quadratic sieve: an odd prime p divides m_b iff b = +-sqrt(D) (mod p),
-    so each root strikes one arithmetic progression of b (Cohen, GTM 138,
-    Sec. 5.6).  D is at most the discriminant 4 * CLASS_NUMBER_BOUND.
+    sqrt(D) + b.  Since 2|a| * 2|c| = (sqrt(D) - b)(sqrt(D) + b), |a| lies
+    in that interval exactly when |c| does, so each form pair (a, b, -c),
+    (c, b, -a) is found once, from the smaller leading coefficient
+    a <= c.  For a given a that leaves b in [max(b0, s - 2a + 1),
+    isqrt(D - 4a^2)], with s = isqrt(D) and b0 in {1, 2} the least b = D
+    (mod 2), and b must solve b^2 = D (mod 4a).  The window is at most 2a
+    long and the roots are periodic mod 2a, so each root class mod 2a
+    gives at most one b.
+
+    The a are walked depth first over their factorizations, from the
+    2-power parts (roots of b^2 = D modulo 2^(k+2), lifted bit by bit) by
+    powers of the odd primes up to amax = isqrt((D - b0^2)/4).  Each odd
+    prime's roots come from one square root modulo p, lifted to p^k as in
+    Cohen, GTM 138, Sec. 1.5, and are joined to those of a by the Chinese
+    remainder theorem.  A prime with (D/p) = -1 divides no a that leads a
+    form, so its subtree is never entered.  D is at most the discriminant
+    4 * CLASS_NUMBER_BOUND.
     """
     if D > 4 * CLASS_NUMBER_BOUND:
         raise BoundExceeded(f"discriminant {D} exceeds the bound {4 * CLASS_NUMBER_BOUND}")
     if D < 5 or D % 4 in (2, 3) or isqrt(D) ** 2 == D:
         raise ValueError(f"{D} is not a nonsquare discriminant")
     s = isqrt(D)
-    b0 = 2 - D % 2  # b = D (mod 2)
-    bs = range(b0, s + 1, 2)
-    rest = [(D - b * b) >> 2 for b in bs]  # m_b, then m_b without its odd sieved primes
-    factors: list[list[tuple[int, int]]] = [[] for _ in bs]
-    limit = isqrt(rest[0])  # m_b is largest at b = b0
-    composite = bytearray(limit + 1)
-    for p in range(3, limit + 1, 2):
+    b0 = 2 - D % 2
+    amax = isqrt((D - b0 * b0) >> 2)
+
+    # (a, the classes mod 2a of the roots of b^2 = D (mod 4a), index of the
+    # next odd prime to multiply in), seeded with the a = 2^k
+    stack: list[tuple[int, list[int], int]] = []
+    a, roots = 1, [D % 2]
+    while roots and a <= amax:
+        stack.append((a, roots, 0))
+        roots = [y for x in roots for y in (x, x + 2 * a) if (y * y - D) % (8 * a) == 0]
+        a *= 2
+
+    # for each odd prime p <= amax with (D/p) != -1: [(p^k, roots mod p^k)]
+    chains: list[list[tuple[int, list[int]]]] = []
+    composite = bytearray(amax + 1)
+    for p in range(3, amax + 1, 2):
         if composite[p]:
             continue
-        composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, limit + 1, 2 * p))
+        composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, amax + 1, 2 * p))
         r = _sqrt_mod_prime(D, p)
         if r is None:
             continue
-        half = (p + 1) // 2  # 1/2 (mod p): b0 + 2i = root (mod p) at i = (root - b0)/2
-        for root in (r, p - r) if r else (0,):
-            for i in range((root - b0) * half % p, len(bs), p):
-                m, e = rest[i] // p, 1
-                while m % p == 0:
-                    m, e = m // p, e + 1
-                rest[i] = m
-                factors[i].append((p, e))
+        chain = [(p, [r, p - r] if r else [0])]
+        while chain[-1][0] * p <= amax:
+            q, roots = chain[-1]
+            roots = _lift_roots(roots, D, q, p)
+            if not roots:
+                break
+            chain.append((q * p, roots))
+        chains.append(chain)
 
     forms: set[Form] = set()
-    for b, left, primes in zip(bs, rest, factors):
-        m = (D - b * b) >> 2
-        # 2a * 2|c| = D - b^2 = (sqrt(D) - b)(sqrt(D) + b), so a lies in the
-        # interval exactly when |c| does: it suffices to find the smaller of
-        # the two, a divisor of m_b up to sqrt(m_b) (which is <= (s + b)//2).
-        lo, top = (s - b + 2) // 2, isqrt(m)
-        e2 = (left & -left).bit_length() - 1  # nu2(left), inlined
-        # The odd cofactor left >> e2 has no prime factor <= limit, so it is
-        # 1 or a prime above every top and divides no divisor we need.
-        # Every divisor up to top thus divides the smooth part m // (left >> e2):
-        # when that is below lo, no divisor lies in the interval.
-        if m // (left >> e2) < lo:
-            continue
-        if e2:
-            primes.append((2, e2))
-        divisors = [1]  # the divisors of m_b up to top
-        for p, e in primes:
-            more = []
-            for a in divisors:
-                for _ in range(e):
-                    a *= p
-                    if a > top:
-                        break
-                    more.append(a)
-            divisors += more
-        for a in divisors:
-            if a >= lo:
-                c = m // a
+    while stack:
+        a, roots, i = stack.pop()
+        t = 2 * a
+        lo, hi = max(b0, s - t + 1), isqrt(D - t * t)
+        for r in roots:
+            b = lo + (r - lo) % t
+            if b <= hi:
+                c = (D - b * b) // (2 * t)
                 forms.add((a, b, -c))
                 forms.add((c, b, -a))
+        for j in range(i, len(chains)):
+            if a * chains[j][0][0] > amax:
+                break
+            for q, qroots in chains[j]:
+                if a * q > amax:
+                    break
+                u = pow(t, -1, q)  # CRT: b = x (mod 2a), b = y (mod q)
+                stack.append((a * q, [x + t * ((y - x) * u % q) for x in roots for y in qroots], j + 1))
     return forms
 
 

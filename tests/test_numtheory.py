@@ -238,9 +238,9 @@ def _divisors(n: int) -> list[int]:
 
 @functools.cache
 def reference_reduced_forms(D):
-    """The trial-division enumeration that the sieve in reduced_forms
-    replaced, kept as a brute-force reference: every reduced form, of
-    both signs of a."""
+    """Every reduced form, of both signs of a, by trial division of each
+    (D - b^2)/4: a brute-force reference for the walk over the leading
+    coefficient a in reduced_forms."""
     s = math.isqrt(D)
     forms = set()
     for b in range(1, s + 1):
@@ -289,9 +289,43 @@ def seeded_large_d(seed=2009, per_class=2, low=10**5, high=10**6):
     return sorted(d for v in out.values() for d in v)
 
 
-@pytest.mark.parametrize("d", seeded_large_d())
+# Smaller leading coefficients a <= |c| that need lifted roots: 2^8 and the
+# odd prime powers 9, 25, 27 for d = 999961 (D = 1 mod 8); a = 2 (D = 4d)
+# and 169, 289 for d = 999983.
+LIFTED_LEADS = {999961: {2**8, 9, 25, 27}, 999983: {2, 169, 289}}
+
+
+@pytest.mark.parametrize("d", [*seeded_large_d(), *LIFTED_LEADS])
 def test_reduced_forms_match_reference_large(d):
-    assert_positive_half_of_reference(field_discriminant(d))
+    D = field_discriminant(d)
+    assert_positive_half_of_reference(D)
+    assert LIFTED_LEADS.get(d, set()) <= {min(a, -c) for a, _, c in nt.reduced_forms(D)}
+
+
+def test_reduced_forms_match_reference_every_discriminant():
+    # D need not be a field discriminant: where p^2 | D, a root divisible
+    # by p lifts to several roots or to none
+    for D in range(5, 4000):
+        if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D:
+            assert_positive_half_of_reference(D)
+
+
+def test_reduced_forms_take_one_square_root_per_odd_prime(monkeypatch):
+    calls = []
+    sqrt_mod_prime = nt._sqrt_mod_prime
+
+    def counted(n, p):
+        calls.append(p)
+        return sqrt_mod_prime(n, p)
+
+    monkeypatch.setattr(nt, "_sqrt_mod_prime", counted)
+    for d in (999961, 999983, 5 * 7 * 11 * 13 * 17):
+        D = field_discriminant(d)
+        calls.clear()
+        nt.reduced_forms(D)
+        amax = math.isqrt((D - (2 - D % 2) ** 2) // 4)
+        assert len(calls) == len(set(calls))
+        assert all(2 < p <= amax and nt.is_prime(p) for p in calls)
 
 
 def brute_rho(f, D):
