@@ -21,8 +21,9 @@ import sys
 
 from . import tables
 from .abgroup import format_group, group_to_json
-from .errors import BoundExceeded, DegreeOutOfRange, KQ2Error, UsageError
+from .errors import BoundExceeded, DegreeOutOfRange, InadmissibleQ, KQ2Error, UsageError
 from .fields import (
+    Q_SEARCH_BOUND,
     RealQuadratic,
     ResolvedField,
     choose_q,
@@ -56,8 +57,16 @@ def _field_meta(field: ResolvedField) -> dict:
     }
 
 
-def _choose_q(args, field: ResolvedField, notes: list[str]) -> int:
-    q = choose_q(field, args.q)
+def _choose_q(args, field: ResolvedField, notes: list[str], tags) -> int | None:
+    """The command's q; None, with a note, where the search finds no q and
+    none of the theories in ``tags`` reads one."""
+    try:
+        q = choose_q(field, args.q)
+    except InadmissibleQ:
+        if args.q is not None or any(tag.needs_q for tag in tags):
+            raise
+        notes.append(f"no congruence-admissible prime q exists below {Q_SEARCH_BOUND}; no theory here reads q")
+        return None
     if args.q is None:
         notes.append(f"q = {q} auto-selected (smallest congruence-admissible prime)")
     else:
@@ -168,7 +177,7 @@ def _cmd_group(args) -> int:
     field = resolve(parse_field(args.field))
     notes: list[str] = []
     _generic_note(field, notes)
-    q = _choose_q(args, field, notes)
+    q = _choose_q(args, field, notes, [tag])
     g = tables.query(tag, args.n, field, q)
     _kbar_note([tag], [args.n], notes)
     payload = {
@@ -202,7 +211,7 @@ def _cmd_table(args) -> int:
     field = resolve(parse_field(args.field))
     notes: list[str] = []
     _generic_note(field, notes)
-    q = _choose_q(args, field, notes)
+    q = _choose_q(args, field, notes, tags)
     # each theory's field and q rules are checked once, when its column is built
     columns = [tables.column(tag, field, q) for tag in tags]
     # the tables are almost 8-periodic, so one row of groups per period
@@ -305,7 +314,7 @@ def _cmd_verify(args) -> int:
     _check_n_max(args.n_max, verify.N_MAX_LEAST)
     field = resolve(parse_field(args.field))
     notes: list[str] = []
-    q = _choose_q(args, field, notes)
+    q = _choose_q(args, field, notes, tables.THEORIES.values())  # run_all reads them all
     reports = verify.run_all(field, q, args.n_max)
     failures = [rep for rep in reports if not rep.passed]
     human = [f"# {verify.REPORT_HEADER}"]

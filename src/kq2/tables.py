@@ -14,10 +14,10 @@ and degrees 7 mod 8 also read e = nu2(n // 8 + 1): a degree n reads the
 same rows as its period degree ``period_degree(n)``, and a column
 evaluates each period class once.
 
-The module also carries a fault-injection switch used by the verification
-suite to prove its own discriminating power: any single row of the stored
-tables over R_F and of the building block can be perturbed by an extra Z/2
-summand.  The topological rows are kept off the switch.
+All 96 stored rows live in one row store, and a column reads the store as
+it stood when the column was built.  The verification suite proves its own
+discriminating power with ``fault_injection``, which swaps in a copy of one
+table with one row perturbed by an extra Z/2 summand.
 """
 
 from __future__ import annotations
@@ -58,30 +58,30 @@ def t(n: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 # Stored row templates with fault injection
 
-_FAULTS: set[tuple[str, int]] = set()
-
 
 class fault_injection:
-    """Temporarily corrupt one stored table row by an extra Z/2 summand:
-    ``with fault_injection(table, row): ...``."""
+    """Temporarily corrupt one stored row by an extra Z/2 summand, for the
+    columns built inside ``with fault_injection(table, row): ...``."""
 
     def __init__(self, table: str, row: int) -> None:
-        if table not in _TABLE_ROWS:
+        if table not in _ROWS:
             raise KeyError(f"unknown table {table!r}")
         if not 0 <= row < 8:
             raise ValueError(f"row must be in 0..7, got {row}")
-        self._key = (table, row)
+        self._table, self._row = table, row
 
     def __enter__(self) -> None:
-        _FAULTS.add(self._key)
+        rows = self._clean = _ROWS[self._table]
+        i, clean = self._row, rows[self._row]
+        _ROWS[self._table] = rows[:i] + (lambda c: direct_sum(clean(c), C(2)),) + rows[i + 1:]
 
     def __exit__(self, *exc_info) -> None:
-        _FAULTS.discard(self._key)
+        _ROWS[self._table] = self._clean
 
 
 def fault_sites() -> list[tuple[str, int]]:
-    """Every (table, row) pair the fault switch can perturb."""
-    return [(name, row) for name in sorted(_TABLE_ROWS) for row in range(8)]
+    """Every (table, row) pair that fault_injection can perturb: all 96 rows."""
+    return [(name, row) for name in sorted(_ROWS) for row in range(8)]
 
 
 class _Ctx:
@@ -109,7 +109,8 @@ def _from_degree_8(c: _Ctx) -> FgAb2:
     return ZERO
 
 
-_TABLE_ROWS = {
+# The one row store: every stored table, 8 rows each, indexed by n mod 8
+_ROWS = {
     # hermitian K of R_F, orthogonal column
     "kq_rf+": (
         lambda c: direct_sum(_d0(c), Z(c.r), C(2)),
@@ -219,13 +220,8 @@ _TABLE_ROWS = {
         lambda c: direct_sum(Z(1), C(2)),
         lambda c: C(2),
     ),
-}
-
-# The homotopy groups of the topological theories, stored and read like the
-# tables above but kept off the fault switch, which covers the paper's tables.
-# The finite-field theories are derived from them (see _adams_fiber).
-_UNFAULTED_ROWS = {
-    # real topological K-theory, period 8
+    # real topological K-theory, period 8; the finite-field theories are
+    # derived from ko and ku (see _adams_fiber)
     "ko": (
         lambda c: Z(1),
         lambda c: C(2),
@@ -249,25 +245,20 @@ _UNFAULTED_ROWS = {
     ),
 }
 
-_ROWS = {**_TABLE_ROWS, **_UNFAULTED_ROWS}
 
-
-def _eval_row(table: str, ctx: _Ctx) -> FgAb2:
-    row = ctx.n % 8
-    g = _ROWS[table][row](ctx)
-    if (table, row) in _FAULTS:
-        g = direct_sum(g, C(2))
-    return g
+def _eval_row(rows: tuple, ctx: _Ctx) -> FgAb2:
+    return rows[ctx.n % 8](ctx)
 
 
 def _reader(table: str, r: int, a: int, q: int | None) -> Callable[[int], FgAb2]:
-    """n -> the stored row of ``table`` at degree n >= 0, for the field
-    parameters r and a and the auxiliary prime q; ``column`` checks n."""
+    """n -> the row of ``table`` in the store as it is now, at degree n >= 0,
+    for the field parameters r and a and the auxiliary prime q."""
+    rows = _ROWS[table]
     ctx = _Ctx(0, 0, r, a, q)  # each read sets its degree: one _Ctx per cell cost a third of a read
 
     def read(n: int) -> FgAb2:
         ctx.n, ctx.k = n, n // 8
-        return _eval_row(table, ctx)
+        return _eval_row(rows, ctx)
     return read
 
 
@@ -440,11 +431,12 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
     degree 1 it is KQ_1(F_q) = O(F_q)^ab, detected by the determinant and
     the spinor norm (Friedlander).  In the other degrees the fiber sequence
     does not decide the extension, and the split sum is kept as the
-    tabulated choice."""
-    read = _reader(top, 1, 2, None)
-    pi = tuple(read(m + shift) for m in range(8))  # pi_m X at m mod 8
-
+    tabulated choice.  The eight pi_m are read when the column is built, so
+    a fault on a ko or ku row reaches the derived columns built under it."""
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+        read = _reader(top, 1, 2, None)
+        pi = tuple(read(m + shift) for m in range(8))  # pi_m X at m mod 8
+
         def fiber(n: int) -> FgAb2:
             above, here = pi[(n + 1) % 8], pi[n % 8]
             coker = C(val2_q_power(q, weight(n + 1))) if above.rank else above
@@ -483,9 +475,8 @@ def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | N
     2-integers need a 2-regular field.  Each period class of degrees (see
     period_degree) is evaluated once per column, at its period degree; a
     negative degree of a theory with a degree axis raises NegativeDegree,
-    which names the theory.  While a fault is injected the memo is neither
-    read nor filled, and degree n itself is read, so a column sees the
-    fault switch whenever it was built."""
+    which names the theory.  The column reads the row store as it stood
+    when the column was built (see fault_injection)."""
     if tag.needs_q and q is None:
         raise UsageError(f"theory {tag.name} needs q")
     read = tag.build(field, q)
@@ -496,8 +487,6 @@ def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | N
     def cell(n: int) -> FgAb2:
         if n < 0:
             raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
-        if _FAULTS:
-            return read(n)
         p = period_degree(n)
         g = memo.get(p)
         if g is None:

@@ -9,11 +9,11 @@ t(n, q) = w((n+1)/2, a), the wedge description of the orthogonal V-theory,
 and the low-degree computations.  Boundary maps are not modeled, so the
 checks are necessary-condition checks; they do not by themselves prove the
 tables correct.  Fault injection in the tests adds one Z/2 to each of the
-80 stored rows of tables.fault_sites() in turn, and the suite rejects every
-one.  The rows of KO and KU are stored too, but kept off the fault switch,
-so that test does not reach them.  KFq, KQFq+ and KQFq- are derived from
-the KO and KU rows, not stored, so the report that KQFq+ complements KO in
-the building block checks the stored kq_bar+ rows against that derivation.
+96 stored rows of tables.fault_sites() in turn, KO and KU included, and on
+the fields of the tests the suite rejects every one but the 8 KU rows on Q.
+KFq, KQFq+ and KQFq- are derived from the KO and KU rows, not stored, so
+the report that KQFq+ complements KO in the building block checks the
+stored kq_bar+ rows against that derivation.
 The low-degree computations read no stored row, so the low-degree report
 compares two independent derivations.  The groups read a degree only
 through its period degree (tables.period_degree): they are 8-periodic,

@@ -95,6 +95,39 @@ def test_inadmissible_q_exits_2(capsys):
     assert "InadmissibleQ" in err
 
 
+# no admissible prime lies below Q_SEARCH_BOUND for a >= 21: a command whose
+# theories read no q runs without one, and every other command exits 2
+NO_Q_FIELD = "generic r=1 a=21 regular"
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("group", "--theory", "K", "--n", "3"), "Z/8388608"),
+    (("table", "--n-max", "3", "--theories", "K,KQ+"), "n  K          KQ+"),
+])
+def test_commands_that_read_no_q_run_without_one(capsys, argv, first):
+    code, out, err = run(capsys, *argv, "--field", NO_Q_FIELD)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == first
+    assert lines[-1] == f"# no congruence-admissible prime q exists below {fields.Q_SEARCH_BOUND}; no theory here reads q"
+    code, out, _ = run(capsys, *argv, "--field", NO_Q_FIELD, "--json")
+    assert code == 0 and json.loads(out)["q"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify",),
+    ("find-q",),
+    ("group", "--theory", "KFq", "--n", "3"),
+    ("table", "--n-max", "3", "--theories", "K,KQbar+"),
+    ("group", "--theory", "K", "--n", "3", "--q", "7"),
+    ("table", "--n-max", "3", "--theories", "K", "--q", "7"),
+])
+def test_commands_that_read_q_exit_2_without_one(capsys, argv):
+    code, out, err = run(capsys, *argv, "--field", NO_Q_FIELD)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: InadmissibleQ: ")
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, _ = run(capsys, "group", "--theory", "BOGUS", "--n", "1")
     assert code == 1

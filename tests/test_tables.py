@@ -228,16 +228,21 @@ def test_fault_injection_is_scoped():
     with tb.fault_injection("kq_bar-", 4):
         assert cell("KQbar-", 4, Q, 3) != clean
     assert cell("KQbar-", 4, Q, 3) == clean
-    assert len(tb.fault_sites()) == 80
+    assert len(tb.fault_sites()) == 96  # 12 tables of 8 rows, ko and ku included
 
 
-# KO and KU are stored rows too, but not fault sites
-def test_unfaulted_rows_are_off_the_fault_switch():
-    for table in ("ko", "ku"):
-        with pytest.raises(KeyError):
-            tb.fault_injection(table, 0)
-    tables = ("k_bar", "k_rf", "kq_bar+", "kq_bar-", "kq_rf+", "kq_rf-", "v_bar+", "v_bar-", "v_rf+", "v_rf-")
-    assert tb.fault_sites() == [(table, row) for table in tables for row in range(8)]
+# the finite-field theories are derived from the ko and ku rows, so a fault
+# on one of those rows reaches the derived columns built under it
+DERIVED_FROM = {"ko": ("KQFq+", "KQFq-"), "ku": ("KFq",)}
+
+
+def test_topological_row_faults_reach_the_finite_field_columns():
+    for table, names in DERIVED_FROM.items():
+        clean = {name: [cell(name, n, Q, 3) for n in range(17)] for name in names}
+        for row in range(8):
+            with tb.fault_injection(table, row):
+                for name in names:
+                    assert [cell(name, n, Q, 3) for n in range(17)] != clean[name], (table, row, name)
 
 
 GOLDEN_SHA256 = "bf1534835ee003463accdff6b480dc7033b2555695a57c893ec720c152b0f07d"
@@ -290,18 +295,24 @@ def test_table_functions_agree_on_spec_and_record(text):
 
 
 # The column path against a brute-force reader of the stored rows.  The
-# reference reads tb._TABLE_ROWS through tb._Ctx on its own, and takes the
-# injected fault as an argument instead of reading the fault switch; the
-# theories outside tb._TABLE_ROWS are the closed forms of CLOSED_FORMS.
+# reference reads a copy of tb._ROWS taken before any fault, through tb._Ctx
+# on its own, and takes the injected fault as an argument; KO, KU and the
+# finite-field theories are the closed forms of CLOSED_FORMS.
 
 REFERENCE_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+")
 # every degree up to 64, and 8 * 2^j - 1, where w(4k+4) grows, up to the CLI bound
 REFERENCE_DEGREES = list(range(65)) + [8 * 2**j - 1 for j in range(4, 64) if 8 * 2**j - 1 <= N_MAX_BOUND]
 
 
-def _reference_row(table, n, r, a, q, fault):
-    g = tb._TABLE_ROWS[table][n % 8](tb._Ctx(n, n // 8, r, a, q))
+CLEAN_ROWS = dict(tb._ROWS)
+
+
+def _faulted(g, table, n, fault):
     return direct_sum(g, C(2)) if fault == (table, n % 8) else g
+
+
+def _reference_row(table, n, r, a, q, fault):
+    return _faulted(CLEAN_ROWS[table][n % 8](tb._Ctx(n, n // 8, r, a, q)), table, n, fault)
 
 
 # the stored table of each theory that reads the row store
@@ -310,7 +321,8 @@ BAR_TABLES = {"KQbar+": "kq_bar+", "KQbar-": "kq_bar-", "Vbar+": "v_bar+", "Vbar
 
 
 def _reference(name, n, field, q, fault):
-    """The group of theory ``name`` in degree n, read from the stored rows."""
+    """The group of theory ``name`` in degree n, read from the stored rows;
+    a finite-field theory whose ko or ku row is faulted is not covered."""
     if name in RF_TABLES:
         return _reference_row(RF_TABLES[name], n, field.r, field.a, None, fault)
     if name in ("U+", "U-"):  # V of the other sign, one degree down
@@ -321,12 +333,15 @@ def _reference(name, n, field, q, fault):
         return _reference_row("k_bar", n, 1, field.a, None, fault)
     if name in BAR_TABLES:
         return _reference_row(BAR_TABLES[name], n, 1, 2, q, fault)
+    if name in TOPOLOGICAL:
+        return _faulted(_closed_form(name, n, q), TOPOLOGICAL[name], n, fault)
     return _closed_form(name, n, q)
 
 
-# the theories off the fault switch, written out here rather than read from
-# the rows: one period in n mod 8, where "t" stands for Z/t(n, q); the
-# finite-field theories also have a Z in degree 0, and only there
+# the theories outside RF_TABLES and BAR_TABLES, written out here rather
+# than read from the rows: one period in n mod 8, where "t" stands for
+# Z/t(n, q); the finite-field theories also have a Z in degree 0, and only
+# there
 CLOSED_FORMS = {
     "KO": (Z(1), C(2), C(2), ZERO, Z(1), ZERO, ZERO, ZERO),
     "KU": (Z(1), ZERO) * 4,
@@ -335,6 +350,9 @@ CLOSED_FORMS = {
     "KQFq-": (ZERO, ZERO, ZERO, "t", C(2), C2(2), C(2), "t"),
 }
 FINITE_FIELD = ("KFq", "KQFq+", "KQFq-")
+TOPOLOGICAL = {"KO": "ko", "KU": "ku"}
+# the table each finite-field theory is derived from
+DERIVED_SOURCE = {name: table for table, names in DERIVED_FROM.items() for name in names}
 
 
 def _closed_form(name, n, q):
@@ -378,24 +396,31 @@ def test_every_column_matches_the_stored_rows(text):
     q = choose_q(field, None)
     names = [name for name, tag in tb.THEORIES.items() if tag.needs_degree]
     assert len(names) == 17
-    # built once, before any fault: a memo that outlived a fault switch, in
-    # either direction, would show below
-    columns = {name: tb.column(tb.THEORIES[name], field, q) for name in names}
+
+    def columns():
+        return {name: tb.column(tb.THEORIES[name], field, q) for name in names}
+
+    def outcomes(read):
+        return {(name, n): _outcome(read[name], n) for name in names for n in REFERENCE_DEGREES}
+
+    # built before any fault: a column reads the rows stored when it was built
+    clean_columns = columns()
     clean = {(name, n): _outcome(_reference, name, n, field, q, None)
              for name in names for n in REFERENCE_DEGREES}
     assert sum(isinstance(v, type) for v in clean.values()) == 3  # U+, U- and Kbar in degree 0
-
-    def check(expected):
-        for name in names:
-            read = columns[name]
-            for n in REFERENCE_DEGREES:
-                assert _outcome(read, n) == expected(name, n), (name, n)
-
-    check(lambda name, n: clean[name, n])
+    assert outcomes(clean_columns) == clean
     for site in tb.fault_sites():
         with tb.fault_injection(*site):
-            check(lambda name, n: _outcome(_reference, name, n, field, q, site))
-        check(lambda name, n: clean[name, n])
+            got = outcomes(columns())
+            # a finite-field theory under a fault on its ko or ku row: the
+            # unmemoized reader built under the same fault
+            derived = {name: tag.build(field, q) for name, tag in tb.THEORIES.items()
+                       if DERIVED_SOURCE.get(name) == site[0]}
+            assert got == {(name, n): _outcome(derived[name], n) if name in derived
+                           else _outcome(_reference, name, n, field, q, site)
+                           for name, n in got}, site
+            assert outcomes(clean_columns) == clean, site
+        assert outcomes(columns()) == clean, site
 
 
 PERIOD_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^7)+", "Q(zeta 11)+", "generic r=3 a=4 regular")
@@ -425,10 +450,9 @@ def test_columns_match_the_unmemoized_readers_at_every_degree(text):
 
 def test_raw_readers_read_the_period_degree_under_every_fault():
     field = resolve(parse_field("generic r=3 a=4 regular"))
-    readers = [(tag.name, tag.build(field, 7)) for tag in DEGREE_THEORIES]
     for site in tb.fault_sites():
-        with tb.fault_injection(*site):
-            for name, read in readers:
+        with tb.fault_injection(*site):  # a reader built outside would read no fault
+            for name, read in [(tag.name, tag.build(field, 7)) for tag in DEGREE_THEORIES]:
                 for n in range(513):
                     assert _outcome(read, n) == _outcome(read, tb.period_degree(n)), (site, name, n)
 
@@ -436,7 +460,7 @@ def test_raw_readers_read_the_period_degree_under_every_fault():
 def _count_row_reads(monkeypatch):
     calls = []
     eval_row = tb._eval_row
-    monkeypatch.setattr(tb, "_eval_row", lambda table, ctx: calls.append(ctx.n) or eval_row(table, ctx))
+    monkeypatch.setattr(tb, "_eval_row", lambda rows, ctx: calls.append(ctx.n) or eval_row(rows, ctx))
     return calls
 
 
@@ -446,11 +470,13 @@ def test_table_reads_each_period_class_once(monkeypatch, capsys):
     names = [tag.name for tag in DEGREE_THEORIES]
     assert cli.main(["table", "--n-max", str(N_MAX_BOUND), "--theories", ",".join(names), "--field", "Q"]) == 0
     assert sum(line[:1].isdigit() for line in capsys.readouterr().out.splitlines()) == N_MAX_BOUND + 1
-    assert 0 < len(calls) <= 17 * 19  # one read per theory and period class; 264 were counted
+    # one read per theory and period class, and the 8 rows each finite-field
+    # column reads when it is built; 288 were counted
+    assert 0 < len(calls) <= 17 * 19
 
 
 def test_verify_reads_each_period_class_once(monkeypatch):
     from kq2 import verify
     calls = _count_row_reads(monkeypatch)
     assert all(rep.passed for rep in verify.run_all(parse_field("Q(zeta 11)+"), None, 350))
-    assert 0 < len(calls) <= 17 * 14  # 14 period classes in n <= 358; 192 were counted
+    assert 0 < len(calls) <= 17 * 14  # 14 period classes in n <= 358; 216 were counted

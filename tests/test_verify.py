@@ -129,6 +129,10 @@ PAIRED_TABLES = {"k_rf": "k_bar", "kq_rf+": "kq_bar+", "kq_rf-": "kq_bar-", "v_r
 # from the ko rows and no longer read from kq_bar+
 PAIRED_ESCAPES = {("kq_rf-", 2), ("kq_rf-", 6), ("kq_rf-", 7)} | {
     (table, row) for table in ("v_rf-", "k_rf") for row in range(8)}
+# the single faults the suite does not catch yet: the ku rows on Q, where
+# r = 1, so the splittings read no KU
+SINGLE_ESCAPES = {"Q": {("ku", row) for row in range(8)},
+                  "Q(sqrt 2)": set(), "Q(sqrt 6)": set(), "Q(zeta 2^4)+": set()}
 
 
 def run_faulty(spec, n_max, *sites):
@@ -148,7 +152,7 @@ def test_paired_faults_escape_only_where_documented(text):
         return not all(rep.passed for rep in run_faulty(spec, 64, *sites))
 
     assert not caught()
-    assert all(caught(site) for site in tb.fault_sites())
+    assert {site for site in tb.fault_sites() if not caught(site)} == SINGLE_ESCAPES[text]
     escapes = {(table, row) for table, bar in PAIRED_TABLES.items() for row in range(8)
                if not caught((table, row), (bar, row))}
     assert escapes == PAIRED_ESCAPES
