@@ -214,47 +214,39 @@ def _cmd_table(args) -> int:
     q = _choose_q(args, field, notes, tags)
     # each theory's field and q rules are checked once, when its column is built
     columns = [tables.column(tag, field, q) for tag in tags]
-    # the tables are almost 8-periodic, so one row of groups per period
-    # class fills the table, a few distinct rows are among them, and a few
-    # distinct groups fill those rows: each degree keeps the index of its
-    # row among the distinct ones, and each row and group is rendered once
-    distinct_rows: dict[tuple, int] = {}
-    class_rows: dict[int, int] = {}  # period degree -> index of its row
-    rows = []
-    for n in range(0, args.n_max + 1):
-        p = tables.period_degree(n)
-        i = class_rows.get(p)
-        if i is None:
-            groups = []
-            for col in columns:
-                try:
-                    groups.append(col(p))
-                except DegreeOutOfRange:
-                    groups.append(None)  # theory not defined in this degree
-            i = class_rows[p] = distinct_rows.setdefault(tuple(groups), len(distinct_rows))
-        rows.append((n, i))
-    _kbar_note(tags, range(args.n_max + 1), notes)
-    distinct = dict.fromkeys(g for groups in distinct_rows for g in groups)
+    # one row of groups per period class, at its period degree, fills the
+    # table, and each row and distinct group is rendered once
+    pd = tables.period_degrees(args.n_max + 1)
+    rows: dict[int, list] = {}  # period degree -> its groups, None where undefined
+    for p in dict.fromkeys(pd):
+        groups = rows[p] = []
+        for col in columns:
+            try:
+                groups.append(col(p))
+            except DegreeOutOfRange:
+                groups.append(None)  # theory not defined in this degree
+    _kbar_note(tags, rows, notes)
+    distinct = dict.fromkeys(g for groups in rows.values() for g in groups)
     text = {g: "-" if g is None else format_group(g) for g in distinct}
     if args.json:
         as_json = {g: None if g is None else {**group_to_json(g), "formatted": text[g]} for g in distinct}
-        # one dict per distinct row, which _dumps renders once
-        bodies = [{tag.name: as_json[g] for tag, g in zip(tags, groups)} for groups in distinct_rows]
+        # one dict per class, which _dumps renders once
+        bodies = {p: {tag.name: as_json[g] for tag, g in zip(tags, groups)} for p, groups in rows.items()}
         _emit(args, {
             "query": {"command": "table", "theories": [t.name for t in tags],
                       "n_max": args.n_max, "field": args.field},
             "field": _field_meta(field),
             "q": q,
-            "results": [{"n": n, "groups": bodies[i]} for n, i in rows],
+            "results": [{"n": n, "groups": bodies[p]} for n, p in enumerate(pd)],
             "notes": notes,
         }, [])
         return EXIT_OK
-    cells = [[tag.name for tag in tags]] + [[text[g] for g in groups] for groups in distinct_rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(tags))]
-    padded = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
+    # the header row is keyed "n", the class rows by their period degrees
+    cells = {"n": [tag.name for tag in tags], **{p: [text[g] for g in groups] for p, groups in rows.items()}}
+    widths = [max(map(len, column)) for column in zip(*cells.values())]
+    padded = {p: "  ".join(c.ljust(w) for c, w in zip(row, widths)) for p, row in cells.items()}
     first = len(str(args.n_max))  # the width of the degree column, which "n" never exceeds
-    human = [f"{degree:<{first}}  {padded[i]}".rstrip()
-             for degree, i in [("n", 0)] + [(n, i + 1) for n, i in rows]]
+    human = [f"{n:<{first}}  {padded[p]}".rstrip() for n, p in [("n", "n"), *enumerate(pd)]]
     _emit(args, {}, human + [f"# {note}" for note in notes])
     return EXIT_OK
 

@@ -104,8 +104,8 @@ def _d0(c: _Ctx) -> FgAb2:
 
 
 def _from_degree_8(c: _Ctx) -> FgAb2:
-    if c.n == 0:
-        raise DegreeOutOfRange("k_bar is tabulated for n >= 1")
+    if c.n == 0:  # k_bar is read by Kbar alone
+        raise DegreeOutOfRange(f"theory Kbar needs n >= 1, got {c.n}")
     return ZERO
 
 
@@ -286,6 +286,12 @@ def period_degree(n: int) -> int:
     return row or 8
 
 
+def period_degrees(stop: int) -> list[int]:
+    """The period degrees of the degrees 0..stop - 1, in order: the one list
+    that table and verify walk the period classes by."""
+    return list(map(period_degree, range(stop)))
+
+
 def k_bar_uses_resolved_order(n: int) -> bool:
     """Degrees whose stored torsion order comes from the even-index
     convention w(4k+4) rather than a literal transcription."""
@@ -388,14 +394,14 @@ def _rf(table: str):
 def _u(eps: int):
     """The reader builder of U at the sign eps: the V-theory of the other
     sign, one degree down."""
-    v = _rf(_sign("v_rf", -eps))
+    v, name = _rf(_sign("v_rf", -eps)), _sign("U", eps)
 
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
         read = v(field, q)
 
         def shifted(n: int) -> FgAb2:
             if n < 1:
-                raise DegreeOutOfRange(f"u_rf needs n >= 1, got {n}")
+                raise DegreeOutOfRange(f"theory {name} needs n >= 1, got {n}")
             return read(n - 1)
         return shifted
     return build
@@ -420,11 +426,12 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
     m + shift (Quillen, Annals 96, 1972; Friedlander, Topology 15, 1976).
     ku gives KFq, ko gives KQFq+, and KSp, ko four degrees up, KQFq-.
 
-    psi^q acts as q^weight(m) on a Z in pi_m X and as the identity on a
-    Z/2, since q is odd.  So pi_n F is coker(psi^q - 1 on pi_(n+1) X), the
-    2-part Z/val2_q_power(q, weight(n+1)) on a Z and Z/2 on a Z/2, extended
-    by ker(psi^q - 1 on pi_n X): Z on pi_0, where the weight is 0, 0 on any
-    other Z, and Z/2 on a Z/2.
+    psi^q acts as q^weight(m) on the Z summands of pi_m X and as the
+    identity on its torsion, a 2-group, since q is odd.  So pi_n F is
+    coker(psi^q - 1 on pi_(n+1) X), the 2-part Z/val2_q_power(q,
+    weight(n+1)) per Z plus the torsion, extended by ker(psi^q - 1 on
+    pi_n X), the torsion plus, in degree 0 where the weight is 0, the Z
+    summands.
 
     Both ends are Z/2 only in degrees 1 mod 8 of KQFq+ and 5 mod 8 of
     KQFq-, where pi_n F is Z/4 or (Z/2)^2, and the split sum is taken.  In
@@ -439,10 +446,8 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
 
         def fiber(n: int) -> FgAb2:
             above, here = pi[(n + 1) % 8], pi[n % 8]
-            coker = C(val2_q_power(q, weight(n + 1))) if above.rank else above
-            if here.torsion or (here.rank and not weight(n)):
-                return direct_sum(coker, here)  # here is the kernel
-            return coker
+            coker = (val2_q_power(q, weight(n + 1)),) * above.rank if above.rank else ()
+            return FgAb2(0 if weight(n) else here.rank, coker + above.torsion + here.torsion)
         return fiber
     return build
 

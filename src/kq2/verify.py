@@ -15,15 +15,10 @@ KFq, KQFq+ and KQFq- are derived from the KO and KU rows, not stored, so
 the report that KQFq+ complements KO in the building block checks the
 stored kq_bar+ rows against that derivation.
 The low-degree computations read no stored row, so the low-degree report
-compares two independent derivations.  The groups read a degree only
-through its period degree (tables.period_degree): they are 8-periodic,
-except that degree 0 is its own class and degrees 7 mod 8 also read
-e = nu2(n // 8 + 1).  The splittings and the
-per-degree extras each list the period degrees once per run, and each
-equality report over the degrees takes the keys of its points, the period
-degrees of the cells each point reads, as slices and zips of that list: it
-evaluates a case only at the first point of each distinct key, still counts
-every point, and reports the first failing one.
+compares two independent derivations.  A group reads its degree only
+through its period degree (tables.period_degree), so each equality report
+over the degrees compares the cells of a point at their period degrees,
+its key, once per distinct key, and still counts every point.
 """
 
 from __future__ import annotations
@@ -74,32 +69,21 @@ class CheckReport(Record):
         return out
 
 
-def _equality_report(name: str, points: Sequence[tuple], keys: Sequence, case: Callable,
-                     details: str) -> CheckReport:
-    """Compare ``case(*point) = (params, expected, actual)`` at the points,
-    tuples of arguments, in order.  ``keys[i]`` names the cells that the
-    case reads at ``points[i]`` by their period degrees (and signs); a group
-    reads its degree only through the period degree, so a point whose key
-    was met at an earlier point repeats a passed comparison.  Every point is
-    counted, and the case is evaluated only at the first point of each
-    distinct key, in ascending point order; the first failure found is the
-    first failing point."""
+def _equality_report(name: str, points: Sequence[tuple], keys: list[tuple], compare: Callable,
+                     params: Callable[..., dict], details: str) -> CheckReport:
+    """Check ``compare(*keys[i]) = (expected, actual)`` for equality at each
+    point, in order.  ``keys[i]`` holds the period degrees (and sign) of
+    the cells compared at ``points[i]``, so a key met before repeats a
+    passed comparison: each distinct key is compared once, in the order of
+    its first point, and every point is counted.  The counterexample names
+    ``params(*point)`` of the first failing point."""
     assert len(keys) == len(points), "one key per point"
-    # key -> index of its first point: walked backwards, a key keeps its first index
-    firsts = dict(zip(reversed(keys), reversed(range(len(keys)))))
-    for i in sorted(firsts.values()):
-        params, expected, actual = case(*points[i])
+    for key in dict.fromkeys(keys):
+        expected, actual = compare(*key)
         if expected != actual:
-            return CheckReport(
-                name,
-                False,
-                f"first failure at {params}",
-                {
-                    **params,
-                    "expected": format_group(expected),
-                    "actual": format_group(actual),
-                },
-            )
+            at = params(*points[keys.index(key)])
+            return CheckReport(name, False, f"first failure at {at}",
+                               {**at, "expected": format_group(expected), "actual": format_group(actual)})
     return CheckReport(name, True, f"{details} ({len(keys)} cases)")
 
 
@@ -125,19 +109,12 @@ _SPLITTINGS = (
 )
 
 
-def _period_degrees(n_max: int) -> list[int]:
-    """The period degrees (tables.period_degree) of the degrees 0..n_max + 8,
-    the highest that an equality report reads when it checks n <= n_max."""
-    period_degree = tb.period_degree
-    return [period_degree(n) for n in range(n_max + 9)]
-
-
 def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies, for n <= n_max;
     ``col`` maps each theory with a degree axis to its column on the
     2-regular ``field`` (see run_all)."""
-    pd = _period_degrees(n_max)
+    pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
     return [
         _equality_report(
@@ -145,8 +122,9 @@ def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckR
             degrees[first:],
             list(zip(pd[first:n_max + 1], pd[first + shift:])),
             # consumed by _equality_report before the next identity is bound
-            lambda n: ({"identity": identity, "n": n, "r": field.r}, col[identity](n),
-                       direct_sum(col[block](n), n_copies(copies * (field.r - 1), col[top](n + shift)))),
+            lambda p, p_top: (col[identity](p), direct_sum(
+                col[block](p), n_copies(copies * (field.r - 1), col[top](p_top)))),
+            lambda n: {"identity": identity, "n": n, "r": field.r},
             f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}",
         )
         for identity, name, first, block, top, copies, shift in _SPLITTINGS
@@ -262,11 +240,11 @@ def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
 
 def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
     r, ko = field.r, col["KO"]
-    pd = _period_degrees(n_max)
+    pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
     signs = (1, -1)
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
     signed = [(n, eps) for n in range(n_max + 1) for eps in signs]  # the points (n, eps)
-    periods = pd[:n_max + 1]
+    periods = list(zip(pd[:n_max + 1]))
     low = {eps: tb.low_dim(field, eps) for eps in signs}
     low_points = [(n, eps) for eps in signs for n in (0, 1)]
     return [
@@ -274,35 +252,40 @@ def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckRepo
             "V+ is 2r copies of KO",
             degrees,
             periods,
-            lambda n: ({"n": n, "r": r}, col["V+"](n), n_copies(2 * r, ko(n))),
+            lambda p: (col["V+"](p), n_copies(2 * r, ko(p))),
+            lambda n: {"n": n, "r": r},
             f"n <= {n_max}",
         ),
         _equality_report(
             "U-theory is sign-swapped V-theory shifted by one",
             signed[2:],
-            [(cells, eps) for cells in zip(pd[1:n_max + 1], pd[:n_max]) for eps in signs],
-            lambda n, eps: ({"n": n, "eps": eps}, col["U" + _SIGN[eps]](n), col["V" + _SIGN[-eps]](n - 1)),
+            [(p, p_below, eps) for p, p_below in zip(pd[1:n_max + 1], pd[:n_max]) for eps in signs],
+            lambda p, p_below, eps: (col["U" + _SIGN[eps]](p), col["V" + _SIGN[-eps]](p_below)),
+            lambda n, eps: {"n": n, "eps": eps},
             f"1 <= n <= {n_max}",
         ),
         _equality_report(
             "V-theory 8-periodicity",
             signed,
-            [(cells, eps) for cells in zip(periods, pd[8:]) for eps in signs],
-            lambda n, eps: ({"n": n, "eps": eps}, col["V" + _SIGN[eps]](n), col["V" + _SIGN[eps]](n + 8)),
+            [(p, p_above, eps) for p, p_above in zip(pd[:n_max + 1], pd[8:]) for eps in signs],
+            lambda p, p_above, eps: (col["V" + _SIGN[eps]](p), col["V" + _SIGN[eps]](p_above)),
+            lambda n, eps: {"n": n, "eps": eps},
             f"n <= {n_max}",
         ),
         _equality_report(
             "orthogonal finite-field groups complement KO in the building block",
             degrees,
             periods,
-            lambda n: ({"n": n}, col["KQbar+"](n), direct_sum(col["KQFq+"](n), ko(n))),
+            lambda p: (col["KQbar+"](p), direct_sum(col["KQFq+"](p), ko(p))),
+            lambda n: {"n": n},
             f"n <= {n_max}",
         ),
         _equality_report(
             "low-degree computations agree with the table",
             low_points,
             low_points,
-            lambda n, eps: ({"n": n, "eps": eps}, low[eps][n], col["KQ" + _SIGN[eps]](n)),
+            lambda n, eps: (low[eps][n], col["KQ" + _SIGN[eps]](n)),
+            lambda n, eps: {"n": n, "eps": eps},
             "degrees 0 and 1, both signs",
         ),
     ]

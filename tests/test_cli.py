@@ -86,7 +86,15 @@ def test_u_in_degree_0_is_out_of_range_on_a_regular_field(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "1", "--theories", "U+,U-", "--field", "Q")
     assert code == 0 and out.splitlines()[1].split() == ["0", "-", "-"]
     code, _, err = run(capsys, "group", "--theory", "U-", "--n", "0", "--field", "Q")
-    assert code == 2 and err == "error: DegreeOutOfRange: u_rf needs n >= 1, got 0\n"
+    assert code == 2 and err == "error: DegreeOutOfRange: theory U- needs n >= 1, got 0\n"
+    code, _, err = run(capsys, "group", "--theory", "U+", "--n", "0", "--field", "Q")
+    assert code == 2 and err == "error: DegreeOutOfRange: theory U+ needs n >= 1, got 0\n"
+
+
+def test_kbar_in_degree_0_names_the_theory(capsys):
+    code, out, err = run(capsys, "group", "--theory", "Kbar", "--n", "0", "--field", "Q")
+    assert (code, out) == (2, "")
+    assert err == "error: DegreeOutOfRange: theory Kbar needs n >= 1, got 0\n"
 
 
 def test_inadmissible_q_exits_2(capsys):

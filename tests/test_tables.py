@@ -245,6 +245,18 @@ def test_topological_row_faults_reach_the_finite_field_columns():
                     assert [cell(name, n, Q, 3) for n in range(17)] != clean[name], (table, row, name)
 
 
+
+def test_a_mixed_homotopy_group_splits_into_its_free_and_torsion_parts():
+    # a ko row 0 fault makes pi_0 KO = Z + Z/2: psi^q - 1 is q^4 - 1 on the
+    # Z in degree 8 and 0 on the Z/2, so the Z leaves the kernel there while
+    # the Z/2 stays in both the kernel and the cokernel
+    with tb.fault_injection("ko", 0):
+        read = tb.column(tb.THEORIES["KQFq+"], Q, 3)
+        assert [read(n) for n in (0, 7, 8)] == [direct_sum(Z(1), C2(2)), direct_sum(C(2), C(16)), C2(2)]
+    read = tb.column(tb.THEORIES["KQFq+"], Q, 3)
+    assert [read(n) for n in (0, 7, 8)] == [direct_sum(Z(1), C(2)), C(16), C(2)]
+
+
 GOLDEN_SHA256 = "bf1534835ee003463accdff6b480dc7033b2555695a57c893ec720c152b0f07d"
 GOLDEN_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+",
                  "generic r=3 a=2 regular")
@@ -473,6 +485,27 @@ def test_table_reads_each_period_class_once(monkeypatch, capsys):
     # one read per theory and period class, and the 8 rows each finite-field
     # column reads when it is built; 288 were counted
     assert 0 < len(calls) <= 17 * 19
+
+
+@pytest.mark.parametrize("theories", [",".join(tag.name for tag in DEGREE_THEORIES), "KO,KU"])
+@pytest.mark.parametrize("text", ["Q", "Q(zeta 2^5)+"])
+def test_table_matches_the_unmemoized_readers_at_every_degree(text, theories, capsys):
+    import json
+    from kq2 import cli
+    from kq2.abgroup import group_to_json
+    assert cli.main(["table", "--json", "--n-max", "300", "--theories", theories, "--field", text]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    field, q = resolve(parse_field(text)), payload["q"]
+    reads = {name: tb.THEORIES[name].build(field, q) for name in theories.split(",")}
+
+    def expected(read, n):
+        g = _outcome(read, n)
+        return None if g is DegreeOutOfRange else {**group_to_json(g), "formatted": format_group(g)}
+
+    # in most theories degrees 8 and 255 share n mod 8 with 0 and 7, not their groups
+    assert [row["n"] for row in payload["results"]] == list(range(301))
+    for row in payload["results"]:
+        assert row["groups"] == {name: expected(read, row["n"]) for name, read in reads.items()}, row["n"]
 
 
 def test_verify_reads_each_period_class_once(monkeypatch):

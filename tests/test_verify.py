@@ -216,18 +216,39 @@ def test_reports_match_a_per_degree_reference_when_one_period_class_is_off(name,
     assert not all(rep.passed for rep in got)
 
 
+@pytest.mark.parametrize("eps", [1, -1])
+def test_v_periodicity_compares_each_degree_with_the_degree_eight_up(eps, monkeypatch):
+    # V of one sign gains a Z/2 on the period class of degree 255 only; the
+    # periodicity report first reads that class at n = 247, eight below, and
+    # a report that compared V(n) with itself would pass
+    from kq2.abgroup import C2, direct_sum
+    column, period_degree, name = tb.column, tb.period_degree, "V" + vf._SIGN[eps]
+
+    def off_by_one_class(tag, field, q):
+        col = column(tag, field, q)
+        if tag.name != name:
+            return col
+        return lambda n: direct_sum(col(n), C2(1)) if period_degree(n) == 255 else col(n)
+
+    monkeypatch.setattr(tb, "column", off_by_one_class)
+    reports = {rep.name: rep for rep in vf.run_all(parse_field("Q"), None, 350)}
+    found = reports["V-theory 8-periodicity"].counterexample
+    assert (found["n"], found["eps"]) == (247, eps)
+    assert found["expected"] != found["actual"]
+
+
 def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
     report, seen = vf._equality_report, {}
 
-    def recording(name, points, keys, case, details):
+    def recording(name, points, keys, compare, params, details):
         calls = []
 
-        def counted(*point):
-            calls.append(point)
-            return case(*point)
+        def counted(*key):
+            calls.append(key)
+            return compare(*key)
 
         seen[name] = points, keys, calls
-        return report(name, points, keys, counted, details)
+        return report(name, points, keys, counted, params, details)
 
     monkeypatch.setattr(vf, "_equality_report", recording)
     reports = {rep.name: rep for rep in vf.run_all(parse_field("Q(zeta 2^5)+"), None, 350)}
@@ -235,10 +256,11 @@ def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
     for name, (points, keys, calls) in seen.items():
         assert len(keys) == len(points)
         first = {}
-        for point, key in zip(points, keys):
-            first.setdefault(key, point)
-        # one call per distinct key, at its first point, in ascending point order
-        assert calls == list(first.values()), name
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        # one call per distinct key, at its first point, in ascending point
+        # order, and compare receives exactly that point's key
+        assert calls == [keys[i] for i in first.values()], name
         assert reports[name].passed
         assert reports[name].details.endswith(f" ({len(points)} cases)")
     # each report over the degrees n <= 350 shares cells between degrees
@@ -248,7 +270,7 @@ def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
 def test_an_equality_report_needs_one_key_per_point():
     # fewer keys than points would leave the later points unchecked
     with pytest.raises(AssertionError):
-        vf._equality_report("r", [(0,), (1,)], [0], lambda n: ({"n": n}, 0, 0), "")
+        vf._equality_report("r", [(0,), (1,)], [(0,)], lambda n: (0, 0), lambda n: {"n": n}, "")
 
 
 def test_failing_ses_reports_name_their_own_groups(monkeypatch):
