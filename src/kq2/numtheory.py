@@ -18,6 +18,7 @@ TRIAL_DIVISION_BOUND = 10**12
 CLASS_NUMBER_BOUND = 10**6
 # caps every continued-fraction walk and every form reduction
 CF_STEP_BOUND = 10**6
+_ODD_PRIMES: list[int] = []  # the odd primes up to isqrt(CLASS_NUMBER_BOUND), sieved on first use
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +206,24 @@ def _require_squarefree_d(d: int) -> None:
         raise ValueError(f"d must be squarefree, got {d}")
 
 
-def _cf_reduced_period(P0: int, Q0: int, d: int) -> list[int]:
-    """Partial quotients over one period of the purely periodic continued
-    fraction of the reduced irrational (P0 + sqrt(d))/Q0.
+def _cf_reduced_period(P0: int, Q0: int, d: int) -> tuple[list[int], list[int]]:
+    """Partial quotients a_i over one period of the purely periodic continued
+    fraction of the reduced irrational (P0 + sqrt(d))/Q0, and the Q_(i+1).
 
     Requires Q0 | d - P0^2; the recurrence preserves that invariant.
     """
     s = isqrt(d)
     P, Q = P0, Q0
     quotients: list[int] = []
+    denominators: list[int] = []
     while True:
         a = (P + s) // Q
         quotients.append(a)
         P = a * Q - P
         Q = (d - P * P) // Q
+        denominators.append(Q)
         if (P, Q) == (P0, Q0):
-            return quotients
+            return quotients, denominators
         if len(quotients) >= CF_STEP_BOUND:
             raise BoundExceeded(f"continued-fraction period of ({P0}+sqrt({d}))/{Q0} exceeds {CF_STEP_BOUND}")
 
@@ -233,10 +236,10 @@ def fundamental_unit(d: int) -> QuadUnit:
     norm is (-1)^(period length).
     """
     _require_squarefree_d(d)
-    return _fundamental_unit(d)
+    return _fundamental_unit(d)[0]
 
 
-def _fundamental_unit(d: int) -> QuadUnit:
+def _fundamental_unit(d: int) -> tuple[QuadUnit, list[int], list[int]]:
     s = isqrt(d)
     if d % 4 == 1:
         # reduced element (P0 + sqrt(d))/2 of Z[(1+sqrt(d))/2]: P0 odd in (sqrt(d)-2, sqrt(d))
@@ -244,7 +247,7 @@ def _fundamental_unit(d: int) -> QuadUnit:
         Q0 = 2
     else:
         P0, Q0 = s, 1
-    quotients = _cf_reduced_period(P0, Q0, d)
+    quotients, denominators = _cf_reduced_period(P0, Q0, d)
     q_prev, q_curr = 1, 0  # q_{-2}, q_{-1}
     for a in quotients:
         q_prev, q_curr = q_curr, a * q_curr + q_prev
@@ -256,42 +259,30 @@ def _fundamental_unit(d: int) -> QuadUnit:
     else:
         x, y, denom = q_curr * P0 + q_prev, q_curr, 1
     norm = -1 if len(quotients) % 2 == 1 else 1
-    return QuadUnit(x, y, denom, d, norm)
+    return QuadUnit(x, y, denom, d, norm), quotients, denominators  # and the period it was read from
 
 
-def _norm_two_element(d: int) -> QuadUnit | None:
-    """An integral element of Q(sqrt(d)) of norm +-2, or None if none exists,
-    for a squarefree d >= 2 (the caller checks d).
+def _norm_two_element(d: int, quotients: list[int], denominators: list[int]) -> QuadUnit | None:
+    """An integral element of norm +-2, or None if none exists, of Q(sqrt(d))
+    for a squarefree d = 2, 3 (mod 4), read off the period of s + sqrt(d).
 
-    For d >= 5 every primitive solution of |x^2 - d y^2| = 2 < sqrt(d) shows
-    up among the convergents of sqrt(d), whose values enumerate the cycle of
-    denominators Q_i; scanning one full period is a complete search.
+    That period walks the states of sqrt(d)'s, so with a_0 = s it gives the
+    convergents p_i/q_i of sqrt(d): p_i^2 - d q_i^2 = (-1)^(i+1) Q_(i+1).
+    For d >= 5 they hold every primitive solution of |x^2 - d y^2| = 2.
     """
-    if d == 2:
-        return QuadUnit(0, 1, 1, 2, -2)
-    if d == 3:
-        return QuadUnit(1, 1, 1, 3, -2)
-    s = isqrt(d)
-    P, Q = 0, 1
+    if d in (2, 3):  # sqrt(2) and 1 + sqrt(3)
+        return QuadUnit(d - 2, 1, 1, d, -2)
+    if 2 not in denominators:
+        return None
     p_prev, p_curr = 0, 1  # p_{-2}, p_{-1}
     q_prev, q_curr = 1, 0  # q_{-2}, q_{-1}
-    seen_states: set[tuple[int, int]] = set()
-    for _ in range(CF_STEP_BOUND):
-        a = (P + s) // Q
+    for a in [isqrt(d), *quotients[1 : denominators.index(2) + 1]]:
         p_prev, p_curr = p_curr, a * p_curr + p_prev
         q_prev, q_curr = q_curr, a * q_curr + q_prev
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        # p_i^2 - d q_i^2 = (-1)^(i+1) Q_(i+1); |value| = 2 iff Q_(i+1) = 2
-        if Q == 2:
-            norm = p_curr * p_curr - d * q_curr * q_curr
-            if abs(norm) != 2:
-                raise RuntimeError(f"convergent bookkeeping broke for d={d}")
-            return QuadUnit(p_curr, q_curr, 1, d, norm)
-        if (P, Q) in seen_states:
-            return None
-        seen_states.add((P, Q))
-    raise BoundExceeded(f"continued fraction of sqrt({d}) exceeded {CF_STEP_BOUND} steps")
+    norm = p_curr * p_curr - d * q_curr * q_curr
+    if abs(norm) != 2:
+        raise RuntimeError(f"convergent bookkeeping broke for d={d}")
+    return QuadUnit(p_curr, q_curr, 1, d, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +318,12 @@ def _rho(f: Form, D: int, s: int) -> Form:
         b2 += ((s - b2) // t) * t  # largest value = -b (mod t) that is <= floor(sqrt(D))
     c2 = (b2 * b2 - D) // (4 * c)
     return (c, b2, c2)
+
+
+def _sigma(a: int, b: int, D: int, s: int) -> tuple[int, int]:
+    """sigma(f) = -rho(f) of a reduced f = (a, b, c) with a > 0, on (a, b)."""
+    a = (D - b * b) // (4 * a)  # -c
+    return a, s - (s + b) % (2 * a)  # the largest b' = -b (mod 2a) up to s
 
 
 def _reduce_form(f: Form, D: int, s: int) -> Form:
@@ -382,10 +379,21 @@ def _lift_roots(roots: list[int], D: int, q: int, p: int) -> list[int]:
     return out
 
 
+def _form(key: int, D: int, W: int) -> Form:
+    a, b = divmod(key, W)
+    return (a, b, (b * b - D) // (4 * a))
+
+
 def reduced_forms(D: int) -> set[Form]:
-    """The reduced indefinite forms (a, b, c) of (nonsquare) discriminant
-    D > 0 with a > 0.  Every other reduced form is the negation (-a, b, -c)
-    of one of these.
+    """The reduced indefinite forms (a, b, c) with a > 0 of (nonsquare)
+    discriminant D > 0; every other is the negation (-a, b, -c) of one."""
+    W = isqrt(D) + 1
+    return {_form(key, D, W) for key in _reduced_form_keys(D)}
+
+
+def _reduced_form_keys(D: int) -> set[int]:
+    """The reduced forms (a, b, c) of reduced_forms(D), each as the key
+    a*W + b, with W = isqrt(D) + 1 > b; c is (b*b - D) // (4a).
 
     (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
     sqrt(D) + b.  Since 2|a| * 2|c| = (sqrt(D) - b)(sqrt(D) + b), |a| lies
@@ -425,11 +433,15 @@ def reduced_forms(D: int) -> set[Form]:
 
     # for each odd prime p <= amax with (D/p) != -1: [(p^k, roots mod p^k)]
     chains: list[list[tuple[int, list[int]]]] = []
-    composite = bytearray(amax + 1)
-    for p in range(3, amax + 1, 2):
-        if composite[p]:
-            continue
-        composite[p * p :: 2 * p] = b"\x01" * len(range(p * p, amax + 1, 2 * p))
+    if not _ODD_PRIMES:
+        n = isqrt(CLASS_NUMBER_BOUND)
+        prime = bytearray([1]) * (n + 1)
+        for p in range(3, isqrt(n) + 1, 2):
+            prime[p * p :: 2 * p] = bytes(len(range(p * p, n + 1, 2 * p)))
+        _ODD_PRIMES.extend(p for p in range(3, n + 1, 2) if prime[p])
+    for p in _ODD_PRIMES:
+        if p > amax:
+            break
         r = _sqrt_mod_prime(D, p)
         if r is None:
             continue
@@ -442,7 +454,8 @@ def reduced_forms(D: int) -> set[Form]:
             chain.append((q * p, roots))
         chains.append(chain)
 
-    forms: set[Form] = set()
+    W = s + 1
+    keys: set[int] = set()
     while stack:
         a, roots, i = stack.pop()
         t = 2 * a
@@ -450,9 +463,8 @@ def reduced_forms(D: int) -> set[Form]:
         for r in roots:
             b = lo + (r - lo) % t
             if b <= hi:
-                c = (D - b * b) // (2 * t)
-                forms.add((a, b, -c))
-                forms.add((c, b, -a))
+                keys.add(a * W + b)
+                keys.add((D - b * b) // (2 * t) * W + b)
         for j in range(i, len(chains)):
             if a * chains[j][0][0] > amax:
                 break
@@ -461,7 +473,7 @@ def reduced_forms(D: int) -> set[Form]:
                     break
                 u = pow(t, -1, q)  # CRT: b = x (mod 2a), b = y (mod q)
                 stack.append((a * q, [x + t * ((y - x) * u % q) for x in roots for y in qroots], j + 1))
-    return forms
+    return keys
 
 
 def principal_form(D: int) -> Form:
@@ -470,39 +482,41 @@ def principal_form(D: int) -> Form:
     return (1, b0, (b0 * b0 - D) // 4)
 
 
-def _form_cycles(D: int) -> tuple[dict[Form, int], list[int]]:
+def _form_cycles(D: int) -> tuple[dict[int, int], list[int]]:
     """Split the reduced forms of discriminant D into rho-cycles.
 
-    Only the forms with a > 0 are enumerated.  Since rho(-f) = -rho(f) and
-    rho changes the sign of a, sigma(f) = -rho(f) permutes them, and its
-    orbit through f is f, -rho(f), rho^2(f), -rho^3(f), ...  An orbit of
-    even length holds the forms with a > 0 of two cycles: the rho-cycle of
-    f (its even steps) and the negation of that cycle (its odd steps).  An
-    orbit of odd length meets -f, so its cycle is its own negation.
+    Only the forms with a > 0 are enumerated, as keys a*W + b.  Since
+    rho(-f) = -rho(f) and rho changes the sign of a, sigma(f) = -rho(f)
+    permutes them, and its orbit through f is f, -rho(f), rho^2(f), ...
+    An orbit of even length holds the forms with a > 0 of two cycles: the
+    rho-cycle of f (its even steps) and the negation of that cycle (its odd
+    steps).  An orbit of odd length meets -f, so its cycle is its own
+    negation.
 
-    Returns the index (form with a > 0) -> cycle number, and for each
-    cycle the number of its negation; the number of cycles is the narrow
-    class number.
+    Returns the index (key of a form with a > 0) -> cycle number, and for
+    each cycle the number of its negation; the number of cycles is the
+    narrow class number.
     """
     s = isqrt(D)
-    forms = reduced_forms(D)
-    cycle_of: dict[Form, int] = {}
+    W = s + 1
+    cycle_of = dict.fromkeys(_reduced_form_keys(D), -1)  # -1: not yet walked
     negation: list[int] = []
-    for f in forms:
-        if f in cycle_of:
+    for f in cycle_of:
+        if cycle_of[f] >= 0:
             continue
         count = len(negation)
         orbit = []
+        a, b = divmod(f, W)
         g = f
-        while g not in cycle_of:
-            if g not in forms:
-                raise RuntimeError(f"cycle through {f} left the reduced-form set (D={D})")
+        while (label := cycle_of.get(g)) == -1:
             cycle_of[g] = count
             orbit.append(g)
-            a, b, c = _rho(g, D, s)
-            g = (-a, b, -c)
+            a, b = _sigma(a, b, D, s)
+            g = a * W + b
+        if label is None:
+            raise RuntimeError(f"cycle through {_form(f, D, W)} left the reduced-form set (D={D})")
         if g != f:
-            raise RuntimeError(f"cycle through {f} ran into another cycle (D={D})")
+            raise RuntimeError(f"cycle through {_form(f, D, W)} ran into another cycle (D={D})")
         if len(orbit) % 2:
             negation.append(count)
         else:
@@ -556,42 +570,38 @@ def _dyadic_forms(d: int, D: int, k: int) -> list[Form]:
         bs = {r % (2 * a), (-r) % (2 * a)}
     else:
         bs = {b for b in range(0, 2 * a) if (b * b - D) % (4 * a) == 0}
-    out = []
-    for b in sorted(bs):
-        c = (b * b - D) // (4 * a)
-        out.append((a, b, c))
-    return out
+    return [(a, b, (b * b - D) // (4 * a)) for b in sorted(bs)]
 
 
-def _dyadic_data(d: int, D: int, cycle_of: dict[Form, int], negation: list[int]) -> DyadicData:
+def _dyadic_data(d: int, D: int, cycle_of: dict[int, int], negation: list[int], period: list) -> DyadicData:
     """Splitting of 2 and the order of the dyadic ideal class.
 
     Principality of a power of the dyadic prime is decided by reducing its
     form and looking up its cycle: the principal cycle (narrow) or the
     principal-or-negated-principal cycles (wide).  ``cycle_of`` indexes the
-    reduced forms with a > 0; a reduced form with a < 0 lies on the
-    negation of the cycle of its negation.  Explicit norm +-2 generators
-    are extracted from the continued fraction of sqrt(d) when 2 is ramified.
+    reduced forms with a > 0 by key; a reduced form with a < 0 lies on the
+    negation of the cycle of its negation.  When 2 is ramified, a norm +-2
+    generator is read off the ``period`` of s + sqrt(d) of the unit.
     """
     if d % 8 == 5:
         # 2 inert: the dyadic prime is (2) itself
         return DyadicData(1, 1, 1, False, QuadUnit(2, 0, 1, d, 4))
 
     s = isqrt(D)
-    princ = cycle_of[principal_form(D)]
+    W = s + 1
+    princ = cycle_of[W + principal_form(D)[1]]
     neg = negation[princ]
 
     def cycle(f: Form) -> int:
-        a, b, c = _reduce_form(f, D, s)
-        g = (a, b, c) if a > 0 else (-a, b, -c)
+        a, b, _ = _reduce_form(f, D, s)
+        g = abs(a) * W + b
         if g not in cycle_of:
             raise RuntimeError(f"reduction of {f} is not among the reduced forms (D={D})")
         return cycle_of[g] if a > 0 else negation[cycle_of[g]]
 
     if d % 8 == 1:
         # 2 split: two dyadic primes; walk powers until one is principal
-        order = narrow_order = None
-        neg_gen = None
+        order = narrow_order = neg_gen = None
         for k in range(1, len(negation) + 1):
             cycles = {cycle(f) for f in _dyadic_forms(d, D, k)}
             if narrow_order is None and princ in cycles:
@@ -608,7 +618,7 @@ def _dyadic_data(d: int, D: int, cycle_of: dict[Form, int], negation: list[int])
         return DyadicData(2, order, narrow_order, neg_gen, None)
 
     # 2 ramified: the square of the dyadic prime is (2)
-    gen = _norm_two_element(d)
+    gen = _norm_two_element(d, *period)
     if gen is not None:
         c = cycle(_dyadic_forms(d, D, 1)[0])
         if c not in (princ, neg):
@@ -642,7 +652,7 @@ def check_class_number_bound(d: int) -> None:
 def _quadratic_data(d: int) -> QuadraticData:
     """quadratic_data for a d already known to be squarefree and in bounds."""
     D = d if d % 4 == 1 else 4 * d
-    unit = _fundamental_unit(d)
+    unit, *period = _fundamental_unit(d)
     cycle_of, negation = _form_cycles(D)
     h_narrow = len(negation)
     # Cl+ = Cl exactly when the unit has norm -1: then every cycle is its
@@ -654,7 +664,7 @@ def _quadratic_data(d: int) -> QuadraticData:
             f" but the fundamental unit has norm {unit.norm} (d={d})"
         )
     h = h_narrow if unit.norm == -1 else h_narrow // 2
-    return QuadraticData(unit, ClassData(d, D, h, h_narrow), _dyadic_data(d, D, cycle_of, negation))
+    return QuadraticData(unit, ClassData(d, D, h, h_narrow), _dyadic_data(d, D, cycle_of, negation, period))
 
 
 def signature_span(elements) -> set[tuple[int, int]]:

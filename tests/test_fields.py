@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -125,21 +126,30 @@ def test_oracle_computes_each_invariant_once(monkeypatch, d):
         fn = getattr(nt, name)
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            calls.setdefault(name, []).append((args, result))
+            return result
 
         monkeypatch.setattr(nt, name, counted)
 
     spec = f.RealQuadratic(d)  # the one squarefree test of d
-    names = ("_quadratic_data", "reduced_forms", "fundamental_unit", "_cf_reduced_period", "factorize")
+    names = ("_quadratic_data", "_reduced_form_keys", "fundamental_unit", "_cf_reduced_period",
+             "_norm_two_element", "factorize")
     for name in names:
         count(name)
     f.two_regular_oracle(spec)
-    assert calls["_quadratic_data"] == 1
-    assert calls.get("factorize", 0) == 0  # the spec was checked on construction
-    assert calls["reduced_forms"] == 1
-    assert calls["_cf_reduced_period"] == 1  # the one period expansion
-    assert calls.get("fundamental_unit", 0) <= 1
+    assert len(calls["_quadratic_data"]) == 1
+    assert "factorize" not in calls  # the spec was checked on construction
+    assert len(calls["_reduced_form_keys"]) == 1  # the enumeration the cycle walk reads
+    assert len(calls["_cf_reduced_period"]) == 1  # the one period expansion
+    assert len(calls.get("fundamental_unit", [])) <= 1
+    if d % 4 in (2, 3):
+        # 2 ramified: sqrt(d) is expanded once, as s + sqrt(d), and the norm
+        # +-2 search reads that very period instead of walking its own
+        [(args, period)] = calls["_cf_reduced_period"]
+        assert args == (math.isqrt(d), 1, d)
+        [((d_arg, *read), _)] = calls["_norm_two_element"]
+        assert d_arg == d and len(read) == len(period) and all(x is y for x, y in zip(read, period))
 
 
 def test_oracle_rejects_non_quadratic():

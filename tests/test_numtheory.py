@@ -356,7 +356,13 @@ def reference_cycles(D):
 
 
 def assert_cycles_match_reference(D):
-    cycle_of, negation = nt._form_cycles(D)
+    keyed, negation = nt._form_cycles(D)
+    # a form (a, b, c) with a > 0 is keyed a*W + b, with W = isqrt(D) + 1
+    W = math.isqrt(D) + 1
+    cycle_of = {}
+    for k, i in keyed.items():
+        a, b = divmod(k, W)
+        cycle_of[(a, b, (b * b - D) // (4 * a))] = i
     assert set(cycle_of) == nt.reduced_forms(D)
 
     def label(f):
@@ -429,22 +435,23 @@ def test_cycles_are_self_negative_exactly_for_norm_minus_one():
 
 
 def _leaves_the_set(real):
-    def rho(f, D, s):
-        a, b, c = real(f, D, s)
-        return (7 * a, b, c)
-    return rho, "left the reduced-form set"
+    def sigma(a, b, D, s):
+        a, b = real(a, b, D, s)
+        return 7 * a, b
+    return sigma, "left the reduced-form set"
 
 
 def _merges_cycles(real):
     # every form steps to the same form, so a second orbit runs into the first
-    return (lambda f, D, s: real(nt.principal_form(D), D, s)), "ran into another cycle"
+    return (lambda a, b, D, s: real(*nt.principal_form(D)[:2], D, s)), "ran into another cycle"
 
 
 @pytest.mark.parametrize("d", [10, 3])  # unit norm -1 and +1, each with h+ = 2
 @pytest.mark.parametrize("mutant", [_leaves_the_set, _merges_cycles])
 def test_a_broken_rho_fails_the_self_checks(monkeypatch, capsys, d, mutant):
-    rho, message = mutant(nt._rho)
-    monkeypatch.setattr(nt, "_rho", rho)
+    # the cycle walk steps by sigma = -rho, on (a, b)
+    sigma, message = mutant(nt._sigma)
+    monkeypatch.setattr(nt, "_sigma", sigma)
     with pytest.raises(RuntimeError, match=message):
         nt.quadratic_data(d)
     assert cli.main(["regular", "--oracle", "--field", f"Q(sqrt {d})"]) == cli.EXIT_VERIFY
@@ -488,14 +495,53 @@ def brute_force_norm_pm2(d):
     return None
 
 
+def period_norm_two_element(d):
+    """The oracle's norm +-2 generator of Q(sqrt d), read off the period of
+    s + sqrt(d) when 2 is ramified, or None if it has none."""
+    gen = nt.quadratic_data(d).dyadic.generator
+    return gen if gen is not None and abs(gen.norm) == 2 else None
+
+
+def reference_norm_two_element(d):
+    """An element of norm +-2, or None: the convergents of sqrt(d), walked
+    from (P, Q) = (0, 1) until Q = 2 or a state repeats."""
+    if d == 2:
+        return (0, 1, -2)
+    if d == 3:
+        return (1, 1, -2)
+    s = math.isqrt(d)
+    P, Q = 0, 1
+    p_prev, p_curr = 0, 1  # p_{-2}, p_{-1}
+    q_prev, q_curr = 1, 0  # q_{-2}, q_{-1}
+    seen_states = set()
+    while (P, Q) not in seen_states:
+        seen_states.add((P, Q))
+        a = (P + s) // Q
+        p_prev, p_curr = p_curr, a * p_curr + p_prev
+        q_prev, q_curr = q_curr, a * q_curr + q_prev
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        # p_i^2 - d q_i^2 = (-1)^(i+1) Q_(i+1); |value| = 2 iff Q_(i+1) = 2
+        if Q == 2:
+            return (p_curr, q_curr, p_curr * p_curr - d * q_curr * q_curr)
+    return None
+
+
 @pytest.mark.parametrize("d", [d for d in range(2, 120) if nt.squarefree_part(d)[0]])
 def test_norm_two_element_complete(d):
-    got = nt._norm_two_element(d)
+    got = period_norm_two_element(d)
     expected = brute_force_norm_pm2(d)
     assert (got is None) == (expected is None)
     if got is not None:
         assert abs(got.norm) == 2
         assert got.x * got.x - d * got.y * got.y == got.norm
+
+
+def test_norm_two_element_matches_the_convergent_walk():
+    ramified = [d for d in range(2, 3000) if d % 4 in (2, 3) and nt.squarefree_part(d)[0]]
+    for d in ramified + seeded_large_d():
+        gen = period_norm_two_element(d)
+        assert (None if gen is None else (gen.x, gen.y, gen.norm)) == reference_norm_two_element(d), d
 
 
 def test_dyadic_data_examples():
@@ -545,7 +591,7 @@ def test_unit_signature_span_examples():
 
 @given(st.sampled_from([d for d in range(2, 60) if nt.squarefree_part(d)[0]]))
 def test_signature_span_is_subgroup_containing_identity(d):
-    gen = nt._norm_two_element(d)
+    gen = period_norm_two_element(d)
     span = nt.signature_span([nt.fundamental_unit(d), *([gen] if gen else [])])
     assert (1, 1) in span
     assert (-1, -1) in span  # -1 is always a unit

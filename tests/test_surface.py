@@ -19,6 +19,7 @@ ENTRY_POINTS = {
     "parse_group": "reads the canonical group grammar; the round-trip tests use it, and rows stored as "
                    "formula text (ROADMAP item 4) build on it",
     "quadratic_data": "validated numtheory entry point; the README documents its bound",
+    "reduced_forms": "bounded numtheory entry point; decodes the keys of the oracle's cycle walk",
 }
 
 
