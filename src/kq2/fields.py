@@ -112,15 +112,15 @@ FieldSpec = Rationals | RealQuadratic | MaxRealCyclo2 | MaxRealCycloOdd | Generi
 
 class FieldInvariants(Record):
     """The regularity oracle's verdict on a real quadratic field and the
-    invariants behind it; None encodes "unknown"."""
+    invariants behind it."""
 
-    dyadic_count: int | None
-    pic_odd: bool | None
-    units_indep_signs: bool | None
-    narrow_pic_odd: bool | None
+    dyadic_count: int
+    pic_odd: bool
+    units_indep_signs: bool
+    narrow_pic_odd: bool
     two_regular: bool
     reasons: tuple[str, ...] = ()
-    # the reasons of the conditions that are known to fail
+    # the reasons of the conditions that fail
     failing: tuple[str, ...] = ()
 
 
@@ -236,7 +236,8 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     Recomputes the three defining conditions from scratch: the number of
     dyadic primes from the splitting of 2, the parity of Pic(R_F) from the
     class number divided by the dyadic class order, and units of
-    independent signs from the signatures of the 2-unit generators.
+    independent signs from the norms of the fundamental unit and of the
+    dyadic S-unit generators (a norm is the product of the two signs).
     """
     if not isinstance(spec, RealQuadratic):
         raise InvalidSpec("the regularity oracle covers real quadratic fields only")
@@ -248,9 +249,9 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     reasons: list[str] = []
     failing: list[str] = []
 
-    def note(reason: str, holds: bool | None) -> None:
+    def note(reason: str, holds: bool) -> None:
         reasons.append(reason)
-        if holds is False:
+        if not holds:
             failing.append(reason)
 
     if dy.count == 1:
@@ -258,44 +259,29 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
     else:
         note(f"two dyadic primes (d = {d} splits 2, d = 1 mod 8)", False)
 
-    pic_odd: bool | None = None
-    if dy.class_order is not None:
-        pic_order = cd.h // dy.class_order
-        pic_odd = pic_order % 2 == 1
-        note(
-            f"Pic(R_F) has {'odd' if pic_odd else 'even'} order {pic_order}"
-            f" (h = {cd.h}, dyadic class order {dy.class_order})",
-            pic_odd,
-        )
+    pic_order = cd.h // dy.class_order
+    pic_odd = pic_order % 2 == 1
+    note(
+        f"Pic(R_F) has {'odd' if pic_odd else 'even'} order {pic_order}"
+        f" (h = {cd.h}, dyadic class order {dy.class_order})",
+        pic_odd,
+    )
+    narrow_pic_odd = cd.h_narrow // dy.narrow_class_order % 2 == 1
 
-    narrow_pic_odd: bool | None = None
-    if dy.narrow_class_order is not None:
-        narrow_order = cd.h_narrow // dy.narrow_class_order
-        narrow_pic_odd = narrow_order % 2 == 1
-
-    # The signature span is generated by -1, the fundamental unit, and the
-    # dyadic S-units; mixed signs exist iff some generator has negative norm.
+    # -1, the fundamental unit and the dyadic S-units give every pair of
+    # signs iff one has negative norm, the product of its two signs: -1 has
+    # norm 1, and a generator and its conjugate share their norm.
+    units = eps.norm == -1 or dy.generator_norm_negative
     if eps.norm == -1:
-        units = True
         note("fundamental unit has norm -1 (independent signs)", units)
+    elif units:
+        note("units of independent signs", units)
     elif dy.generator is not None:
-        gen = dy.generator
-        conj = nt.QuadUnit(gen.x, -gen.y, gen.denom, d, gen.norm)
-        units = nt.sign_span_is_full(nt.signature_span([eps, gen, conj]))
-        note(
-            "units of independent signs"
-            if units
-            else "units of independent signs fail (all 2-unit generators totally positive up to sign)",
-            units,
-        )
-    elif dy.generator_norm_negative is not None:
-        units = dy.generator_norm_negative
-        note("units of independent signs" if units else "units of independent signs fail", units)
+        note("units of independent signs fail (all 2-unit generators totally positive up to sign)", units)
     else:
-        units = None
-        note("unit signature search undecided", units)
+        note("units of independent signs fail", units)
 
-    two_regular = dy.count == 1 and pic_odd is True and units is True
+    two_regular = dy.count == 1 and pic_odd and units
     if two_regular:
         reasons.append("2-regular")
     return FieldInvariants(dy.count, pic_odd, units, narrow_pic_odd, two_regular,

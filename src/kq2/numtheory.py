@@ -145,22 +145,6 @@ def is_sophie_germain_type(m: int) -> bool:
 # Quadratic field elements
 
 
-def _sign_embedding(x: int, y: int, d: int) -> int:
-    """Sign of x + y*sqrt(d), exactly; the element must be nonzero."""
-    if y == 0:
-        if x == 0:
-            raise ValueError("zero element has no sign")
-        return 1 if x > 0 else -1
-    if x >= 0 and y > 0:
-        return 1
-    if x <= 0 and y < 0:
-        return -1
-    norm = x * x - d * y * y
-    if x > 0:  # y < 0
-        return 1 if norm > 0 else -1
-    return 1 if norm < 0 else -1  # x < 0 < y
-
-
 class QuadUnit(Record):
     """Element (x + y*sqrt(d))/denom of a real quadratic field.
 
@@ -185,13 +169,6 @@ class QuadUnit(Record):
                 f"norm equation violated: ({self.x}^2 - {self.d}*{self.y}^2)"
                 f"/{self.denom}^2 != {self.norm}"
             )
-
-    def sign_vector(self) -> tuple[int, int]:
-        """Signs under the two real embeddings sqrt(d) -> +-sqrt(d)."""
-        return (
-            _sign_embedding(self.x, self.y, self.d),
-            _sign_embedding(self.x, -self.y, self.d),
-        )
 
     def __str__(self) -> str:
         num = f"{self.x} + {self.y}*sqrt({self.d})"
@@ -379,6 +356,17 @@ def _lift_roots(roots: list[int], D: int, q: int, p: int) -> list[int]:
     return out
 
 
+def _two_power_roots(D: int):
+    """Yield (a, the classes mod 2a of the roots of b^2 = D (mod 4a)) for
+    a = 1, 2, 4, ... while there are roots, each list from the last by
+    lifting one bit: a root mod 8a reduces to one mod 4a."""
+    a, roots = 1, [D % 2]
+    while roots:
+        yield a, roots
+        roots = [y for x in roots for y in (x, x + 2 * a) if (y * y - D) % (8 * a) == 0]
+        a *= 2
+
+
 def _form(key: int, D: int, W: int) -> Form:
     a, b = divmod(key, W)
     return (a, b, (b * b - D) // (4 * a))
@@ -425,11 +413,10 @@ def _reduced_form_keys(D: int) -> set[int]:
     # (a, the classes mod 2a of the roots of b^2 = D (mod 4a), index of the
     # next odd prime to multiply in), seeded with the a = 2^k
     stack: list[tuple[int, list[int], int]] = []
-    a, roots = 1, [D % 2]
-    while roots and a <= amax:
+    for a, roots in _two_power_roots(D):
+        if a > amax:
+            break
         stack.append((a, roots, 0))
-        roots = [y for x in roots for y in (x, x + 2 * a) if (y * y - D) % (8 * a) == 0]
-        a *= 2
 
     # for each odd prime p <= amax with (D/p) != -1: [(p^k, roots mod p^k)]
     chains: list[list[tuple[int, list[int]]]] = []
@@ -526,23 +513,16 @@ def _form_cycles(D: int) -> tuple[dict[int, int], list[int]]:
     return cycle_of, negation
 
 
-def _sqrt_mod_2pow(D: int, e: int) -> int:
-    """An odd square root of D modulo 2^e, for D = 1 (mod 8), e >= 3."""
-    r = 1
-    for j in range(3, e):
-        if (r * r - D) % (1 << (j + 1)) != 0:
-            r += 1 << (j - 1)
-    return r % (1 << e)
-
-
 class DyadicData(Record):
     """Behaviour of the prime 2 in Q(sqrt(d)) and the ideal class it spans."""
 
     count: int                      # number of dyadic primes (1 or 2)
-    class_order: int | None         # order of the dyadic prime class in Cl
-    narrow_class_order: int | None  # its order in the narrow class group
-    generator_norm_negative: bool | None  # a power has a negative-norm generator
-    generator: QuadUnit | None      # explicit S-unit generator when available
+    class_order: int                # order of the dyadic prime class in Cl
+    narrow_class_order: int         # its order in the narrow class group
+    # whether the first principal power of a dyadic prime has a generator
+    # of negative norm; the oracle reads it when the unit has norm +1
+    generator_norm_negative: bool
+    generator: QuadUnit | None      # a generator of that power; None when 2 splits
 
 
 class ClassData(Record):
@@ -562,17 +542,6 @@ class QuadraticData(Record):
     dyadic: DyadicData
 
 
-def _dyadic_forms(d: int, D: int, k: int) -> list[Form]:
-    """The forms of the primitive ideals of norm 2^k (there are 0, 1 or 2)."""
-    a = 1 << k
-    if d % 8 == 1:
-        r = _sqrt_mod_2pow(D, k + 2)
-        bs = {r % (2 * a), (-r) % (2 * a)}
-    else:
-        bs = {b for b in range(0, 2 * a) if (b * b - D) % (4 * a) == 0}
-    return [(a, b, (b * b - D) // (4 * a)) for b in sorted(bs)]
-
-
 def _dyadic_data(d: int, D: int, cycle_of: dict[int, int], negation: list[int], period: list) -> DyadicData:
     """Splitting of 2 and the order of the dyadic ideal class.
 
@@ -580,8 +549,10 @@ def _dyadic_data(d: int, D: int, cycle_of: dict[int, int], negation: list[int], 
     form and looking up its cycle: the principal cycle (narrow) or the
     principal-or-negated-principal cycles (wide).  ``cycle_of`` indexes the
     reduced forms with a > 0 by key; a reduced form with a < 0 lies on the
-    negation of the cycle of its negation.  When 2 is ramified, a norm +-2
-    generator is read off the ``period`` of s + sqrt(d) of the unit.
+    negation of the cycle of its negation.  The form of the k-th power of a
+    dyadic prime is (2^k, b, c), with b a root of b^2 = D (mod 2^(k+2)),
+    lifted one bit per power.  When 2 is ramified, a norm +-2 generator is
+    read off the ``period`` of s + sqrt(d) of the unit.
     """
     if d % 8 == 5:
         # 2 inert: the dyadic prime is (2) itself
@@ -592,18 +563,21 @@ def _dyadic_data(d: int, D: int, cycle_of: dict[int, int], negation: list[int], 
     princ = cycle_of[W + principal_form(D)[1]]
     neg = negation[princ]
 
-    def cycle(f: Form) -> int:
+    def cycle(a: int, b: int) -> int:
+        f = (a, b, (b * b - D) // (4 * a))
         a, b, _ = _reduce_form(f, D, s)
         g = abs(a) * W + b
         if g not in cycle_of:
             raise RuntimeError(f"reduction of {f} is not among the reduced forms (D={D})")
         return cycle_of[g] if a > 0 else negation[cycle_of[g]]
 
+    roots = _two_power_roots(D)
+    next(roots)  # a = 1; the dyadic powers start at 2^1
     if d % 8 == 1:
         # 2 split: two dyadic primes; walk powers until one is principal
         order = narrow_order = neg_gen = None
-        for k in range(1, len(negation) + 1):
-            cycles = {cycle(f) for f in _dyadic_forms(d, D, k)}
+        for k, (a, bs) in zip(range(1, len(negation) + 1), roots):
+            cycles = {cycle(a, b) for b in bs}
             if narrow_order is None and princ in cycles:
                 narrow_order = k
             if order is None:
@@ -620,7 +594,8 @@ def _dyadic_data(d: int, D: int, cycle_of: dict[int, int], negation: list[int], 
     # 2 ramified: the square of the dyadic prime is (2)
     gen = _norm_two_element(d, *period)
     if gen is not None:
-        c = cycle(_dyadic_forms(d, D, 1)[0])
+        a, (b,) = next(roots)
+        c = cycle(a, b)
         if c not in (princ, neg):
             raise RuntimeError(f"norm +-2 element found but form not principal (d={d})")
         narrow_order = 1 if c == princ else 2
@@ -665,15 +640,3 @@ def _quadratic_data(d: int) -> QuadraticData:
         )
     h = h_narrow if unit.norm == -1 else h_narrow // 2
     return QuadraticData(unit, ClassData(d, D, h, h_narrow), _dyadic_data(d, D, cycle_of, negation, period))
-
-
-def signature_span(elements) -> set[tuple[int, int]]:
-    """Subgroup of {+-1}^2 spanned by the signs of -1 and of the elements."""
-    span = {(1, 1)}
-    for v in {(-1, -1), *(g.sign_vector() for g in elements)}:
-        span |= {(v[0] * w[0], v[1] * w[1]) for w in span}
-    return span
-
-
-def sign_span_is_full(span: set[tuple[int, int]]) -> bool:
-    return len(span) == 4

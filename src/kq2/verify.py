@@ -109,12 +109,12 @@ _SPLITTINGS = (
 )
 
 
-def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
+def check_splittings(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
     """The five wedge-splitting identities relating the R_F tables to the
     one-real-place building block plus topological copies, for n <= n_max;
     ``col`` maps each theory with a degree axis to its column on the
-    2-regular ``field`` (see run_all)."""
-    pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
+    2-regular ``field`` and ``pd`` is tables.period_degrees(n_max + 9)
+    (see run_all)."""
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
     return [
         _equality_report(
@@ -238,9 +238,8 @@ def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
     return CheckReport(name, True, f"all n = 3 (mod 4), n <= {n_max} ({len(degrees)} cases)")
 
 
-def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
+def _check_extras(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
     r, ko = field.r, col["KO"]
-    pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
     signs = (1, -1)
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
     signed = [(n, eps) for n in range(n_max + 1) for eps in signs]  # the points (n, eps)
@@ -294,16 +293,18 @@ def _check_extras(field: ResolvedField, col: dict, n_max: int) -> list[CheckRepo
 def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """Full consistency suite for one 2-regular field: the field, q and
     n_max are checked here once, and every check reads the one column of
-    each theory with a degree axis built here."""
+    each theory with a degree axis and the one period-degree list built
+    here."""
     field = require_two_regular(spec)
     q = choose_q(field, q)
     if n_max < N_MAX_LEAST:
         raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
     col = {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
-    reports = check_splittings(field, col, n_max)
+    pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
+    reports = check_splittings(field, col, n_max, pd)
     reports += check_les(field, col)
     reports += [check_t_w(field.a, q, min(4 * n_max, 400))]
-    reports += _check_extras(field, col, n_max)
+    reports += _check_extras(field, col, n_max, pd)
     return sorted(reports, key=lambda rep: rep.name)
 
 

@@ -106,14 +106,27 @@ def test_oracle_reasons():
     assert inv10.two_regular
 
 
-@pytest.mark.parametrize("d", SQUAREFREE_60)
-def test_narrow_and_wide_characterizations_agree(d):
+def assert_narrow_and_wide_characterizations_agree(d):
     # unique dyadic prime + odd narrow Picard group is equivalent to
-    # unique dyadic prime + odd Picard group + units of independent signs
+    # unique dyadic prime + odd Picard group + units of independent signs;
+    # the narrow class group reads no unit sign, so this checks the norm
+    # rule for independent signs
     inv = f.two_regular_oracle(f.RealQuadratic(d))
     via_narrow = inv.dyadic_count == 1 and inv.narrow_pic_odd
     via_units = inv.dyadic_count == 1 and inv.pic_odd and inv.units_indep_signs
-    assert via_narrow == via_units == inv.two_regular
+    assert via_narrow == via_units == inv.two_regular, d
+
+
+@pytest.mark.parametrize("d", SQUAREFREE_60)
+def test_narrow_and_wide_characterizations_agree(d):
+    assert_narrow_and_wide_characterizations_agree(d)
+
+
+def test_narrow_and_wide_characterizations_agree_below_3000():
+    # every squarefree d < 3000 past SQUAREFREE_60, in every class mod 8
+    for d in range(61, 3000):
+        if nt.squarefree_part(d)[0]:
+            assert_narrow_and_wide_characterizations_agree(d)
 
 
 # One d per class mod 8: split (145), ramified with a norm -2 element (34),

@@ -391,6 +391,31 @@ def test_form_cycles_match_two_sign_walk_large(d):
     assert_cycles_match_reference(field_discriminant(d))
 
 
+def brute_force_root_classes(D, a):
+    """The classes mod 2a of the b < 4a with b^2 = D (mod 4a), by trial."""
+    return sorted({b % (2 * a) for b in range(4 * a) if (b * b - D) % (4 * a) == 0})
+
+
+def test_two_power_roots_match_brute_force():
+    for D in range(5, 2000):
+        if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D:
+            got = {}
+            for a, roots in nt._two_power_roots(D):
+                if a > 2**12:
+                    break
+                got[a] = roots
+            expected = {}
+            a = 1
+            # a root mod 8a is one mod 4a, so the first a without roots ends them
+            while a <= 2**12 and (roots := brute_force_root_classes(D, a)):
+                expected[a] = roots
+                a *= 2
+            # sorted, not as sets: a root class listed twice fails too
+            assert {a: sorted(roots) for a, roots in got.items()} == expected, D
+            if D % 16 in (8, 12):  # D = 4d with d = 2, 3 (mod 4): no root mod 16
+                assert list(got) == [1, 2], D
+
+
 def reference_dyadic_orders(d):
     """(class order, narrow class order) of a dyadic prime of Q(sqrt d), 2
     not inert, read off the cycles of the two-sign walk: the first power
@@ -402,7 +427,9 @@ def reference_dyadic_orders(d):
     princ, neg = label[p], label[negate(p)]
 
     def cycles(k):
-        return {label[nt._reduce_form(f, D, math.isqrt(D))] for f in nt._dyadic_forms(d, D, k)}
+        a = 2**k
+        forms = [(a, b, (b * b - D) // (4 * a)) for b in brute_force_root_classes(D, a)]
+        return {label[nt._reduce_form(f, D, math.isqrt(D))] for f in forms}
 
     if d % 8 != 1:  # ramified: the square of the dyadic prime is (2)
         (c,) = cycles(1)
@@ -581,25 +608,6 @@ def test_split_dyadic_order_against_brute_force(d):
     assert dd.class_order == brute_force_split_dyadic_order(d)
 
 
-def test_unit_signature_span_examples():
-    full = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert nt.signature_span([nt.fundamental_unit(2), nt.QuadUnit(1, 1, 1, 2, -1)]) == full
-    gens7 = [nt.QuadUnit(8, 3, 1, 7, 1), nt.QuadUnit(3, 1, 1, 7, 2)]
-    assert nt.signature_span([nt.fundamental_unit(7), *gens7]) == {(1, 1), (-1, -1)}
-    assert nt.signature_span([nt.fundamental_unit(10), nt.QuadUnit(3, 1, 1, 10, -1)]) == full
-
-
-@given(st.sampled_from([d for d in range(2, 60) if nt.squarefree_part(d)[0]]))
-def test_signature_span_is_subgroup_containing_identity(d):
-    gen = period_norm_two_element(d)
-    span = nt.signature_span([nt.fundamental_unit(d), *([gen] if gen else [])])
-    assert (1, 1) in span
-    assert (-1, -1) in span  # -1 is always a unit
-    for v in span:
-        for w in span:
-            assert (v[0] * w[0], v[1] * w[1]) in span
-
-
 def test_bound_errors(monkeypatch):
     with pytest.raises(BoundExceeded):
         nt.quadratic_data(10**6 + 3)
@@ -635,6 +643,5 @@ def test_quad_unit_validation():
         nt.QuadUnit(1, 1, 1, 2, 1)  # wrong norm
     with pytest.raises(ValueError):
         nt.QuadUnit(1, 1, 2, 7, -1)  # half-integers need d = 1 mod 4
-    u = nt.QuadUnit(3, 1, 1, 7, 2)
-    assert u.sign_vector() == (1, 1)
-    assert nt.QuadUnit(1, 1, 1, 3, -2).sign_vector() == (1, -1)
+    nt.QuadUnit(3, 1, 1, 7, 2)  # valid: 9 - 7 = 2
+    nt.QuadUnit(1, 1, 1, 3, -2)  # valid: 1 - 3 = -2
