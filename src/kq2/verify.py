@@ -2,15 +2,18 @@
 constraint.
 
 A passing suite certifies that the stored tables are mutually consistent as
-isomorphism classes: the five splitting identities, the Mayer-Vietoris rank
-count for the pullback defining the barred theories, short-exact-sequence
-and order-telescoping necessary conditions, the valuation identity
-t(n, q) = w((n+1)/2, a), the wedge description of the orthogonal V-theory,
-and the low-degree computations.  Boundary maps are not modeled, so the
-checks are necessary-condition checks; they do not by themselves prove the
-tables correct.  Fault injection in the tests adds one Z/2 to each of the
-96 stored rows of tables.fault_sites() in turn, KO and KU included, and on
-the fields of the tests the suite rejects every one but the 8 KU rows on Q.
+isomorphism classes: nine identities over the degrees (the five
+splittings, the wedge description of the orthogonal V-theory, U as the
+sign-swapped V-theory one degree down, the 8-periodicity of V and KQFq+ as
+the complement of KO in the building block), the Mayer-Vietoris rank count
+for the pullback defining the barred theories, short-exact-sequence and
+order-telescoping necessary conditions, the valuation identity
+t(n, q) = w((n+1)/2, a), and the low-degree computations.  Boundary maps
+are not modeled, so the checks are necessary-condition checks; they do not
+by themselves prove the tables correct.  Fault injection in the tests adds
+one Z/2 to each of the 96 stored rows of tables.fault_sites() in turn, KO
+and KU included, and on the fields of the tests the suite rejects every one
+but the 8 KU rows on Q.
 KFq, KQFq+ and KQFq- are derived from the KO and KU rows, not stored, so
 the report that KQFq+ complements KO in the building block checks the
 stored kq_bar+ rows against that derivation.
@@ -95,40 +98,76 @@ def _report(name: str, passed: bool, details: str, counterexample: Callable[[], 
 _SIGN = {1: "+", -1: "-"}
 
 
-# The five splittings of the R_F tables into the one-real-place building
-# block plus topological copies: identity (the R_F theory), report name,
-# first degree, the building block, and the topological theory, its copies
-# per real place beyond the first and its degree shift.
-_SPLITTINGS = (
-    ("KQ+", "splitting KQ+ = KQbar+ + (r-1) KO", 0, "KQbar+", "KO", 1, 0),
-    ("KQ-", "splitting KQ- = KQbar- + (r-1) KO[6]", 0, "KQbar-", "KO", 1, 6),
-    ("V+", "splitting V+ = Vbar+ + 2(r-1) KO", 0, "Vbar+", "KO", 2, 0),
-    ("V-", "splitting V- = Vbar- + (r-1) KU", 0, "Vbar-", "KU", 1, 0),
-    ("K", "splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))", 1,
-     "Kbar", "KO", 1, -1),
+# The nine identities lhs(n) = block(n) + m(r) top(n + s), first <= n <= n_max,
+# one report each: the report name, the first degree, the theories (lhs,
+# block or None, top) of each sign (the key None for a report with no sign
+# axis), the copies m of top as a function of r, the shift s, and the
+# counterexample fields ahead of expected and actual ("identity" names lhs).
+_IDENTITIES = (
+    ("splitting KQ+ = KQbar+ + (r-1) KO", 0, {None: ("KQ+", "KQbar+", "KO")},
+     lambda r: r - 1, 0, ("identity", "n", "r")),
+    ("splitting KQ- = KQbar- + (r-1) KO[6]", 0, {None: ("KQ-", "KQbar-", "KO")},
+     lambda r: r - 1, 6, ("identity", "n", "r")),
+    ("splitting V+ = Vbar+ + 2(r-1) KO", 0, {None: ("V+", "Vbar+", "KO")},
+     lambda r: 2 * (r - 1), 0, ("identity", "n", "r")),
+    ("splitting V- = Vbar- + (r-1) KU", 0, {None: ("V-", "Vbar-", "KU")},
+     lambda r: r - 1, 0, ("identity", "n", "r")),
+    ("splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))", 1,
+     {None: ("K", "Kbar", "KO")}, lambda r: r - 1, -1, ("identity", "n", "r")),
+    ("V+ is 2r copies of KO", 0, {None: ("V+", None, "KO")}, lambda r: 2 * r, 0, ("n", "r")),
+    ("U-theory is sign-swapped V-theory shifted by one", 1,
+     {1: ("U+", None, "V-"), -1: ("U-", None, "V+")}, lambda r: 1, -1, ("n", "eps")),
+    ("V-theory 8-periodicity", 0,
+     {1: ("V+", None, "V+"), -1: ("V-", None, "V-")}, lambda r: 1, 8, ("n", "eps")),
+    ("orthogonal finite-field groups complement KO in the building block", 0,
+     {None: ("KQbar+", "KQFq+", "KO")}, lambda r: 1, 0, ("n",)),
 )
 
 
 def check_splittings(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
-    """The five wedge-splitting identities relating the R_F tables to the
-    one-real-place building block plus topological copies, for n <= n_max;
-    ``col`` maps each theory with a degree axis to its column on the
-    2-regular ``field`` and ``pd`` is tables.period_degrees(n_max + 9)
-    (see run_all)."""
+    """The nine identities of _IDENTITIES over the degrees n <= n_max: the
+    five wedge splittings of the R_F tables into the one-real-place
+    building block plus topological copies, and four more of the same
+    shape.  ``col`` maps each theory with a degree axis to its column on
+    the 2-regular ``field`` and ``pd`` is tables.period_degrees(n_max + 9)
+    (see run_all).  A point's key holds the period degrees of n and n + s
+    (and the sign)."""
     degrees = list(zip(range(n_max + 1)))  # the points (n,)
-    return [
-        _equality_report(
-            name,
-            degrees[first:],
-            list(zip(pd[first:n_max + 1], pd[first + shift:])),
-            # consumed by _equality_report before the next identity is bound
-            lambda p, p_top: (col[identity](p), direct_sum(
-                col[block](p), n_copies(copies * (field.r - 1), col[top](p_top)))),
-            lambda n: {"identity": identity, "n": n, "r": field.r},
-            f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}",
-        )
-        for identity, name, first, block, top, copies, shift in _SPLITTINGS
-    ]
+    signed = [(n, eps) for n in range(n_max + 1) for eps in (1, -1)]  # the points (n, eps)
+    pairs: dict[tuple[int, int], list[tuple]] = {}  # (first, shift) -> the keys (p, p_top)
+    reports = []
+    for name, first, theories, copies, shift, fields in _IDENTITIES:
+        if (first, shift) not in pairs:
+            pairs[first, shift] = list(zip(pd[first:n_max + 1], pd[first + shift:]))
+        keys = pairs[first, shift]
+        if None in theories:
+            points = degrees[first:]
+        else:
+            points, keys = signed[2 * first:], [(p, p_top, eps) for p, p_top in keys for eps in (1, -1)]
+        compare, params = _identity_checks(field.r, col, theories, copies, fields)
+        details = f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}"
+        reports.append(_equality_report(name, points, keys, compare, params, details))
+    return reports
+
+
+def _identity_checks(r: int, col: dict, theories: dict, copies: Callable[[int], int],
+                     fields: tuple[str, ...]) -> tuple[Callable, Callable]:
+    """compare and params of one row of _IDENTITIES, each sign's columns
+    looked up once."""
+    m = copies(r)
+    cols = {eps: (col[lhs], None if block is None else col[block], col[top])
+            for eps, (lhs, block, top) in theories.items()}
+
+    def compare(p: int, p_top: int, eps: int | None = None) -> tuple[FgAb2, FgAb2]:
+        lhs, block, top = cols[eps]
+        added = n_copies(m, top(p_top))
+        return lhs(p), added if block is None else direct_sum(block(p), added)
+
+    def params(n: int, eps: int | None = None) -> dict:
+        at = {"identity": theories[eps][0], "n": n, "r": r, "eps": eps}
+        return {key: at[key] for key in fields}
+
+    return compare, params
 
 
 def _mv_window(col: dict, r: int, eps: int, n_lo: int, n_hi: int) -> tuple[FgAb2, ...]:
@@ -225,7 +264,7 @@ def check_les(field: ResolvedField, col: dict) -> list[CheckReport]:
     return reports
 
 
-def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
+def check_t_w(a: int, q: int, n_max: int) -> CheckReport:
     """The identity t(n, q) = w((n+1)/2, a) for n = 3 (mod 4), at a field's
     2-adic parameter a and an admissible q for it."""
     name = "valuation identity t(n, q) = w((n+1)/2, a)"
@@ -238,56 +277,17 @@ def check_t_w(a: int, q: int, n_max: int = 400) -> CheckReport:
     return CheckReport(name, True, f"all n = 3 (mod 4), n <= {n_max} ({len(degrees)} cases)")
 
 
-def _check_extras(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
-    r, ko = field.r, col["KO"]
-    signs = (1, -1)
-    degrees = list(zip(range(n_max + 1)))  # the points (n,)
-    signed = [(n, eps) for n in range(n_max + 1) for eps in signs]  # the points (n, eps)
-    periods = list(zip(pd[:n_max + 1]))
-    low = {eps: tb.low_dim(field, eps) for eps in signs}
-    low_points = [(n, eps) for eps in signs for n in (0, 1)]
-    return [
-        _equality_report(
-            "V+ is 2r copies of KO",
-            degrees,
-            periods,
-            lambda p: (col["V+"](p), n_copies(2 * r, ko(p))),
-            lambda n: {"n": n, "r": r},
-            f"n <= {n_max}",
-        ),
-        _equality_report(
-            "U-theory is sign-swapped V-theory shifted by one",
-            signed[2:],
-            [(p, p_below, eps) for p, p_below in zip(pd[1:n_max + 1], pd[:n_max]) for eps in signs],
-            lambda p, p_below, eps: (col["U" + _SIGN[eps]](p), col["V" + _SIGN[-eps]](p_below)),
-            lambda n, eps: {"n": n, "eps": eps},
-            f"1 <= n <= {n_max}",
-        ),
-        _equality_report(
-            "V-theory 8-periodicity",
-            signed,
-            [(p, p_above, eps) for p, p_above in zip(pd[:n_max + 1], pd[8:]) for eps in signs],
-            lambda p, p_above, eps: (col["V" + _SIGN[eps]](p), col["V" + _SIGN[eps]](p_above)),
-            lambda n, eps: {"n": n, "eps": eps},
-            f"n <= {n_max}",
-        ),
-        _equality_report(
-            "orthogonal finite-field groups complement KO in the building block",
-            degrees,
-            periods,
-            lambda p: (col["KQbar+"](p), direct_sum(col["KQFq+"](p), ko(p))),
-            lambda n: {"n": n},
-            f"n <= {n_max}",
-        ),
-        _equality_report(
-            "low-degree computations agree with the table",
-            low_points,
-            low_points,
-            lambda n, eps: (low[eps][n], col["KQ" + _SIGN[eps]](n)),
-            lambda n, eps: {"n": n, "eps": eps},
-            "degrees 0 and 1, both signs",
-        ),
-    ]
+def _check_low_degrees(field: ResolvedField, col: dict) -> CheckReport:
+    low = {eps: tb.low_dim(field, eps) for eps in (1, -1)}
+    points = [(n, eps) for eps in (1, -1) for n in (0, 1)]
+    return _equality_report(
+        "low-degree computations agree with the table",
+        points,
+        points,
+        lambda n, eps: (low[eps][n], col["KQ" + _SIGN[eps]](n)),
+        lambda n, eps: {"n": n, "eps": eps},
+        "degrees 0 and 1, both signs",
+    )
 
 
 def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
@@ -303,8 +303,7 @@ def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[Chec
     pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
     reports = check_splittings(field, col, n_max, pd)
     reports += check_les(field, col)
-    reports += [check_t_w(field.a, q, min(4 * n_max, 400))]
-    reports += _check_extras(field, col, n_max, pd)
+    reports += [check_t_w(field.a, q, min(4 * n_max, 400)), _check_low_degrees(field, col)]
     return sorted(reports, key=lambda rep: rep.name)
 
 

@@ -58,6 +58,24 @@ def test_two_regular_criterion_examples():
     assert f.is_two_regular(f.MaxRealCycloOdd(11))[0]
 
 
+@pytest.mark.parametrize("m", [83, 107])
+def test_cyclotomic_criterion_sophie_germain_row(m):
+    # phi(m) > 66, and m = 3 (mod 8) with (m-1)/2 prime
+    field = f.resolve(f.MaxRealCycloOdd(m))
+    assert field.regular
+    assert field.reason == f"m = {m} and (m-1)/2 both prime with m != 7 (mod 8)"
+
+
+def test_cyclotomic_criterion_outside_the_certified_list():
+    # phi(101) = 100 > 66 and 50 is not prime, so no row of the criterion
+    # certifies m = 101 and it is reported as not 2-regular; this pins the
+    # current verdict, which deciding the cyclotomic verdict (ROADMAP item
+    # 9) will change, and this test with it
+    field = f.resolve(f.MaxRealCycloOdd(101))
+    assert not field.regular
+    assert field.reason == "m = 101 is outside the certified list"
+
+
 def test_two_regular_requires_primitive_root():
     with pytest.raises(NotPrimitiveRoot):
         f.is_two_regular(f.MaxRealCycloOdd(7))  # 2^3 = 1 mod 7

@@ -280,3 +280,44 @@ def test_failing_ses_reports_name_their_own_groups(monkeypatch):
     for rep in failed:
         groups = rep.counterexample
         assert rep.details == f"0 -> {groups['a']} -> {groups['b']} -> {groups['c']} -> 0"
+
+
+def test_failing_mayer_vietoris_reports_name_their_window(monkeypatch):
+    # each sign checks the windows 1..8 and 9..16 in turn; the fake sum
+    # passes the first window and fails the second
+    calls = []
+
+    def second_window_fails(groups):
+        calls.append(groups)
+        return len(calls) % 2 == 0
+
+    monkeypatch.setattr(vf, "alternating_rank_sum", second_window_fails)
+    failed = {rep.name: rep for rep in vf.run_all(Q, None, 16) if not rep.passed}
+    assert sorted(failed) == ["Mayer-Vietoris rank Euler characteristic (eps = +1)",
+                              "Mayer-Vietoris rank Euler characteristic (eps = -1)"]
+    plus = failed["Mayer-Vietoris rank Euler characteristic (eps = +1)"]
+    assert plus.details == "full periods, degrees 1..8 and 9..16"
+    assert plus.counterexample == {"eps": 1, "degrees": "9..16", "groups": [
+        "Z/2", "Z + Z/2", "Z^2 + Z/2", "Z", "Z/32", "Z/32", "0", "0", "0", "0", "0", "0",
+        "0", "Z", "Z^2", "Z", "Z/8", "Z/8", "0", "Z/2 + Z/2", "Z/2 + Z/2 + Z/2", "Z/2",
+        "Z/2 + Z/2 + Z/2", "Z/2 + Z/2 + Z/2 + Z/2"]}
+    minus = failed["Mayer-Vietoris rank Euler characteristic (eps = -1)"]
+    assert minus.counterexample == {"eps": -1, "degrees": "9..16", "groups": [
+        "0", "0", "Z", "Z", "Z/32", "Z/32", "0", "Z", "Z + Z/2", "Z/2", "Z/2", "Z/2 + Z/2",
+        "Z/2", "Z/2", "Z + Z/2", "Z", "Z/16", "Z/8", "0", "Z", "Z", "0", "0", "0"]}
+    assert len(calls) == 4
+
+
+def test_failing_t_w_report_names_the_first_failing_degree(monkeypatch):
+    t = tb.t
+    monkeypatch.setattr(tb, "t", lambda n, q: 2 * t(n, q) if n in (11, 15) else t(n, q))
+    rep = vf.check_t_w(2, 3, 200)
+    assert not rep.passed
+    assert rep.details == "fails at a=2, q=3, n=11"
+    assert rep.counterexample == {"a": 2, "q": 3, "n": 11, "t": 16, "w": 8}
+
+
+def test_run_all_rejects_n_max_below_one_period():
+    with pytest.raises(ValueError, match=r"^n_max must be >= 8, got 7$"):
+        vf.run_all(Q, None, 7)
+    assert all(rep.passed for rep in vf.run_all(Q, None, 8))
