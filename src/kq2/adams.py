@@ -8,18 +8,29 @@ operator applied to the standard three-dimensional representation becomes
 
     q^4 (1-u)^(2q) - (1-u)^(q+1) + (q^4 - 1)(1-u)^q - (1-u)^(q-1) + q^4
 
-and the coefficient of u^(2q) must be odd.  The module expands the bracket
-exactly, in one pass over the degrees 0..2q, and reads off that coefficient.
+and the coefficient of u^(2q) must be odd.  The module reads one
+coefficient from its four binomials, or expands the whole bracket exactly,
+in one pass over the degrees 0..2q.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import BoundExceeded, EvenQ
 
-# Largest q accepted.  The expansion takes O(q) bignum steps, but the
+# Largest q accepted.  The full expansion takes O(q) bignum steps, but the
 # bracket's 2q+1 coefficients reach about 2q bits, so --dump-coeffs prints
 # about 22 MB at q = 5001; the bound caps that output.
 Q_BOUND = 5001
+
+
+def _check_q(q: int) -> None:
+    """The one check of q that bracket and coefficient share."""
+    if q % 2 == 0 or q < 3:
+        raise EvenQ(f"q must be odd and >= 3, got {q}")
+    if q > Q_BOUND:
+        raise BoundExceeded(f"q must be <= {Q_BOUND}, got {q}")
 
 
 def _expand(q: int) -> tuple[int, ...]:
@@ -43,11 +54,23 @@ def _expand(q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coefficient(q: int, i: int) -> int:
+    """The bracket's coefficient of u^i, read from the binomials C(e, i) of
+    its four powers (1-u)^e."""
+    q4 = q**4
+    c2q, cup, cq, cdown = (math.comb(e, i) for e in (2 * q, q + 1, q, q - 1))
+    return (-1) ** i * (q4 * c2q - cup + (q4 - 1) * cq - cdown) + (q4 if i == 0 else 0)
+
+
 def bracket(q: int) -> tuple[int, ...]:
     """The 2q+1 coefficients of the degree-2q obstruction polynomial, for
     odd 3 <= q <= Q_BOUND."""
-    if q % 2 == 0 or q < 3:
-        raise EvenQ(f"q must be odd and >= 3, got {q}")
-    if q > Q_BOUND:
-        raise BoundExceeded(f"q must be <= {Q_BOUND}, got {q}")
+    _check_q(q)
     return _expand(q)
+
+
+def coefficient(q: int, i: int) -> int:
+    """The coefficient of u^i, 0 <= i <= 2q, of bracket(q), for odd
+    3 <= q <= Q_BOUND."""
+    _check_q(q)
+    return _coefficient(q, i)

@@ -331,8 +331,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_adams(args) -> int:
     from . import adams
-    coeffs = adams.bracket(args.q)
-    coeff = coeffs[2 * args.q]
+    coeff = adams.coefficient(args.q, 2 * args.q)
+    coeffs = adams.bracket(args.q) if args.dump_coeffs else None
     odd = coeff % 2 == 1
     human = [
         f"q = {args.q}: coefficient of u^{2 * args.q} is {coeff} "
@@ -346,7 +346,7 @@ def _cmd_adams(args) -> int:
         "result": {
             "obstruction": odd,
             "top_coefficient": coeff,
-            "constant_term": coeffs[0],
+            "constant_term": adams.coefficient(args.q, 0),
             "coeffs": list(coeffs) if args.dump_coeffs else None,
         },
         "notes": [],

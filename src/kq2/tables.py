@@ -288,7 +288,7 @@ def period_degree(n: int) -> int:
 
 def period_degrees(stop: int) -> list[int]:
     """The period degrees of the degrees 0..stop - 1, in order: the one list
-    that table and verify walk the period classes by."""
+    that table walks the period classes by."""
     return list(map(period_degree, range(stop)))
 
 

@@ -21,7 +21,7 @@ The low-degree computations read no stored row, so the low-degree report
 compares two independent derivations.  A group reads its degree only
 through its period degree (tables.period_degree), so each equality report
 over the degrees compares the cells of a point at their period degrees,
-its key, once per distinct key, and still counts every point.
+its key, once per distinct key, and counts its points arithmetically.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # collections.abc is not imported at run time, to keep start-up short
-    from collections.abc import Callable, Iterable, Sequence
+    from collections.abc import Callable, Iterable
 
 REPORT_HEADER = (
     "consistency suite: compares isomorphism classes only; connecting maps "
@@ -72,22 +72,20 @@ class CheckReport(Record):
         return out
 
 
-def _equality_report(name: str, points: Sequence[tuple], keys: list[tuple], compare: Callable,
+def _equality_report(name: str, firsts: dict[tuple, tuple], count: int, compare: Callable,
                      params: Callable[..., dict], details: str) -> CheckReport:
-    """Check ``compare(*keys[i]) = (expected, actual)`` for equality at each
-    point, in order.  ``keys[i]`` holds the period degrees (and sign) of
-    the cells compared at ``points[i]``, so a key met before repeats a
-    passed comparison: each distinct key is compared once, in the order of
-    its first point, and every point is counted.  The counterexample names
-    ``params(*point)`` of the first failing point."""
-    assert len(keys) == len(points), "one key per point"
-    for key in dict.fromkeys(keys):
+    """Check ``compare(*key) = (expected, actual)`` for equality at each key
+    of ``firsts``, which maps the distinct keys (the period degrees and sign
+    of the cells compared) of ``count`` points to their first points, in
+    point order; the counterexample holds ``params(*point)`` of the first
+    failing key's point, the first failing point."""
+    for key, point in firsts.items():
         expected, actual = compare(*key)
         if expected != actual:
-            at = params(*points[keys.index(key)])
+            at = params(*point)
             return CheckReport(name, False, f"first failure at {at}",
                                {**at, "expected": format_group(expected), "actual": format_group(actual)})
-    return CheckReport(name, True, f"{details} ({len(keys)} cases)")
+    return CheckReport(name, True, f"{details} ({count} cases)")
 
 
 def _report(name: str, passed: bool, details: str, counterexample: Callable[[], dict]) -> CheckReport:
@@ -124,29 +122,35 @@ _IDENTITIES = (
 )
 
 
-def check_splittings(field: ResolvedField, col: dict, n_max: int, pd: list[int]) -> list[CheckReport]:
+def _first_degrees(first: int, shift: int, n_max: int) -> dict[tuple[int, int], int]:
+    """The keys (period_degree(n), period_degree(n + shift)) of first <= n
+    <= n_max (first <= 1, |shift| <= 8), each mapped to its least n, in
+    order.  A degree x >= 1 not 7 mod 8 has the period degree of x + 8, so
+    past 16 a key is new only where n or n + shift is a period degree
+    8 * 2^e - 1, and only those n and 0..16 are walked."""
+    pd, tops = tb.period_degree, [8 * 2**e - 1 for e in range(n_max.bit_length())]
+    firsts: dict[tuple[int, int], int] = {}
+    for n in sorted({*range(first, 17), *tops, *(p - shift for p in tops)}):
+        if first <= n <= n_max:
+            firsts.setdefault((pd(n), pd(n + shift)), n)
+    return firsts
+
+
+def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
     """The nine identities of _IDENTITIES over the degrees n <= n_max: the
     five wedge splittings of the R_F tables into the one-real-place
     building block plus topological copies, and four more of the same
     shape.  ``col`` maps each theory with a degree axis to its column on
-    the 2-regular ``field`` and ``pd`` is tables.period_degrees(n_max + 9)
-    (see run_all).  A point's key holds the period degrees of n and n + s
-    (and the sign)."""
-    degrees = list(zip(range(n_max + 1)))  # the points (n,)
-    signed = [(n, eps) for n in range(n_max + 1) for eps in (1, -1)]  # the points (n, eps)
-    pairs: dict[tuple[int, int], list[tuple]] = {}  # (first, shift) -> the keys (p, p_top)
+    the 2-regular ``field`` (see run_all).  A point (n, eps) has the key
+    (period degree of n, of n + s, eps), with eps None where no sign is."""
     reports = []
     for name, first, theories, copies, shift, fields in _IDENTITIES:
-        if (first, shift) not in pairs:
-            pairs[first, shift] = list(zip(pd[first:n_max + 1], pd[first + shift:]))
-        keys = pairs[first, shift]
-        if None in theories:
-            points = degrees[first:]
-        else:
-            points, keys = signed[2 * first:], [(p, p_top, eps) for p, p_top in keys for eps in (1, -1)]
+        firsts = {(*key, eps): (n, eps) for key, n in _first_degrees(first, shift, n_max).items()
+                  for eps in theories}
         compare, params = _identity_checks(field.r, col, theories, copies, fields)
         details = f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}"
-        reports.append(_equality_report(name, points, keys, compare, params, details))
+        count = len(theories) * (n_max - first + 1)
+        reports.append(_equality_report(name, firsts, count, compare, params, details))
     return reports
 
 
@@ -158,12 +162,12 @@ def _identity_checks(r: int, col: dict, theories: dict, copies: Callable[[int], 
     cols = {eps: (col[lhs], None if block is None else col[block], col[top])
             for eps, (lhs, block, top) in theories.items()}
 
-    def compare(p: int, p_top: int, eps: int | None = None) -> tuple[FgAb2, FgAb2]:
+    def compare(p: int, p_top: int, eps: int | None) -> tuple[FgAb2, FgAb2]:
         lhs, block, top = cols[eps]
         added = n_copies(m, top(p_top))
         return lhs(p), added if block is None else direct_sum(block(p), added)
 
-    def params(n: int, eps: int | None = None) -> dict:
+    def params(n: int, eps: int | None) -> dict:
         at = {"identity": theories[eps][0], "n": n, "r": r, "eps": eps}
         return {key: at[key] for key in fields}
 
@@ -279,29 +283,22 @@ def check_t_w(a: int, q: int, n_max: int) -> CheckReport:
 
 def _check_low_degrees(field: ResolvedField, col: dict) -> CheckReport:
     low = {eps: tb.low_dim(field, eps) for eps in (1, -1)}
-    points = [(n, eps) for eps in (1, -1) for n in (0, 1)]
-    return _equality_report(
-        "low-degree computations agree with the table",
-        points,
-        points,
-        lambda n, eps: (low[eps][n], col["KQ" + _SIGN[eps]](n)),
-        lambda n, eps: {"n": n, "eps": eps},
-        "degrees 0 and 1, both signs",
-    )
+    points = {(n, eps): (n, eps) for eps in (1, -1) for n in (0, 1)}
+    return _equality_report("low-degree computations agree with the table", points, len(points),
+                            lambda n, eps: (low[eps][n], col["KQ" + _SIGN[eps]](n)),
+                            lambda n, eps: {"n": n, "eps": eps}, "degrees 0 and 1, both signs")
 
 
 def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """Full consistency suite for one 2-regular field: the field, q and
     n_max are checked here once, and every check reads the one column of
-    each theory with a degree axis and the one period-degree list built
-    here."""
+    each theory with a degree axis built here."""
     field = require_two_regular(spec)
     q = choose_q(field, q)
     if n_max < N_MAX_LEAST:
         raise ValueError(f"n_max must be >= {N_MAX_LEAST}, got {n_max}")
     col = {name: tb.column(tag, field, q) for name, tag in tb.THEORIES.items() if tag.needs_degree}
-    pd = tb.period_degrees(n_max + 9)  # a report reads degrees up to n_max + 8
-    reports = check_splittings(field, col, n_max, pd)
+    reports = check_splittings(field, col, n_max)
     reports += check_les(field, col)
     reports += [check_t_w(field.a, q, min(4 * n_max, 400)), _check_low_degrees(field, col)]
     return sorted(reports, key=lambda rep: rep.name)

@@ -142,7 +142,7 @@ def test_criterion_5_splitting_identities():
         for r in (1, 2, 4, 8):
             spec = Generic(r=r, a=2, regular_claim=True)
             field, col = checked(spec, 3)
-            reports = [rep for rep in vf.check_splittings(field, col, 64, tb.period_degrees(64 + 9))
+            reports = [rep for rep in vf.check_splittings(field, col, 64)
                        if rep.name.startswith("splitting ")]
             assert len(reports) == 5
             failures = [rep for rep in reports if not rep.passed]

@@ -149,3 +149,23 @@ def test_big_q_exact_integers():
     assert coeffs[51] % 2 == 0 or coeffs[51] % 2 == 1  # evaluates without overflow
     assert coeffs[2 * 51] % 2 == 1
     assert coeffs[0] == 3 * (51**4 - 1)
+
+
+@pytest.mark.parametrize("q", range(3, 62, 2))
+def test_coefficient_matches_the_bracket(q):
+    assert tuple(ad.coefficient(q, i) for i in range(2 * q + 1)) == ad.bracket(q)
+
+
+def test_coefficient_at_the_bound():
+    q = ad.Q_BOUND
+    coeffs = ad.bracket(q)
+    assert (ad.coefficient(q, 0), ad.coefficient(q, 2 * q)) == (coeffs[0], coeffs[2 * q])
+
+
+def test_coefficient_checks_q_as_the_bracket_does():
+    for q, error in ((4, EvenQ), (1, EvenQ), (ad.Q_BOUND + 2, BoundExceeded)):
+        with pytest.raises(error) as from_bracket:
+            ad.bracket(q)
+        with pytest.raises(error) as from_coefficient:
+            ad.coefficient(q, 0)
+        assert str(from_coefficient.value) == str(from_bracket.value)

@@ -285,13 +285,31 @@ def test_determinism(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_adams_builds_the_bracket_once(capsys, monkeypatch):
+ADAMS_Q5 = "q = 5: coefficient of u^10 is 625 (odd); realification factorization impossible\n"
+
+
+def _count_expansions(monkeypatch):
+    """The calls of adams._expand, which builds the whole bracket."""
     calls = []
-    original = adams.bracket
-    monkeypatch.setattr(adams, "bracket", lambda *a: calls.append(a) or original(*a))
-    code, out, _ = run(capsys, "adams", "--q", "5")
-    assert code == 0 and "(odd)" in out
-    assert len(calls) == 1
+    original = adams._expand
+    monkeypatch.setattr(adams, "_expand", lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_plain_adams_builds_no_bracket(capsys, monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    assert run(capsys, "adams", "--q", "5")[:2] == (0, ADAMS_Q5)
+    code, out, _ = run(capsys, "adams", "--q", "5", "--json")
+    assert code == 0 and '"top_coefficient": 625' in out and '"coeffs": null' in out
+    assert calls == []
+
+
+def test_adams_dump_coeffs_builds_the_bracket_once(capsys, monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    code, out, _ = run(capsys, "adams", "--q", "5", "--dump-coeffs")
+    assert code == 0 and out.startswith(ADAMS_Q5)
+    assert out.endswith("coefficients: 1872 -9360 34344 -81216 134354 -158118 131249 -75000 28125 -6250 625\n")
+    assert calls == [(5,)]
 
 
 def _refuse(*args):
@@ -310,7 +328,7 @@ def _patch_everywhere(monkeypatch, target, name, fn):
 @pytest.mark.parametrize("argv, target, name", [
     (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "column"),
     (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
-    (("adams", "--q", str(Q_BOUND + 2)), adams, "_expand"),
+    (("adams", "--q", str(Q_BOUND + 2), "--dump-coeffs"), adams, "_expand"),
     (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "resolve"),
     (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "resolve"),
     (("group", "--theory", "KQ+", "--n", "1", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"),
@@ -319,6 +337,7 @@ def _patch_everywhere(monkeypatch, target, name, fn):
     (("verify", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
     (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "resolve"),
     (("find-q", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "find_q_for_a"),
+    (("adams", "--q", str(Q_BOUND + 2)), adams, "_coefficient"),
 ])
 def test_input_bounds_exit_2_before_work(capsys, monkeypatch, argv, target, name):
     _patch_everywhere(monkeypatch, target, name, _refuse)

@@ -17,7 +17,7 @@ ENTRY_POINTS = {
     "fundamental_unit": "validated numtheory entry point; the README documents its bound",
     "is_two_regular": "the 2-regularity criterion's library entry point; the benchmark's oracle sweep calls it",
     "parse_group": "reads the canonical group grammar; the round-trip tests use it, and rows stored as "
-                   "formula text (ROADMAP item 4) build on it",
+                   "formula text (ROADMAP item 6) build on it",
     "quadratic_data": "validated numtheory entry point; the README documents its bound",
     "reduced_forms": "bounded numtheory entry point; decodes the keys of the oracle's cycle walk",
 }

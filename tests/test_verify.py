@@ -160,7 +160,7 @@ def test_paired_faults_escape_only_where_documented(text):
 
 def per_degree_reference(monkeypatch, spec, n_max, *sites):
     """run_all with period_degree the identity: every column memoizes each
-    degree, and every report evaluates each point on its own."""
+    degree, and every point a report walks is its own key."""
     with monkeypatch.context() as patch:
         patch.setattr(tb, "period_degree", lambda n: n)
         return run_faulty(spec, n_max, *sites)
@@ -240,37 +240,105 @@ def test_v_periodicity_compares_each_degree_with_the_degree_eight_up(eps, monkey
 def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
     report, seen = vf._equality_report, {}
 
-    def recording(name, points, keys, compare, params, details):
+    def recording(name, firsts, count, compare, params, details):
         calls = []
 
         def counted(*key):
             calls.append(key)
             return compare(*key)
 
-        seen[name] = points, keys, calls
-        return report(name, points, keys, counted, params, details)
+        seen[name] = firsts, count, calls
+        return report(name, firsts, count, counted, params, details)
 
     monkeypatch.setattr(vf, "_equality_report", recording)
-    reports = {rep.name: rep for rep in vf.run_all(parse_field("Q(zeta 2^5)+"), None, 350)}
+    n_max = 350
+    reports = {rep.name: rep for rep in vf.run_all(parse_field("Q(zeta 2^5)+"), None, n_max)}
     assert len(seen) == 10  # the five splittings, four reports over the degrees, the low degrees
-    for name, (points, keys, calls) in seen.items():
-        assert len(keys) == len(points)
-        first = {}
-        for i, key in enumerate(keys):
-            first.setdefault(key, i)
-        # one call per distinct key, at its first point, in ascending point
-        # order, and compare receives exactly that point's key
-        assert calls == [keys[i] for i in first.values()], name
+    pd = tb.period_degrees(n_max + 9)
+    for name, first, theories, _, shift, _ in vf._IDENTITIES:
+        firsts, count, calls = seen[name]
+        # the first point of each distinct key of the per-degree points (n,
+        # eps), eps None for a report with no sign axis, in point order, and
+        # compare receives each key once, in that order
+        points = [(n, eps) for n in range(first, n_max + 1) for eps in theories]
+        expected = {}
+        for n, eps in points:
+            expected.setdefault((pd[n], pd[n + shift], eps), (n, eps))
+        assert list(firsts.items()) == list(expected.items()), name
+        assert calls == list(firsts), name
+        assert count == len(points)
         assert reports[name].passed
         assert reports[name].details.endswith(f" ({len(points)} cases)")
-    # each report over the degrees n <= 350 shares cells between degrees
-    assert all(3 * len(calls) < len(points) for points, _, calls in seen.values() if len(points) > 4)
+        # the degrees n <= 350 share cells
+        assert 3 * len(calls) < len(points)
 
 
-def test_an_equality_report_needs_one_key_per_point():
-    # fewer keys than points would leave the later points unchecked
-    with pytest.raises(AssertionError):
-        vf._equality_report("r", [(0,), (1,)], [(0,)], lambda n: (0, 0), lambda n: {"n": n}, "")
+def test_an_equality_report_counts_its_points_and_names_its_first_failing_point():
+    from kq2.abgroup import C2, ZERO
+    firsts = {("a",): (2,), ("b",): (5,), ("c",): (7,)}
+    calls = []
+
+    def compare(key):
+        calls.append(key)
+        return ZERO, C2(1) if key != "a" else ZERO
+
+    failed = vf._equality_report("r", firsts, 9, compare, lambda n: {"n": n}, "")
+    assert (failed.passed, failed.counterexample) == (False, {"n": 5, "expected": "0", "actual": "Z/2"})
+    assert calls == ["a", "b"]
+    passed = vf._equality_report("r", firsts, 9, lambda key: (ZERO, ZERO), lambda n: {"n": n}, "n <= 8")
+    assert (passed.passed, passed.details) == (True, "n <= 8 (9 cases)")
+
+
+def _first_occurrences(first, shift, stop):
+    """[(key, n)] of the first occurrence of each key (period_degree(n),
+    period_degree(n + shift)), first <= n < stop, by brute force."""
+    pd = tb.period_degrees(stop + 8)
+    found = {}
+    for n, key in enumerate(zip(pd[first:stop], pd[first + shift:]), first):
+        found.setdefault(key, n)
+    return list(found.items())
+
+
+def test_the_key_walk_finds_every_first_occurrence():
+    # each (first, shift) of the rows, every n_max in 8..4100 (e reaches 9
+    # at 4095), and the --n-max bound
+    for first, shift in {(first, shift) for _, first, _, _, shift, _ in vf._IDENTITIES}:
+        found = _first_occurrences(first, shift, 4101)
+        for n_max in range(8, 4101):
+            expected = [(key, n) for key, n in found if n <= n_max]
+            assert list(vf._first_degrees(first, shift, n_max).items()) == expected, (first, shift, n_max)
+        assert list(vf._first_degrees(first, shift, 10000).items()) == _first_occurrences(first, shift, 10001)
+
+
+# the first degree at which each report over the degrees that reads KO
+# reads the period class of degree 4095 (e = 9): at n, n + 6 or n - 1
+KO_4095_FIRST_FAILURES = {
+    "splitting KQ+ = KQbar+ + (r-1) KO": 4095,
+    "splitting KQ- = KQbar- + (r-1) KO[6]": 4089,
+    "splitting V+ = Vbar+ + 2(r-1) KO": 4095,
+    "splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))": 4096,
+    "V+ is 2r copies of KO": 4095,
+    "orthogonal finite-field groups complement KO in the building block": 4095,
+}
+
+
+def test_a_period_class_first_read_late_fails_at_its_least_degree(monkeypatch):
+    # KO gains a Z/2 on the period class of degree 4095 only, far past the
+    # first periods; each report that reads KO names its least degree that
+    # reads the class, and every other report passes
+    from kq2.abgroup import C2, direct_sum
+    column, period_degree = tb.column, tb.period_degree
+
+    def off_by_one_class(tag, field, q):
+        col = column(tag, field, q)
+        if tag.name != "KO":
+            return col
+        return lambda n: direct_sum(col(n), C2(1)) if period_degree(n) == 4095 else col(n)
+
+    monkeypatch.setattr(tb, "column", off_by_one_class)
+    reports = vf.run_all(parse_field("Q(zeta 2^5)+"), None, 10000)  # r = 8
+    failed = {rep.name: rep.counterexample["n"] for rep in reports if not rep.passed}
+    assert failed == KO_4095_FIRST_FAILURES
 
 
 def test_failing_ses_reports_name_their_own_groups(monkeypatch):
