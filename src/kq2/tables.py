@@ -1,20 +1,22 @@
 """Closed-form 2-primary group tables.
 
 All tables are stored as shape templates indexed by n mod 8, evaluated with
-the field parameters r (real embeddings), a (2-adic size), k = n // 8 and,
-where torsion orders depend on it, the auxiliary prime q.  Theories over the
-ring of 2-integers R_F require a 2-regular field; the barred building-block
-theories, the topological theories, and the finite-field theories do not.
-The finite-field theories are not stored: they are derived from the
-topological rows as the fiber of the Adams operation psi^q - 1.  Every
-theory of the registry is read through ``column(tag, field, q)``, which
-checks the theory's rules once and returns its groups as a function of the
-degree.  The groups are 8-periodic, except that degree 0 is its own class
-and degrees 7 mod 8 also read e = nu2(n // 8 + 1): a degree n reads the
-same rows as its period degree ``period_degree(n)``, and a column
-evaluates each period class once.
+the degree n, k = n // 8 and the field parameters r (real embeddings) and
+a (2-adic size).  Theories over the ring of 2-integers R_F require a
+2-regular field; the barred building-block theories, the topological
+theories, and the finite-field theories do not.  Not every theory is
+stored: KQbar+ is the kq_rf+ table on r = 1, V+ is 2r copies of KO and
+Vbar+ two, and the finite-field theories are derived from the topological
+rows as the fiber of the Adams operation psi^q - 1.  No row reads the
+auxiliary prime q: the building blocks KQbar+- read a = v2(q^2 - 1) - 1,
+which is the field's a for an admissible q.  Every theory of the registry
+is read through ``column(tag, field, q)``, which checks the theory's rules
+once and returns its groups as a function of the degree.  The groups are
+8-periodic, except that degree 0 is its own class and degrees 7 mod 8 also
+read e = nu2(n // 8 + 1): a degree n reads the same rows as its period
+degree ``period_degree(n)``, and a column evaluates each period class once.
 
-All 96 stored rows live in one row store, and a column reads the store as
+All 72 stored rows live in one row store, and a column reads the store as
 it stood when the column was built.  The verification suite proves its own
 discriminating power with ``fault_injection``, which swaps in a copy of one
 table with one row perturbed by an extra Z/2 summand.
@@ -22,7 +24,7 @@ table with one row perturbed by an extra Z/2 summand.
 
 from __future__ import annotations
 
-from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum
+from .abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, n_copies
 from .errors import (
     DegreeOutOfRange,
     EvenN,
@@ -80,23 +82,18 @@ class fault_injection:
 
 
 def fault_sites() -> list[tuple[str, int]]:
-    """Every (table, row) pair that fault_injection can perturb: all 96 rows."""
+    """Every (table, row) pair that fault_injection can perturb: all 72 rows."""
     return [(name, row) for name in sorted(_ROWS) for row in range(8)]
 
 
 class _Ctx:
-    """The arguments of one table row: the degree n, k = n // 8, the
-    field's r and a, and the auxiliary prime q (None where no row needs it)."""
+    """The arguments of one table row: the degree n, k = n // 8 and the
+    field's r and a."""
 
-    __slots__ = ("n", "k", "r", "a", "q")
+    __slots__ = ("n", "k", "r", "a")
 
-    def __init__(self, n: int, k: int, r: int, a: int, q: int | None) -> None:
-        self.n, self.k, self.r, self.a, self.q = n, k, r, a, q
-
-    def t(self) -> int:
-        if self.q is None:
-            raise ValueError("this table entry needs the auxiliary prime q")
-        return t(self.n, self.q)
+    def __init__(self, n: int, k: int, r: int, a: int) -> None:
+        self.n, self.k, self.r, self.a = n, k, r, a
 
 
 def _d0(c: _Ctx) -> FgAb2:
@@ -144,17 +141,8 @@ _ROWS = {
         lambda c: ZERO,
         lambda c: C(w(4 * c.k + 4, c.a)),
     ),
-    # forgetful-map fiber V of R_F
-    "v_rf+": (
-        lambda c: Z(2 * c.r),
-        lambda c: C2(2 * c.r),
-        lambda c: C2(2 * c.r),
-        lambda c: ZERO,
-        lambda c: Z(2 * c.r),
-        lambda c: ZERO,
-        lambda c: ZERO,
-        lambda c: ZERO,
-    ),
+    # forgetful-map fiber V- of R_F; its twin v_bar- is the only check of
+    # these rows, and V+ is 2r copies of KO
     "v_rf-": (
         lambda c: direct_sum(Z(c.r), C(2)),
         lambda c: ZERO,
@@ -165,29 +153,22 @@ _ROWS = {
         lambda c: direct_sum(Z(c.r), C(2)),
         lambda c: C(2),
     ),
-    # one-real-place building block, hermitian
-    "kq_bar+": (
-        lambda c: direct_sum(_d0(c), Z(1), C(2)),
-        lambda c: C2(3),
-        lambda c: C2(2),
-        lambda c: C(c.t()),
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: ZERO,
-        lambda c: C(c.t()),
-    ),
+    # one-real-place building block, hermitian symplectic: kq_rf- on r = 1,
+    # stored as the only check of kq_rf- rows 2, 6 and 7; KQbar+ is kq_rf+
+    # on r = 1
     "kq_bar-": (
         lambda c: _d0(c),
         lambda c: ZERO,
         lambda c: Z(1),
-        lambda c: C(2 * c.t()),
+        lambda c: C(2 * w(4 * c.k + 2, c.a)),
         lambda c: C(2),
         lambda c: C(2),
         lambda c: Z(1),
-        lambda c: C(c.t()),
+        lambda c: C(w(4 * c.k + 4, c.a)),
     ),
-    # one-real-place building block, algebraic (n >= 1); the degree 7 mod 8
-    # order w(4k+4) is the one choice compatible with the K-theory splitting
+    # one-real-place building block, algebraic (n >= 1): k_rf on r = 1,
+    # stored as the only check of the k_rf rows; the degree 7 mod 8 order
+    # w(4k+4) is the one choice compatible with the K-theory splitting
     # identity, which the verification suite asserts
     "k_bar": (
         lambda c: _from_degree_8(c),
@@ -199,17 +180,8 @@ _ROWS = {
         lambda c: ZERO,
         lambda c: C(w(4 * c.k + 4, c.a)),
     ),
-    # one-real-place building block, V-theory
-    "v_bar+": (
-        lambda c: Z(2),
-        lambda c: C2(2),
-        lambda c: C2(2),
-        lambda c: ZERO,
-        lambda c: Z(2),
-        lambda c: ZERO,
-        lambda c: ZERO,
-        lambda c: ZERO,
-    ),
+    # one-real-place building block, V-theory: v_rf- on r = 1, stored as the
+    # only check of the v_rf- rows; Vbar+ is 2 copies of KO
     "v_bar-": (
         lambda c: direct_sum(Z(1), C(2)),
         lambda c: ZERO,
@@ -250,11 +222,11 @@ def _eval_row(rows: tuple, ctx: _Ctx) -> FgAb2:
     return rows[ctx.n % 8](ctx)
 
 
-def _reader(table: str, r: int, a: int, q: int | None) -> Callable[[int], FgAb2]:
+def _reader(table: str, r: int, a: int) -> Callable[[int], FgAb2]:
     """n -> the row of ``table`` in the store as it is now, at degree n >= 0,
-    for the field parameters r and a and the auxiliary prime q."""
+    for the field parameters r and a."""
     rows = _ROWS[table]
-    ctx = _Ctx(0, 0, r, a, q)  # each read sets its degree: one _Ctx per cell cost a third of a read
+    ctx = _Ctx(0, 0, r, a)  # each read sets its degree: one _Ctx per cell cost a third of a read
 
     def read(n: int) -> FgAb2:
         ctx.n, ctx.k = n, n // 8
@@ -272,7 +244,7 @@ def period_degree(n: int) -> int:
     class and degrees 7 mod 8 also read e.  Degree 0 is read by the
     [n = 0] summands and the k_bar degree-0 rule.  With k = n // 8,
     w(4k + 2, a) = 2^(a + 1) does not depend on k, and w(4k + 4, a) =
-    2^(a + 2 + e).  t(n, q) and the cokernels of psi^q - 1 are 2-parts of
+    2^(a + 2 + e).  The cokernels of psi^q - 1 are 2-parts of
     q^m - 1 for m >= 1, and for odd q, by lifting the exponent, v2(q^m - 1)
     is v2(q - 1) for odd m and v2(q^2 - 1) for m = 2 (mod 4): it reads k
     only at m = 4(k + 1), that is in degrees 7 mod 8, and there through
@@ -387,17 +359,17 @@ def _rf(table: str):
     2-regular."""
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
         field = require_two_regular(field)
-        return _reader(table, field.r, field.a, None)
+        return _reader(table, field.r, field.a)
     return build
 
 
 def _u(eps: int):
     """The reader builder of U at the sign eps: the V-theory of the other
     sign, one degree down."""
-    v, name = _rf(_sign("v_rf", -eps)), _sign("U", eps)
+    v, name = _sign("V", -eps), _sign("U", eps)
 
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-        read = v(field, q)
+        read = THEORIES[v].build(field, q)
 
         def shifted(n: int) -> FgAb2:
             if n < 1:
@@ -417,7 +389,23 @@ def _constant(group_of):
 
 def _field_free(table: str):
     """The reader builder of a table whose rows read neither r nor a."""
-    return lambda field, q: _reader(table, 1, 2, q)
+    return lambda field, q: _reader(table, 1, 2)
+
+
+def _block(table: str):
+    """The reader builder of a building block KQbar: ``table`` on r = 1 with
+    a = v2(q^2 - 1) - 1.  For q admissible for the field this is the
+    field's a, by lifting the exponent: v2(q^(4k+2) - 1) = a + 1 and
+    v2(q^(4k+4) - 1) = a + 2 + e are the orders w(4k+2, a) and w(4k+4, a)."""
+    return lambda field, q: _reader(table, 1, val2_q_power(q, 2).bit_length() - 2)
+
+
+def _ko_copies(copies: Callable[[FieldLike], int]):
+    """The reader builder of copies(field) copies of KO: V+ and Vbar+."""
+    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+        m, ko = copies(field), _reader("ko", 1, 2)
+        return lambda n: n_copies(m, ko(n))
+    return build
 
 
 def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
@@ -441,7 +429,7 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
     tabulated choice.  The eight pi_m are read when the column is built, so
     a fault on a ko or ku row reaches the derived columns built under it."""
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-        read = _reader(top, 1, 2, None)
+        read = _reader(top, 1, 2)
         pi = tuple(read(m + shift) for m in range(8))  # pi_m X at m mod 8
 
         def fiber(n: int) -> FgAb2:
@@ -455,14 +443,17 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
 THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("K", _rf("k_rf")),
     *_signed("KQ", lambda eps: _rf(_sign("kq_rf", eps)), allows_degree_minus_one=True),
-    *_signed("V", lambda eps: _rf(_sign("v_rf", eps))),
+    TheoryTag("V+", _ko_copies(lambda field: 2 * require_two_regular(field).r), 1),
+    TheoryTag("V-", _rf("v_rf-"), -1),
     *_signed("U", _u),
     TheoryTag("W", _constant(witt), needs_degree=False),
     TheoryTag("W'", _constant(cowitt), needs_degree=False),
     TheoryTag("W1", _constant(w1), needs_degree=False),
-    TheoryTag("Kbar", lambda field, q: _reader("k_bar", 1, resolve(field).a, None)),
-    *_signed("KQbar", lambda eps: _field_free(_sign("kq_bar", eps)), needs_q=True),
-    *_signed("Vbar", lambda eps: _field_free(_sign("v_bar", eps))),
+    TheoryTag("Kbar", lambda field, q: _reader("k_bar", 1, resolve(field).a)),
+    TheoryTag("KQbar+", _block("kq_rf+"), 1, needs_q=True),
+    TheoryTag("KQbar-", _block("kq_bar-"), -1, needs_q=True),
+    TheoryTag("Vbar+", _ko_copies(lambda field: 2), 1),
+    TheoryTag("Vbar-", _field_free("v_bar-"), -1),
     TheoryTag("KO", _field_free("ko")),
     TheoryTag("KU", _field_free("ku")),
     TheoryTag("KFq", _adams_fiber("ku", 0, lambda m: m // 2), needs_q=True),
@@ -476,7 +467,7 @@ def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | N
     ``column(tag, field, q)(n)``.
 
     The theory's rules are checked here, once per column and not once per
-    cell: q must be given where a row needs it, and the tables over the
+    cell: q must be given where the theory reads it, and the tables over the
     2-integers need a 2-regular field.  Each period class of degrees (see
     period_degree) is evaluated once per column, at its period degree; a
     negative degree of a theory with a degree axis raises NegativeDegree,

@@ -11,12 +11,13 @@ order-telescoping necessary conditions, the valuation identity
 t(n, q) = w((n+1)/2, a), and the low-degree computations.  Boundary maps
 are not modeled, so the checks are necessary-condition checks; they do not
 by themselves prove the tables correct.  Fault injection in the tests adds
-one Z/2 to each of the 96 stored rows of tables.fault_sites() in turn, KO
+one Z/2 to each of the 72 stored rows of tables.fault_sites() in turn, KO
 and KU included, and on the fields of the tests the suite rejects every one
 but the 8 KU rows on Q.
-KFq, KQFq+ and KQFq- are derived from the KO and KU rows, not stored, so
-the report that KQFq+ complements KO in the building block checks the
-stored kq_bar+ rows against that derivation.
+KFq, KQFq+ and KQFq- are derived from the KO and KU rows, and the building
+block KQbar+ is the kq_rf+ table on r = 1, so the report that KQFq+
+complements KO in the building block checks the stored kq_rf+ rows against
+that derivation.
 The low-degree computations read no stored row, so the low-degree report
 compares two independent derivations.  A group reads its degree only
 through its period degree (tables.period_degree), so each equality report

@@ -183,7 +183,7 @@ def test_criterion_8_fault_injection():
         spec, q = RealQuadratic(6), 3
         assert all(rep.passed for rep in vf.run_all(spec, q, 16))
         sites = tb.fault_sites()
-        assert len(sites) == 96  # 12 tables of 8 rows
+        assert len(sites) == 72  # 9 tables of 8 rows
         undetected = []
         for site in sites:
             with tb.fault_injection(*site):

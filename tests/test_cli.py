@@ -239,7 +239,7 @@ def test_verify_ok(capsys):
 
 
 def test_verify_failure_exits_3(capsys):
-    with tb.fault_injection("v_bar+", 0):
+    with tb.fault_injection("v_bar-", 0):
         code, out, _ = run(capsys, "verify", "--field", "Q", "--n-max", "16")
     assert code == 3
     assert "FAIL" in out

@@ -7,6 +7,7 @@ from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, pars
 from kq2.errors import (
     DegreeOutOfRange,
     EvenN,
+    EvenQ,
     NegativeDegree,
     NotTwoRegular,
     OddM,
@@ -68,7 +69,7 @@ def test_a_negative_degree_names_the_theory(name, q):
         with pytest.raises(NegativeDegree) as caught:
             read(-1)
         assert str(caught.value) == message
-    with tb.fault_injection("kq_bar+", 7), pytest.raises(NegativeDegree) as caught:
+    with tb.fault_injection("kq_rf+", 7), pytest.raises(NegativeDegree) as caught:
         read(-1)
     assert str(caught.value) == message
 
@@ -228,7 +229,28 @@ def test_fault_injection_is_scoped():
     with tb.fault_injection("kq_bar-", 4):
         assert cell("KQbar-", 4, Q, 3) != clean
     assert cell("KQbar-", 4, Q, 3) == clean
-    assert len(tb.fault_sites()) == 96  # 12 tables of 8 rows, ko and ku included
+    assert len(tb.fault_sites()) == 72  # 9 tables of 8 rows, ko and ku included
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 17, 31, 127, 257])
+def test_the_stored_building_blocks_are_their_rf_tables_on_one_real_place(q):
+    # a = v2(q^2 - 1) - 1 takes the values 2, 2, 3, 4, 5, 7 and 8, most of
+    # them past the fields that verify reaches; kq_bar-, k_bar and v_bar-
+    # are stored as the only check of their R_F twins, and must agree with
+    # them on r = 1 at every period class up to the CLI bound
+    a = _a_of_q(q)
+    one = Generic(r=1, a=a, regular_claim=True)
+    degrees = sorted(set(tb.period_degrees(N_MAX_BOUND + 1)))
+    for block, rf, field, first in (("KQbar-", "KQ-", Q, 0), ("Kbar", "K", one, 1), ("Vbar-", "V-", Q, 0)):
+        read_block, read_rf = tb.column(tb.THEORIES[block], field, q), tb.column(tb.THEORIES[rf], one, None)
+        assert [read_block(n) for n in degrees[first:]] == [read_rf(n) for n in degrees[first:]], (block, q)
+
+
+@pytest.mark.parametrize("name", ["KQbar+", "KQbar-"])
+def test_a_building_block_refuses_an_even_q_when_its_column_is_built(name):
+    # a is read from q when the column is built, so no degree is needed
+    with pytest.raises(EvenQ, match=r"^q must be odd and >= 3, got 4$"):
+        tb.column(tb.THEORIES[name], Q, 4)
 
 
 # the finite-field theories are derived from the ko and ku rows, so a fault
@@ -323,37 +345,49 @@ def _faulted(g, table, n, fault):
     return direct_sum(g, C(2)) if fault == (table, n % 8) else g
 
 
-def _reference_row(table, n, r, a, q, fault):
-    return _faulted(CLEAN_ROWS[table][n % 8](tb._Ctx(n, n // 8, r, a, q)), table, n, fault)
+def _reference_row(table, n, r, a, fault):
+    return _faulted(CLEAN_ROWS[table][n % 8](tb._Ctx(n, n // 8, r, a)), table, n, fault)
 
 
-# the stored table of each theory that reads the row store
-RF_TABLES = {"K": "k_rf", "KQ+": "kq_rf+", "KQ-": "kq_rf-", "V+": "v_rf+", "V-": "v_rf-"}
-BAR_TABLES = {"KQbar+": "kq_bar+", "KQbar-": "kq_bar-", "Vbar+": "v_bar+", "Vbar-": "v_bar-"}
+def _a_of_q(q):
+    """v2(q^2 - 1) - 1: the a that an odd prime q is admissible for."""
+    m = q * q - 1
+    return (m & -m).bit_length() - 2
+
+
+# the stored table of each theory that reads the row store on the field
+RF_TABLES = {"K": "k_rf", "KQ+": "kq_rf+", "KQ-": "kq_rf-", "V-": "v_rf-"}
+# the building blocks that read a from q, and their tables on r = 1
+BLOCK_TABLES = {"KQbar+": "kq_rf+", "KQbar-": "kq_bar-"}
+# the theories that are copies of KO, and the number of copies
+KO_COPIES = {"V+": lambda field: 2 * field.r, "Vbar+": lambda field: 2}
 
 
 def _reference(name, n, field, q, fault):
     """The group of theory ``name`` in degree n, read from the stored rows;
     a finite-field theory whose ko or ku row is faulted is not covered."""
     if name in RF_TABLES:
-        return _reference_row(RF_TABLES[name], n, field.r, field.a, None, fault)
+        return _reference_row(RF_TABLES[name], n, field.r, field.a, fault)
     if name in ("U+", "U-"):  # V of the other sign, one degree down
         if n < 1:
             raise DegreeOutOfRange(n)
-        return _reference_row("v_rf-" if name == "U+" else "v_rf+", n - 1, field.r, field.a, None, fault)
+        return _reference("V-" if name == "U+" else "V+", n - 1, field, q, fault)
     if name == "Kbar":
-        return _reference_row("k_bar", n, 1, field.a, None, fault)
-    if name in BAR_TABLES:
-        return _reference_row(BAR_TABLES[name], n, 1, 2, q, fault)
+        return _reference_row("k_bar", n, 1, field.a, fault)
+    if name in BLOCK_TABLES:
+        return _reference_row(BLOCK_TABLES[name], n, 1, _a_of_q(q), fault)
+    if name == "Vbar-":
+        return _reference_row("v_bar-", n, 1, 2, fault)
+    if name in KO_COPIES:
+        return n_copies(KO_COPIES[name](field), _reference("KO", n, field, q, fault))
     if name in TOPOLOGICAL:
         return _faulted(_closed_form(name, n, q), TOPOLOGICAL[name], n, fault)
     return _closed_form(name, n, q)
 
 
-# the theories outside RF_TABLES and BAR_TABLES, written out here rather
-# than read from the rows: one period in n mod 8, where "t" stands for
-# Z/t(n, q); the finite-field theories also have a Z in degree 0, and only
-# there
+# the theories that _reference does not read from the rows, written out
+# here: one period in n mod 8, where "t" stands for Z/t(n, q); the
+# finite-field theories also have a Z in degree 0, and only there
 CLOSED_FORMS = {
     "KO": (Z(1), C(2), C(2), ZERO, Z(1), ZERO, ZERO, ZERO),
     "KU": (Z(1), ZERO) * 4,

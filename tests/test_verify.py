@@ -122,11 +122,11 @@ def test_fault_injection_spot_checks(site):
         assert not all(rep.passed for rep in vf.run_all(spec, q, 64))
 
 
-# each table over the 2-integers and its barred building block
-PAIRED_TABLES = {"k_rf": "k_bar", "kq_rf+": "kq_bar+", "kq_rf-": "kq_bar-", "v_rf+": "v_bar+", "v_rf-": "v_bar-"}
+# each table over the 2-integers and its stored barred building block;
+# KQbar+ is kq_rf+ on r = 1, and V+ and Vbar+ are copies of KO
+PAIRED_TABLES = {"k_rf": "k_bar", "kq_rf-": "kq_bar-", "v_rf-": "v_bar-"}
 # the paired faults the suite does not catch yet, each the same Z/2 on both
-# sides of a splitting; kq_rf+ rows 2-7 are caught since KQFq+ is derived
-# from the ko rows and no longer read from kq_bar+
+# sides of a splitting
 PAIRED_ESCAPES = {("kq_rf-", 2), ("kq_rf-", 6), ("kq_rf-", 7)} | {
     (table, row) for table in ("v_rf-", "k_rf") for row in range(8)}
 # the single faults the suite does not catch yet: the ku rows on Q, where
@@ -183,11 +183,11 @@ def test_reports_match_a_per_degree_reference_under_every_fault(text, monkeypatc
     assert escapes == PAIRED_ESCAPES
 
 
-@pytest.mark.parametrize("sites", [(), (("k_rf", 7),), (("v_rf+", 3),)], ids=str)
+@pytest.mark.parametrize("sites", [(), (("k_rf", 7),), (("v_rf-", 3),)], ids=str)
 @pytest.mark.parametrize("text", ["Q", "Q(zeta 2^5)+"])
 def test_reports_match_a_per_degree_reference_up_to_e_5(text, sites, monkeypatch):
     # at n_max 350, e = nu2(n // 8 + 1) reaches 5 at n = 248..255; k_rf row 7
-    # holds w(4k + 4), whose order depends on e, and v_rf+ row 3 does not
+    # holds w(4k + 4), whose order depends on e, and v_rf- row 3 does not
     spec = parse_field(text)
     got = run_faulty(spec, 350, *sites)
     assert got == per_degree_reference(monkeypatch, spec, 350, *sites)
