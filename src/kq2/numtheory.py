@@ -170,10 +170,6 @@ class QuadUnit(Record):
                 f"/{self.denom}^2 != {self.norm}"
             )
 
-    def __str__(self) -> str:
-        num = f"{self.x} + {self.y}*sqrt({self.d})"
-        return f"({num})/2" if self.denom == 2 else num
-
 
 def _require_squarefree_d(d: int) -> None:
     if d < 2:

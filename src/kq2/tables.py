@@ -1,25 +1,27 @@
 """Closed-form 2-primary group tables.
 
-All tables are stored as shape templates indexed by n mod 8, evaluated with
-the degree n, k = n // 8 and the field parameters r (real embeddings) and
-a (2-adic size).  Theories over the ring of 2-integers R_F require a
-2-regular field; the barred building-block theories, the topological
-theories, and the finite-field theories do not.  Not every theory is
-stored: KQbar+ is the kq_rf+ table on r = 1, V+ is 2r copies of KO and
-Vbar+ two, and the finite-field theories are derived from the topological
-rows as the fiber of the Adams operation psi^q - 1.  No row reads the
-auxiliary prime q: the building blocks KQbar+- read a = v2(q^2 - 1) - 1,
-which is the field's a for an admissible q.  Every theory of the registry
-is read through ``column(tag, field, q)``, which checks the theory's rules
-once and returns its groups as a function of the degree.  The groups are
-8-periodic, except that degree 0 is its own class and degrees 7 mod 8 also
-read e = nu2(n // 8 + 1): a degree n reads the same rows as its period
-degree ``period_degree(n)``, and a column evaluates each period class once.
+Nine tables, 72 rows, are stored as shape templates indexed by n mod 8, and
+a row reads the degree n, k = n // 8 and the parameters r (real
+embeddings) and a (2-adic size).  ``_stored(table, params)`` is the one
+reader of the row store, with ``params(field, q) -> (r, a)``: the theories
+over the ring of 2-integers R_F read the field's r and a and require a
+2-regular field; the barred building blocks and the topological theories
+read r = 1 and do not.  KQbar+ is the kq_rf+ table on r = 1.  No row reads
+the auxiliary prime q: the building blocks KQbar+- read a = v2(q^2 - 1) - 1,
+which is the field's a for an admissible q.  The derived theories read
+their sources through the registry THEORIES: V+ is 2r copies of KO and
+Vbar+ two, U+- is V-+ one degree down, and the finite-field theories are
+the fibers of the Adams operation psi^q - 1 on KO and KU.
 
-All 72 stored rows live in one row store, and a column reads the store as
-it stood when the column was built.  The verification suite proves its own
-discriminating power with ``fault_injection``, which swaps in a copy of one
-table with one row perturbed by an extra Z/2 summand.
+Every theory of the registry is read through ``column(tag, field, q)``,
+which checks the theory's rules once and returns its groups as a function
+of the degree, from the row store as it stood when the column was built.
+The groups are 8-periodic, except that degree 0 is its own class and
+degrees 7 mod 8 also read e = nu2(n // 8 + 1): a degree n reads the same
+rows as its period degree ``period_degree(n)``, and a column evaluates each
+period class once.  The verification suite proves its own discriminating
+power with ``fault_injection``, which swaps in a copy of one table with one
+row perturbed by an extra Z/2 summand.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class fault_injection:
     def __enter__(self) -> None:
         rows = self._clean = _ROWS[self._table]
         i, clean = self._row, rows[self._row]
-        _ROWS[self._table] = rows[:i] + (lambda c: direct_sum(clean(c), C(2)),) + rows[i + 1:]
+        _ROWS[self._table] = rows[:i] + (lambda *args: direct_sum(clean(*args), C(2)),) + rows[i + 1:]
 
     def __exit__(self, *exc_info) -> None:
         _ROWS[self._table] = self._clean
@@ -86,152 +88,143 @@ def fault_sites() -> list[tuple[str, int]]:
     return [(name, row) for name in sorted(_ROWS) for row in range(8)]
 
 
-class _Ctx:
-    """The arguments of one table row: the degree n, k = n // 8 and the
-    field's r and a."""
-
-    __slots__ = ("n", "k", "r", "a")
-
-    def __init__(self, n: int, k: int, r: int, a: int) -> None:
-        self.n, self.k, self.r, self.a = n, k, r, a
+def _d0(n: int) -> FgAb2:
+    return Z(1) if n == 0 else ZERO
 
 
-def _d0(c: _Ctx) -> FgAb2:
-    return Z(1) if c.n == 0 else ZERO
-
-
-def _from_degree_8(c: _Ctx) -> FgAb2:
-    if c.n == 0:  # k_bar is read by Kbar alone
-        raise DegreeOutOfRange(f"theory Kbar needs n >= 1, got {c.n}")
+def _from_degree_8(n: int) -> FgAb2:
+    if n == 0:  # k_bar is read by Kbar alone
+        raise DegreeOutOfRange(f"theory Kbar needs n >= 1, got {n}")
     return ZERO
 
 
-# The one row store: every stored table, 8 rows each, indexed by n mod 8
+# The one row store: every stored table, 8 rows each, indexed by n mod 8;
+# a row reads the degree n, k = n // 8 and the parameters r and a
 _ROWS = {
     # hermitian K of R_F, orthogonal column
     "kq_rf+": (
-        lambda c: direct_sum(_d0(c), Z(c.r), C(2)),
-        lambda c: C2(c.r + 2),
-        lambda c: C2(c.r + 1),
-        lambda c: C(w(4 * c.k + 2, c.a)),
-        lambda c: Z(c.r),
-        lambda c: ZERO,
-        lambda c: ZERO,
-        lambda c: C(w(4 * c.k + 4, c.a)),
+        lambda n, k, r, a: direct_sum(_d0(n), Z(r), C(2)),
+        lambda n, k, r, a: C2(r + 2),
+        lambda n, k, r, a: C2(r + 1),
+        lambda n, k, r, a: C(w(4 * k + 2, a)),
+        lambda n, k, r, a: Z(r),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: C(w(4 * k + 4, a)),
     ),
     # hermitian K of R_F, symplectic column
     "kq_rf-": (
-        lambda c: _d0(c),
-        lambda c: ZERO,
-        lambda c: Z(c.r),
-        lambda c: direct_sum(C2(c.r - 1), C(2 * w(4 * c.k + 2, c.a))),
-        lambda c: C2(c.r),
-        lambda c: C(2),
-        lambda c: Z(c.r),
-        lambda c: C(w(4 * c.k + 4, c.a)),
+        lambda n, k, r, a: _d0(n),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(r),
+        lambda n, k, r, a: direct_sum(C2(r - 1), C(2 * w(4 * k + 2, a))),
+        lambda n, k, r, a: C2(r),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: Z(r),
+        lambda n, k, r, a: C(w(4 * k + 4, a)),
     ),
     # algebraic K of R_F
     "k_rf": (
-        lambda c: _d0(c),
-        lambda c: direct_sum(Z(c.r), C(2)),
-        lambda c: C2(c.r),
-        lambda c: direct_sum(C2(c.r - 1), C(2 * w(4 * c.k + 2, c.a))),
-        lambda c: ZERO,
-        lambda c: Z(c.r),
-        lambda c: ZERO,
-        lambda c: C(w(4 * c.k + 4, c.a)),
+        lambda n, k, r, a: _d0(n),
+        lambda n, k, r, a: direct_sum(Z(r), C(2)),
+        lambda n, k, r, a: C2(r),
+        lambda n, k, r, a: direct_sum(C2(r - 1), C(2 * w(4 * k + 2, a))),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(r),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: C(w(4 * k + 4, a)),
     ),
     # forgetful-map fiber V- of R_F; its twin v_bar- is the only check of
     # these rows, and V+ is 2r copies of KO
     "v_rf-": (
-        lambda c: direct_sum(Z(c.r), C(2)),
-        lambda c: ZERO,
-        lambda c: Z(c.r),
-        lambda c: ZERO,
-        lambda c: Z(c.r),
-        lambda c: C(2),
-        lambda c: direct_sum(Z(c.r), C(2)),
-        lambda c: C(2),
+        lambda n, k, r, a: direct_sum(Z(r), C(2)),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(r),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(r),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: direct_sum(Z(r), C(2)),
+        lambda n, k, r, a: C(2),
     ),
     # one-real-place building block, hermitian symplectic: kq_rf- on r = 1,
     # stored as the only check of kq_rf- rows 2, 6 and 7; KQbar+ is kq_rf+
     # on r = 1
     "kq_bar-": (
-        lambda c: _d0(c),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: C(2 * w(4 * c.k + 2, c.a)),
-        lambda c: C(2),
-        lambda c: C(2),
-        lambda c: Z(1),
-        lambda c: C(w(4 * c.k + 4, c.a)),
+        lambda n, k, r, a: _d0(n),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: C(2 * w(4 * k + 2, a)),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: C(w(4 * k + 4, a)),
     ),
     # one-real-place building block, algebraic (n >= 1): k_rf on r = 1,
     # stored as the only check of the k_rf rows; the degree 7 mod 8 order
     # w(4k+4) is the one choice compatible with the K-theory splitting
     # identity, which the verification suite asserts
     "k_bar": (
-        lambda c: _from_degree_8(c),
-        lambda c: direct_sum(Z(1), C(2)),
-        lambda c: C(2),
-        lambda c: C(2 * w(4 * c.k + 2, c.a)),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: C(w(4 * c.k + 4, c.a)),
+        lambda n, k, r, a: _from_degree_8(n),
+        lambda n, k, r, a: direct_sum(Z(1), C(2)),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: C(2 * w(4 * k + 2, a)),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: C(w(4 * k + 4, a)),
     ),
     # one-real-place building block, V-theory: v_rf- on r = 1, stored as the
     # only check of the v_rf- rows; Vbar+ is 2 copies of KO
     "v_bar-": (
-        lambda c: direct_sum(Z(1), C(2)),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: C(2),
-        lambda c: direct_sum(Z(1), C(2)),
-        lambda c: C(2),
+        lambda n, k, r, a: direct_sum(Z(1), C(2)),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: direct_sum(Z(1), C(2)),
+        lambda n, k, r, a: C(2),
     ),
     # real topological K-theory, period 8; the finite-field theories are
     # derived from ko and ku (see _adams_fiber)
     "ko": (
-        lambda c: Z(1),
-        lambda c: C(2),
-        lambda c: C(2),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: ZERO,
-        lambda c: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: C(2),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: ZERO,
     ),
     # complex topological K-theory, period 2
     "ku": (
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: ZERO,
-        lambda c: Z(1),
-        lambda c: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
+        lambda n, k, r, a: Z(1),
+        lambda n, k, r, a: ZERO,
     ),
 }
 
 
-def _eval_row(rows: tuple, ctx: _Ctx) -> FgAb2:
-    return rows[ctx.n % 8](ctx)
+def _eval_row(rows: tuple, n: int, r: int, a: int) -> FgAb2:
+    return rows[n % 8](n, n // 8, r, a)
 
 
-def _reader(table: str, r: int, a: int) -> Callable[[int], FgAb2]:
-    """n -> the row of ``table`` in the store as it is now, at degree n >= 0,
-    for the field parameters r and a."""
-    rows = _ROWS[table]
-    ctx = _Ctx(0, 0, r, a)  # each read sets its degree: one _Ctx per cell cost a third of a read
-
-    def read(n: int) -> FgAb2:
-        ctx.n, ctx.k = n, n // 8
-        return _eval_row(rows, ctx)
-    return read
+def _stored(table: str, params: Callable[[FieldLike, int | None], tuple[int, int]]):
+    """The reader builder of a stored table, the one reader of the row store.
+    ``params(field, q)`` checks what the table needs of the field and q and
+    returns the r and a its rows read; the reader reads the table as it is
+    stored when the column is built."""
+    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+        r, a = params(field, q)
+        rows = _ROWS[table]
+        return lambda n: _eval_row(rows, n, r, a)
+    return build
 
 
 def period_degree(n: int) -> int:
@@ -343,33 +336,25 @@ class TheoryTag(Record):
             raise UsageError(f"theory {self.name} needs a degree")
 
 
-def _signed(name: str, build, **rules) -> tuple[TheoryTag, TheoryTag]:
-    """The orthogonal and symplectic entries of ``name``; ``build(eps)``
-    returns the reader builder of the sign eps."""
-    return (TheoryTag(name + "+", build(1), 1, **rules),
-            TheoryTag(name + "-", build(-1), -1, **rules))
+def _on_field(field: FieldLike, q: int | None) -> tuple[int, int]:
+    """The params of a table over R_F: the r and a of a 2-regular field."""
+    field = require_two_regular(field)
+    return field.r, field.a
 
 
-def _sign(table: str, eps: int) -> str:
-    return table + ("+" if eps == 1 else "-")
+def _on_q(field: FieldLike, q: int | None) -> tuple[int, int]:
+    """The params of a building block KQbar: r = 1 and a = v2(q^2 - 1) - 1.
+    For q admissible for the field this is the field's a, by lifting the
+    exponent: v2(q^(4k+2) - 1) = a + 1 and v2(q^(4k+4) - 1) = a + 2 + e are
+    the orders w(4k+2, a) and w(4k+4, a)."""
+    return 1, val2_q_power(q, 2).bit_length() - 2
 
 
-def _rf(table: str):
-    """The reader builder of a table over the 2-integers: the field must be
-    2-regular."""
+def _shifted(source: str, name: str):
+    """The reader builder of U: THEORIES[source] one degree down, from
+    degree 1."""
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-        field = require_two_regular(field)
-        return _reader(table, field.r, field.a)
-    return build
-
-
-def _u(eps: int):
-    """The reader builder of U at the sign eps: the V-theory of the other
-    sign, one degree down."""
-    v, name = _sign("V", -eps), _sign("U", eps)
-
-    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-        read = THEORIES[v].build(field, q)
+        read = THEORIES[source].build(field, q)
 
         def shifted(n: int) -> FgAb2:
             if n < 1:
@@ -387,32 +372,19 @@ def _constant(group_of):
     return build
 
 
-def _field_free(table: str):
-    """The reader builder of a table whose rows read neither r nor a."""
-    return lambda field, q: _reader(table, 1, 2)
-
-
-def _block(table: str):
-    """The reader builder of a building block KQbar: ``table`` on r = 1 with
-    a = v2(q^2 - 1) - 1.  For q admissible for the field this is the
-    field's a, by lifting the exponent: v2(q^(4k+2) - 1) = a + 1 and
-    v2(q^(4k+4) - 1) = a + 2 + e are the orders w(4k+2, a) and w(4k+4, a)."""
-    return lambda field, q: _reader(table, 1, val2_q_power(q, 2).bit_length() - 2)
-
-
 def _ko_copies(copies: Callable[[FieldLike], int]):
     """The reader builder of copies(field) copies of KO: V+ and Vbar+."""
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-        m, ko = copies(field), _reader("ko", 1, 2)
+        m, ko = copies(field), THEORIES["KO"].build(field, q)
         return lambda n: n_copies(m, ko(n))
     return build
 
 
-def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
+def _adams_fiber(source: str, shift: int, weight: Callable[[int], int]):
     """The reader builder of a finite-field theory: pi_n of the fiber F of
-    psi^q - 1 on the theory X whose pi_m is the stored ``top`` row at
-    m + shift (Quillen, Annals 96, 1972; Friedlander, Topology 15, 1976).
-    ku gives KFq, ko gives KQFq+, and KSp, ko four degrees up, KQFq-.
+    psi^q - 1 on the theory X with pi_m X = THEORIES[source] at m + shift
+    (Quillen, Annals 96, 1972; Friedlander, Topology 15, 1976).  KU gives
+    KFq, KO gives KQFq+, and KSp, KO four degrees up, KQFq-.
 
     psi^q acts as q^weight(m) on the Z summands of pi_m X and as the
     identity on its torsion, a 2-group, since q is odd.  So pi_n F is
@@ -429,7 +401,7 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
     tabulated choice.  The eight pi_m are read when the column is built, so
     a fault on a ko or ku row reaches the derived columns built under it."""
     def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
-        read = _reader(top, 1, 2)
+        read = THEORIES[source].build(field, q)
         pi = tuple(read(m + shift) for m in range(8))  # pi_m X at m mod 8
 
         def fiber(n: int) -> FgAb2:
@@ -441,24 +413,26 @@ def _adams_fiber(top: str, shift: int, weight: Callable[[int], int]):
 
 
 THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
-    TheoryTag("K", _rf("k_rf")),
-    *_signed("KQ", lambda eps: _rf(_sign("kq_rf", eps)), allows_degree_minus_one=True),
+    TheoryTag("K", _stored("k_rf", _on_field)),
+    TheoryTag("KQ+", _stored("kq_rf+", _on_field), 1, allows_degree_minus_one=True),
+    TheoryTag("KQ-", _stored("kq_rf-", _on_field), -1, allows_degree_minus_one=True),
     TheoryTag("V+", _ko_copies(lambda field: 2 * require_two_regular(field).r), 1),
-    TheoryTag("V-", _rf("v_rf-"), -1),
-    *_signed("U", _u),
+    TheoryTag("V-", _stored("v_rf-", _on_field), -1),
+    TheoryTag("U+", _shifted("V-", "U+"), 1),
+    TheoryTag("U-", _shifted("V+", "U-"), -1),
     TheoryTag("W", _constant(witt), needs_degree=False),
     TheoryTag("W'", _constant(cowitt), needs_degree=False),
     TheoryTag("W1", _constant(w1), needs_degree=False),
-    TheoryTag("Kbar", lambda field, q: _reader("k_bar", 1, resolve(field).a)),
-    TheoryTag("KQbar+", _block("kq_rf+"), 1, needs_q=True),
-    TheoryTag("KQbar-", _block("kq_bar-"), -1, needs_q=True),
+    TheoryTag("Kbar", _stored("k_bar", lambda field, q: (1, resolve(field).a))),
+    TheoryTag("KQbar+", _stored("kq_rf+", _on_q), 1, needs_q=True),
+    TheoryTag("KQbar-", _stored("kq_bar-", _on_q), -1, needs_q=True),
     TheoryTag("Vbar+", _ko_copies(lambda field: 2), 1),
-    TheoryTag("Vbar-", _field_free("v_bar-"), -1),
-    TheoryTag("KO", _field_free("ko")),
-    TheoryTag("KU", _field_free("ku")),
-    TheoryTag("KFq", _adams_fiber("ku", 0, lambda m: m // 2), needs_q=True),
-    TheoryTag("KQFq+", _adams_fiber("ko", 0, lambda m: m // 4 * 2), 1, needs_q=True),
-    TheoryTag("KQFq-", _adams_fiber("ko", 4, lambda m: m // 4 * 2), -1, needs_q=True),
+    TheoryTag("Vbar-", _stored("v_bar-", lambda field, q: (1, 2)), -1),
+    TheoryTag("KO", _stored("ko", lambda field, q: (1, 2))),
+    TheoryTag("KU", _stored("ku", lambda field, q: (1, 2))),
+    TheoryTag("KFq", _adams_fiber("KU", 0, lambda m: m // 2), needs_q=True),
+    TheoryTag("KQFq+", _adams_fiber("KO", 0, lambda m: m // 4 * 2), 1, needs_q=True),
+    TheoryTag("KQFq-", _adams_fiber("KO", 4, lambda m: m // 4 * 2), -1, needs_q=True),
 )}
 
 

@@ -83,6 +83,7 @@ def test_ses_consistent_examples():
     assert ses_consistent(Z(2), FgAb2(2, (2,)), C2(3))
     assert ses_consistent(ZERO, FgAb2(1, (4,)), FgAb2(1, (4,)))
     assert not ses_consistent(C(4), C(2), ZERO)
+    assert not ses_consistent(Z(1), Z(1), Z(1))  # ranks do not add up
 
 
 @given(groups, groups)

@@ -62,6 +62,23 @@ def test_regular_oracle_prints_only_the_failing_conditions(capsys):
     assert json.loads(out)["result"]["oracle"]["reasons"][0] == "unique dyadic prime"
 
 
+def test_regular_oracle_notes_a_disagreement_with_the_criterion(capsys, monkeypatch):
+    oracle = cli.two_regular_oracle
+
+    def flipped(spec):
+        inv = oracle(spec)
+        return fields.FieldInvariants(inv.dyadic_count, inv.pic_odd, inv.units_indep_signs, inv.narrow_pic_odd,
+                                      not inv.two_regular, inv.reasons, inv.failing)
+    monkeypatch.setattr(cli, "two_regular_oracle", flipped)
+    note = "oracle verdict disagrees with the closed-form criterion"
+    # the criterion admits Q(sqrt 10); the flipped oracle does not, and wins
+    code, out, _ = run(capsys, "regular", "--oracle", "--field", "Q(sqrt 10)")
+    assert code == 0 and out.startswith("not 2-regular:") and out.endswith(f"\n# {note}\n")
+    code, out, _ = run(capsys, "regular", "--oracle", "--json", "--field", "Q(sqrt 10)")
+    payload = json.loads(out)
+    assert payload["notes"] == [note] and payload["result"]["two_regular"] is False
+
+
 def test_group_on_irregular_field_exits_2(capsys):
     code, _, err = run(capsys, "group", "--theory", "KQ+", "--n", "5", "--field", "Q(sqrt 34)")
     assert code == 2
@@ -608,6 +625,8 @@ def test_dumps_matches_json_dumps(tree, shared):
     for bad in ({"n": 0, 1: shared}, {True: shared}, {"groups": shared, "n": 0, None: 0}):
         with pytest.raises(TypeError):
             _dumps(rows + [bad])
+    with pytest.raises(TypeError):  # a float is not encoded
+        _dumps(1.5)
 
 
 @pytest.mark.parametrize("key", [1, None, True, 1.5, (1, 2)])

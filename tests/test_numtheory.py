@@ -24,6 +24,8 @@ def test_nu2_two_part_examples():
     assert nt.two_part(7) == 1
     with pytest.raises(NonPositive):
         nt.nu2(0)
+    with pytest.raises(NonPositive):
+        nt.two_part(0)
 
 
 @given(st.integers(1, 10**9))
@@ -38,6 +40,8 @@ def test_val2_q_power_examples():
     assert nt.val2_q_power(3, 4) == 16
     with pytest.raises(EvenQ):
         nt.val2_q_power(4, 2)
+    with pytest.raises(NonPositive):
+        nt.val2_q_power(3, 0)
 
 
 def modexp_two_part_oracle(q, m):
@@ -92,6 +96,8 @@ def test_euler_phi_and_primitive_roots():
     assert nt.is_primitive_root(2, 5, 5)
     assert not nt.is_primitive_root(2, 7, 7)
     assert nt.is_primitive_root(2, 9, 3)
+    assert not nt.is_primitive_root(3, 9, 3)  # not prime to m
+    assert not nt.is_primitive_root(10, 25, 5)
     for m, p in [(15, 3), (15, 5), (9, 9), (9, 1), (8, 2), (1, 3), (0, 3), (-9, 3)]:
         with pytest.raises(BadModulus):
             nt.is_primitive_root(2, m, p)
@@ -110,6 +116,9 @@ def test_fundamental_unit_examples():
     assert (u3.x, u3.y, u3.denom, u3.norm) == (2, 1, 1, 1)
     u5 = nt.fundamental_unit(5)
     assert (u5.x, u5.y, u5.denom, u5.norm) == (1, 1, 2, -1)
+    for d in (1, 0, -2, 12):  # d < 2 or not squarefree
+        with pytest.raises(ValueError):
+            nt.fundamental_unit(d)
 
 
 def brute_force_fundamental_unit(d):
@@ -203,6 +212,9 @@ def test_class_numbers_examples():
     assert nt.quadratic_data(15).classes.h == 2
     assert nt.quadratic_data(5).classes.discriminant == 5
     assert nt.quadratic_data(6).classes.discriminant == 24
+    for d in (1, 0, -2, 12):  # d < 2 or not squarefree
+        with pytest.raises(ValueError):
+            nt.quadratic_data(d)
 
 
 # Larger fields, one to two per class of d mod 8 (two with h odd), where
@@ -613,6 +625,8 @@ def test_bound_errors(monkeypatch):
         nt.quadratic_data(10**6 + 3)
     with pytest.raises(BoundExceeded):
         nt.factorize(10**12 + 1)
+    with pytest.raises(NonPositive):
+        nt.factorize(0)
     monkeypatch.setattr(nt, "CF_STEP_BOUND", 3)
     with pytest.raises(BoundExceeded):
         nt.fundamental_unit(94)  # period 16 exceeds the cap

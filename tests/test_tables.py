@@ -39,6 +39,8 @@ def test_w_examples():
     assert tb.w(6, 3) == 16
     with pytest.raises(OddM):
         tb.w(3, 2)
+    with pytest.raises(ValueError):
+        tb.w(2, 1)
 
 
 def test_t_examples():
@@ -230,6 +232,11 @@ def test_fault_injection_is_scoped():
         assert cell("KQbar-", 4, Q, 3) != clean
     assert cell("KQbar-", 4, Q, 3) == clean
     assert len(tb.fault_sites()) == 72  # 9 tables of 8 rows, ko and ku included
+    with pytest.raises(KeyError):
+        tb.fault_injection("kq_bar+", 0)  # derived, not stored
+    for row in (-1, 8):
+        with pytest.raises(ValueError):
+            tb.fault_injection("ko", row)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 17, 31, 127, 257])
@@ -329,8 +336,8 @@ def test_table_functions_agree_on_spec_and_record(text):
 
 
 # The column path against a brute-force reader of the stored rows.  The
-# reference reads a copy of tb._ROWS taken before any fault, through tb._Ctx
-# on its own, and takes the injected fault as an argument; KO, KU and the
+# reference calls the rows of a copy of tb._ROWS taken before any fault on
+# their own, and takes the injected fault as an argument; KO, KU and the
 # finite-field theories are the closed forms of CLOSED_FORMS.
 
 REFERENCE_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+")
@@ -346,7 +353,7 @@ def _faulted(g, table, n, fault):
 
 
 def _reference_row(table, n, r, a, fault):
-    return _faulted(CLEAN_ROWS[table][n % 8](tb._Ctx(n, n // 8, r, a)), table, n, fault)
+    return _faulted(CLEAN_ROWS[table][n % 8](n, n // 8, r, a), table, n, fault)
 
 
 def _a_of_q(q):
@@ -506,7 +513,7 @@ def test_raw_readers_read_the_period_degree_under_every_fault():
 def _count_row_reads(monkeypatch):
     calls = []
     eval_row = tb._eval_row
-    monkeypatch.setattr(tb, "_eval_row", lambda rows, ctx: calls.append(ctx.n) or eval_row(rows, ctx))
+    monkeypatch.setattr(tb, "_eval_row", lambda rows, n, r, a: calls.append(n) or eval_row(rows, n, r, a))
     return calls
 
 
