@@ -19,8 +19,8 @@ from .errors import EmptyWindow
 from .record import Record
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
+# The intern table: (rank, torsion as given) -> the one value.
+_INTERNED: dict = {}
 
 
 class FgAb2(Record):
@@ -28,40 +28,49 @@ class FgAb2(Record):
 
     ``rank`` counts infinite cyclic summands; ``torsion`` lists the orders
     of the cyclic 2-torsion summands, each a power of two >= 2, ascending.
-    Two values are equal iff their canonical forms coincide.  Values are
-    immutable, so the constructors below share them freely.
+    There is one object per canonical value: ``FgAb2(rank, torsion)``
+    returns it, so two groups are equal iff they are the same object, and
+    equality and hashing are ``object``'s.
     """
 
     rank: int
     torsion: tuple[int, ...]
 
-    # Built thousands of times per command and used as a dict key, so the
-    # record's generic __init__, __eq__ and __hash__ are specialised here.
-    def __init__(self, rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
-        self.__post_init__()
+    # __new__ returns the one finished object per value: Record's __init__
+    # must not write into it again, and equality and hashing are identity
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __eq__(self, other):
-        if type(other) is not FgAb2:
-            return NotImplemented
-        return self.rank == other.rank and self.torsion == other.torsion
+    def __new__(cls, rank: int = 0, torsion: tuple[int, ...] = ()) -> FgAb2:
+        key = rank, tuple(torsion)
+        g = _INTERNED.get(key)
+        if g is None:
+            # the first caller's fields are every caller's: True or 2.0 would stick
+            if type(rank) is not int or not all(type(t) is int for t in key[1]):
+                raise TypeError(f"rank and torsion orders must be ints, got {rank!r}, {key[1]!r}")
+            if rank < 0:
+                raise ValueError(f"rank must be nonnegative, got {rank}")
+            tors = tuple(sorted(key[1]))
+            for t in tors:
+                if t < 2 or t & (t - 1):
+                    raise ValueError(f"torsion order {t} is not a 2-power >= 2")
+            g = _INTERNED.get((rank, tors))
+            if g is None:
+                g = _INTERNED[rank, tors] = object.__new__(cls)
+                object.__setattr__(g, "rank", rank)
+                object.__setattr__(g, "torsion", tors)
+            # an unsorted torsion finds the value without sorting next time
+            _INTERNED[key] = g
+        return g
 
-    def __hash__(self) -> int:
-        return hash((self.rank, self.torsion))
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
-        tors = tuple(sorted(self.torsion))
-        for t in tors:
-            if t < 2 or not _is_power_of_two(t):
-                raise ValueError(f"torsion order {t} is not a 2-power >= 2")
-        object.__setattr__(self, "torsion", tors)
+    def __reduce__(self):
+        # rebuild through FgAb2(), not by writing fields into FgAb2.__new__()
+        return FgAb2, (self.rank, self.torsion)
 
     @property
     def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
+        return self is ZERO
 
     @property
     def is_finite(self) -> bool:
@@ -113,17 +122,9 @@ def direct_sum(*groups: FgAb2) -> FgAb2:
     return _SUMS(groups)
 
 
-def _sum(groups: tuple[FgAb2, ...]) -> FgAb2:
-    nonzero = [g for g in groups if g.rank or g.torsion]
-    if len(nonzero) <= 1:
-        return nonzero[0] if nonzero else ZERO
-    torsion: list[int] = []
-    for g in nonzero:
-        torsion.extend(g.torsion)
-    return FgAb2(sum(g.rank for g in nonzero), tuple(torsion))
-
-
-_SUMS = _Memo(_sum)
+# FgAb2 interns, so a sum with one nonzero operand is that operand's object
+_SUMS = _Memo(lambda groups: FgAb2(sum(g.rank for g in groups),
+                                   tuple(t for g in groups for t in g.torsion)))
 
 
 def n_copies(k: int, g: FgAb2) -> FgAb2:
@@ -131,8 +132,6 @@ def n_copies(k: int, g: FgAb2) -> FgAb2:
     per (k, g), like direct_sum."""
     if k < 0:
         raise ValueError(f"copy count must be nonnegative, got {k}")
-    if k == 1 or g.is_zero:
-        return g
     return _COPIES[k, g]
 
 

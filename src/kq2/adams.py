@@ -28,7 +28,7 @@ Q_BOUND = 5001
 def _check_q(q: int) -> None:
     """The one check of q that bracket and coefficient share."""
     if q % 2 == 0 or q < 3:
-        raise EvenQ(f"q must be odd and >= 3, got {q}")
+        raise (EvenQ if q % 2 == 0 else BoundExceeded)(f"q must be odd and >= 3, got {q}")
     if q > Q_BOUND:
         raise BoundExceeded(f"q must be <= {Q_BOUND}, got {q}")
 

@@ -20,7 +20,7 @@ class NonPositive(KQ2Error):
 
 
 class EvenQ(KQ2Error):
-    """The auxiliary prime/base q must be odd (and >= 3)."""
+    """The auxiliary prime/base q must be odd."""
 
 
 class OddM(KQ2Error):
@@ -36,7 +36,7 @@ class BadModulus(KQ2Error):
 
 
 class BoundExceeded(KQ2Error):
-    """A documented search or factorization bound was exceeded."""
+    """A documented bound (search, factorization, range of q) was exceeded."""
 
 
 class Undecided(KQ2Error):

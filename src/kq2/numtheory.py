@@ -47,7 +47,7 @@ def val2_q_power(q: int, m: int) -> int:
     against direct modular exponentiation.
     """
     if q < 3 or q % 2 == 0:
-        raise EvenQ(f"q must be odd and >= 3, got {q}")
+        raise (EvenQ if q % 2 == 0 else BoundExceeded)(f"q must be odd and >= 3, got {q}")
     if m < 1:
         raise NonPositive(f"exponent must be >= 1, got {m}")
     if m % 2 == 1:

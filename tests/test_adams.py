@@ -137,8 +137,11 @@ def test_mod2_reduction_commutes(q):
 def test_domain_errors():
     with pytest.raises(EvenQ):
         ad.bracket(4)
-    with pytest.raises(EvenQ):
+    # an odd q below 3 is out of range, not even
+    with pytest.raises(BoundExceeded, match=r"^q must be odd and >= 3, got 1$"):
         ad.bracket(1)
+    with pytest.raises(BoundExceeded, match=r"^q must be odd and >= 3, got -3$"):
+        ad.bracket(-3)
     with pytest.raises(BoundExceeded):
         ad.bracket(ad.Q_BOUND + 2)
 
@@ -163,7 +166,8 @@ def test_coefficient_at_the_bound():
 
 
 def test_coefficient_checks_q_as_the_bracket_does():
-    for q, error in ((4, EvenQ), (1, EvenQ), (ad.Q_BOUND + 2, BoundExceeded)):
+    for q, error in ((4, EvenQ), (1, BoundExceeded), (-3, BoundExceeded), (-2, EvenQ),
+                     (ad.Q_BOUND + 2, BoundExceeded)):
         with pytest.raises(error) as from_bracket:
             ad.bracket(q)
         with pytest.raises(error) as from_coefficient:

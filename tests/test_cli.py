@@ -287,6 +287,8 @@ def test_adams_cli(capsys):
     assert payload["result"]["constant_term"] == 3 * (5**4 - 1)
     code, _, err = run(capsys, "adams", "--q", "4")
     assert code == 2 and "EvenQ" in err
+    code, _, err = run(capsys, "adams", "--q", "1")
+    assert code == 2 and "BoundExceeded: q must be odd and >= 3, got 1" in err
 
 
 def test_unverified_generic_is_flagged(capsys):
@@ -579,22 +581,49 @@ def test_table_json_formats_each_distinct_group_once(capsys, monkeypatch):
     assert len(calls) == len({g["formatted"] for g in cells})
 
 
+def _record_column_reads(monkeypatch):
+    """Every group that a column of tables.column returns from now on."""
+    read = []
+    original = tb.column
+
+    def recording(tag, field, q):
+        cell = original(tag, field, q)
+
+        def recorded(n):
+            g = cell(n)
+            read.append(g)
+            return g
+        return recorded
+
+    monkeypatch.setattr(tb, "column", recording)
+    return read
+
+
+def _assert_one_object_per_value(read):
+    """Each value read is one object, the interned one, and values repeat;
+    returns the number of distinct values."""
+    values = {(g.rank, g.torsion) for g in read}
+    assert len({id(g) for g in read}) == len(values)
+    assert all(g is abgroup._INTERNED[g.rank, g.torsion] for g in read)
+    assert len(read) > 5 * len(values)
+    return len(values)
+
+
 def test_verify_builds_few_groups(capsys, monkeypatch):
-    built = []
-    original = abgroup.FgAb2.__post_init__
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    for constructor in (abgroup.Z, abgroup.C, abgroup.C2):
-        constructor.clear()
-    monkeypatch.setattr(abgroup.FgAb2, "__post_init__", counting)
+    read = _record_column_reads(monkeypatch)
     code, _, _ = run(capsys, "verify", "--n-max", "350", "--field", "Q(zeta 11)+")
     assert code == 0
-    # about 3,430 when each Z, C and C2 value is built once; one group per table
-    # cell and per direct sum would be over 11,000
-    assert len(built) <= 3500
+    # 641 reads of 24 distinct values
+    assert _assert_one_object_per_value(read) <= 64
+
+
+def test_table_builds_few_groups(capsys, monkeypatch):
+    read = _record_column_reads(monkeypatch)
+    code, _, _ = run(capsys, "table", "--json", "--n-max", "2000", "--theories", DEGREE_THEORIES,
+                     "--field", "Q(zeta 2^4)+", "--q", "17")
+    assert code == 0
+    # one read per period class and theory: 269 reads of 27 distinct values
+    assert _assert_one_object_per_value(read) <= 64
 
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200)

@@ -40,6 +40,8 @@ def test_val2_q_power_examples():
     assert nt.val2_q_power(3, 4) == 16
     with pytest.raises(EvenQ):
         nt.val2_q_power(4, 2)
+    with pytest.raises(BoundExceeded, match=r"^q must be odd and >= 3, got 1$"):
+        nt.val2_q_power(1, 2)
     with pytest.raises(NonPositive):
         nt.val2_q_power(3, 0)
 
