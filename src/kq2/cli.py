@@ -24,12 +24,11 @@ from .abgroup import format_group, group_to_json
 from .errors import BoundExceeded, DegreeOutOfRange, InadmissibleQ, KQ2Error, UsageError
 from .fields import (
     Q_SEARCH_BOUND,
+    FieldSpec,
     RealQuadratic,
-    ResolvedField,
     choose_q,
     is_unverified_generic,
     parse_field,
-    resolve,
     two_regular_oracle,
 )
 from .tables import TheoryTag
@@ -41,6 +40,8 @@ EXIT_VERIFY = 3
 
 # table and verify build rows for every degree up to --n-max
 N_MAX_BOUND = 10**4
+# group's --n: torsion orders in degrees 7 mod 8 grow with n and print in full
+N_BOUND = 10**18
 
 _KBAR_NOTE = (
     "Kbar in degree 7 mod 8 uses the even-index torsion order w(4k+4); "
@@ -48,7 +49,7 @@ _KBAR_NOTE = (
 )
 
 
-def _field_meta(field: ResolvedField) -> dict:
+def _field_meta(field: FieldSpec) -> dict:
     return {
         "label": str(field),
         "r": field.r,
@@ -57,7 +58,7 @@ def _field_meta(field: ResolvedField) -> dict:
     }
 
 
-def _choose_q(args, field: ResolvedField, notes: list[str], tags) -> int | None:
+def _choose_q(args, field: FieldSpec, notes: list[str], tags) -> int | None:
     """The command's q; None, with a note, where the search finds no q and
     none of the theories in ``tags`` reads one."""
     try:
@@ -74,7 +75,7 @@ def _choose_q(args, field: ResolvedField, notes: list[str], tags) -> int | None:
     return q
 
 
-def _generic_note(field: ResolvedField, notes: list[str]) -> None:
+def _generic_note(field: FieldSpec, notes: list[str]) -> None:
     if is_unverified_generic(field):
         notes.append("generic field description is unverified; table values assume 2-regularity")
 
@@ -174,7 +175,9 @@ def _cmd_group(args) -> int:
     if args.n == -1 and not tag.allows_degree_minus_one:
         low = " and ".join(name for name, t in tables.THEORIES.items() if t.allows_degree_minus_one)
         raise UsageError(f"n = -1 is only defined for {low}, not {tag.name}")
-    field = resolve(parse_field(args.field))
+    if args.n is not None and args.n > N_BOUND:
+        raise BoundExceeded(f"--n must be <= {N_BOUND}, got {args.n}")
+    field = parse_field(args.field)
     notes: list[str] = []
     _generic_note(field, notes)
     q = _choose_q(args, field, notes, [tag])
@@ -208,7 +211,7 @@ def _cmd_table(args) -> int:
     if no_degree:
         raise UsageError(f"theories without a degree axis cannot be tabulated: {no_degree}")
     _check_n_max(args.n_max, 0)
-    field = resolve(parse_field(args.field))
+    field = parse_field(args.field)
     notes: list[str] = []
     _generic_note(field, notes)
     q = _choose_q(args, field, notes, tags)
@@ -252,15 +255,14 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_regular(args) -> int:
-    spec = parse_field(args.field)
-    if args.oracle and not isinstance(spec, RealQuadratic):
+    field = parse_field(args.field)
+    if args.oracle and not isinstance(field, RealQuadratic):
         raise UsageError("--oracle is available for real quadratic fields only")
-    field = resolve(spec)
     notes: list[str] = []
     verdict, reasons, failing = field.regular, [field.reason], []
     oracle_data = None
     if args.oracle:
-        inv = two_regular_oracle(spec)
+        inv = two_regular_oracle(field)
         oracle_data = {
             "dyadic_count": inv.dyadic_count,
             "pic_odd": inv.pic_odd,
@@ -288,7 +290,7 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_find_q(args) -> int:
-    field = resolve(parse_field(args.field))
+    field = parse_field(args.field)
     q = choose_q(field, None)
     payload = {
         "query": {"command": "find-q", "field": args.field},
@@ -304,7 +306,7 @@ def _cmd_find_q(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
     _check_n_max(args.n_max, verify.N_MAX_LEAST)
-    field = resolve(parse_field(args.field))
+    field = parse_field(args.field)
     notes: list[str] = []
     q = _choose_q(args, field, notes, tables.THEORIES.values())  # run_all reads them all
     reports = verify.run_all(field, q, args.n_max)
@@ -375,7 +377,7 @@ _DESCRIPTION = "2-primary hermitian K-group calculator"
 _COMMANDS = {
     "group": (_cmd_group, "one group of one theory", (
         ("--theory", str, _REQUIRED, ", ".join(tables.THEORIES)),
-        ("--n", int, None, f"degree (omit for {_DEGREELESS})"),
+        ("--n", int, None, f"degree, at most {N_BOUND} (omit for {_DEGREELESS})"),
         _FIELD, _Q, _JSON)),
     "table": (_cmd_table, "groups of several theories for degrees 0..n-max", (
         ("--n-max", int, _REQUIRED, f"largest degree, at most {N_MAX_BOUND}"),

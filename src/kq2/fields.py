@@ -25,10 +25,25 @@ Q_SEARCH_BOUND = 10**7
 
 
 # Each family checks its own invariants on construction, so a spec object
-# that exists is valid.
+# that exists is valid, and then resolves itself: it sets r (its real
+# embeddings), a (its 2-adic size a_F) and the closed-form 2-regularity
+# verdict ``regular`` with its ``reason``, as attributes that are not fields
+# of the record.  a_F = 2 except in the 2-power cyclotomic tower and for
+# Q(sqrt 2), where it is 3.  Odd cyclotomic fields outside the certified
+# list report False rather than guessing; a Generic spec without a claim
+# counts as unverified-regular so that table queries stay possible (callers
+# should flag this, see is_unverified_generic).
+
+
+def _resolved(spec, r: int, a: int, regular: bool, reason: str) -> None:
+    for name, value in (("r", r), ("a", a), ("regular", regular), ("reason", reason)):
+        object.__setattr__(spec, name, value)
 
 
 class Rationals(Record):
+    def __post_init__(self) -> None:
+        _resolved(self, 1, 2, True, "the rationals are 2-regular")
+
     def __str__(self) -> str:
         return "Q"
 
@@ -39,10 +54,13 @@ class RealQuadratic(Record):
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise InvalidSpec(f"d must be >= 2, got {self.d}")
-        if not nt.squarefree_part(self.d)[0]:
-            raise InvalidSpec(f"d must be squarefree, got {self.d}")
+        d = self.d
+        if d < 2:
+            raise InvalidSpec(f"d must be >= 2, got {d}")
+        squarefree, factors = nt.squarefree_part(d)
+        if not squarefree:
+            raise InvalidSpec(f"d must be squarefree, got {d}")
+        _resolved(self, 2, 3 if d == 2 else 2, *_quadratic_criterion(d, factors))
 
     def __str__(self) -> str:
         return f"Q(sqrt {self.d})"
@@ -54,10 +72,12 @@ class MaxRealCyclo2(Record):
     b: int
 
     def __post_init__(self) -> None:
-        if self.b < 2:
-            raise InvalidSpec(f"b must be >= 2, got {self.b}")
-        if self.b > B_BOUND:
-            raise BoundExceeded(f"b must be <= {B_BOUND}, got {self.b}")
+        b = self.b
+        if b < 2:
+            raise InvalidSpec(f"b must be >= 2, got {b}")
+        if b > B_BOUND:
+            raise BoundExceeded(f"b must be <= {B_BOUND}, got {b}")
+        _resolved(self, 2 ** (b - 2), b, True, "maximal real 2-power cyclotomic fields are 2-regular")
 
     def __str__(self) -> str:
         return f"Q(zeta 2^{self.b})+"
@@ -77,7 +97,12 @@ class MaxRealCycloOdd(Record):
         primes = set(nt.factorize(m))
         if len(primes) != 1:
             raise InvalidSpec(f"m must be a prime power, got {m}")
-        object.__setattr__(self, "p", primes.pop())
+        p = primes.pop()
+        if not nt.is_primitive_root(2, m, p):
+            raise NotPrimitiveRoot(f"2 is not a primitive root modulo {m}")
+        object.__setattr__(self, "p", p)
+        phi = m // p * (p - 1)
+        _resolved(self, phi // 2, 2, *_cyclotomic_criterion(m, phi))
 
     def __str__(self) -> str:
         return f"Q(zeta {self.m})+"
@@ -101,6 +126,12 @@ class Generic(Record):
             raise InvalidSpec(f"generic spec needs a >= 2, got {self.a}")
         if self.a > B_BOUND:
             raise BoundExceeded(f"generic spec needs a <= {B_BOUND}, got {self.a}")
+        claim = self.regular_claim
+        if claim is None:
+            regular, reason = True, "generic spec without verification data (treated as claimed regular)"
+        else:
+            regular, reason = claim, "caller claims 2-regular" if claim else "caller claims not 2-regular"
+        _resolved(self, self.r, self.a, regular, reason)
 
     def __str__(self) -> str:
         suffix = " regular" if self.regular_claim is True else ""
@@ -124,15 +155,16 @@ class FieldInvariants(Record):
     failing: tuple[str, ...] = ()
 
 
-def _quadratic_criterion(d: int) -> tuple[bool, str]:
-    # 2-regular iff d = 2, d = p, or d = 2p with p = +-3 (mod 8) prime
+def _quadratic_criterion(d: int, factors: tuple[int, ...]) -> tuple[bool, str]:
+    # 2-regular iff d = 2, d = p, or d = 2p with p = +-3 (mod 8) prime;
+    # factors is the prime factor multiset of the squarefree d
     if d == 2:
         return True, "d = 2"
-    if nt.is_prime(d):
+    if factors == (d,):
         if d % 8 in (3, 5):
             return True, f"d = {d} is prime with {d} = {d % 8} (mod 8)"
         return False, f"d = {d} is prime but {d} = {d % 8} (mod 8) is not +-3 (mod 8)"
-    if d % 2 == 0 and nt.is_prime(d // 2):
+    if factors == (2, d // 2):
         p = d // 2
         if p % 8 in (3, 5):
             return True, f"d = 2*{p} with {p} = {p % 8} (mod 8)"
@@ -151,83 +183,34 @@ def _cyclotomic_criterion(m: int, phi: int) -> tuple[bool, str]:
     return False, f"m = {m} is outside the certified list"
 
 
-class ResolvedField(Record):
-    """A field spec with its parameters r and a_F and its 2-regularity
-    verdict, computed once; it prints as the spec."""
-
-    spec: FieldSpec
-    r: int
-    a: int
-    regular: bool
-    reason: str
-
-    def __str__(self) -> str:
-        return str(self.spec)
+def require_spec(spec: FieldSpec) -> FieldSpec:
+    """spec, if it is a field spec; raises InvalidSpec for anything else."""
+    if not isinstance(spec, FieldSpec):
+        raise InvalidSpec(f"unknown field spec {spec!r}")
+    return spec
 
 
-FieldLike = FieldSpec | ResolvedField
+def is_two_regular(spec: FieldSpec) -> tuple[bool, str]:
+    """The spec's 2-regularity verdict and its one-line reason."""
+    spec = require_spec(spec)
+    return spec.regular, spec.reason
 
 
-def resolve(spec: FieldLike) -> ResolvedField:
-    """The resolved record of a spec (a record is returned unchanged): its r
-    real embeddings, its 2-adic size parameter a_F, and the fast closed-form
-    2-regularity verdict with a one-line reason.
-
-    a_F = 2 except in the 2-power cyclotomic tower, where it grows, and for
-    Q(sqrt 2), where it is 3.  Quadratic fields use the exact d = 2 / p / 2p
-    criterion; odd cyclotomic fields outside the certified list report False
-    rather than guessing.  Generic specs are trusted: a missing claim counts
-    as unverified-regular so that table queries stay possible (callers
-    should flag this, see is_unverified_generic).
-    """
-    if isinstance(spec, ResolvedField):
-        return spec
-    if isinstance(spec, Rationals):
-        return ResolvedField(spec, 1, 2, True, "the rationals are 2-regular")
-    if isinstance(spec, RealQuadratic):
-        return ResolvedField(spec, 2, 3 if spec.d == 2 else 2, *_quadratic_criterion(spec.d))
-    if isinstance(spec, MaxRealCyclo2):
-        return ResolvedField(spec, 2 ** (spec.b - 2), spec.b, True,
-                             "maximal real 2-power cyclotomic fields are 2-regular")
-    if isinstance(spec, MaxRealCycloOdd):
-        m, p = spec.m, spec.p
-        if not nt.is_primitive_root(2, m, p):
-            raise NotPrimitiveRoot(f"2 is not a primitive root modulo {m}")
-        phi = m // p * (p - 1)
-        return ResolvedField(spec, phi // 2, 2, *_cyclotomic_criterion(m, phi))
-    if isinstance(spec, Generic):
-        claim = spec.regular_claim
-        if claim is None:
-            return ResolvedField(spec, spec.r, spec.a, True,
-                                 "generic spec without verification data (treated as claimed regular)")
-        reason = "caller claims 2-regular" if claim else "caller claims not 2-regular"
-        return ResolvedField(spec, spec.r, spec.a, claim, reason)
-    raise InvalidSpec(f"unknown field spec {spec!r}")
-
-
-def is_two_regular(spec: FieldLike) -> tuple[bool, str]:
-    """The 2-regularity verdict of resolve(spec) and its one-line reason."""
-    field = resolve(spec)
-    return field.regular, field.reason
-
-
-def is_unverified_generic(spec: FieldLike) -> bool:
+def is_unverified_generic(spec: FieldSpec) -> bool:
     """Whether only the trust in a generic spec without a claim admits the
-    field: a Generic spec (or its record) with no regularity claim."""
-    if isinstance(spec, ResolvedField):
-        spec = spec.spec
+    field: a Generic spec with no regularity claim."""
     return isinstance(spec, Generic) and spec.regular_claim is None
 
 
-def require_two_regular(spec: FieldLike) -> ResolvedField:
-    """The resolved record of a 2-regular field with r <= R_BOUND; raises
+def require_two_regular(spec: FieldSpec) -> FieldSpec:
+    """spec, if it is a 2-regular field with r <= R_BOUND; raises
     NotTwoRegular or BoundExceeded."""
-    resolved = resolve(spec)
-    if not resolved.regular:
-        raise NotTwoRegular(f"{resolved} is not 2-regular: {resolved.reason}")
-    if resolved.r > R_BOUND:
-        raise BoundExceeded(f"tables need r <= {R_BOUND}, got r = {resolved.r} for {resolved}")
-    return resolved
+    spec = require_spec(spec)
+    if not spec.regular:
+        raise NotTwoRegular(f"{spec} is not 2-regular: {spec.reason}")
+    if spec.r > R_BOUND:
+        raise BoundExceeded(f"tables need r <= {R_BOUND}, got r = {spec.r} for {spec}")
+    return spec
 
 
 def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
@@ -319,7 +302,7 @@ def find_q_for_a(a: int) -> int:
     raise InadmissibleQ(f"no admissible prime below {Q_SEARCH_BOUND} for a = {a}")
 
 
-def choose_q(field: ResolvedField, q: int | None) -> int:
+def choose_q(field: FieldSpec, q: int | None) -> int:
     """The field's auxiliary prime: the smallest congruence-admissible one if
     q is None, else q once it is checked (InadmissibleQ if it fails)."""
     if q is None:

@@ -58,15 +58,18 @@ def val2_q_power(q: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Primality and factorization
 
+# The primes up to 37: trial divisors, and the Miller-Rabin witnesses that
+# decide every n < PRIME_BOUND (psi_12, Sorenson & Webster, Math. Comp. 86,
+# 2017).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# This witness set is a deterministic Miller-Rabin certificate for every
-# n < 3.3 * 10^24, far beyond the 2^63 contract.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for all n below 2^63 (and well beyond)."""
+    """Deterministic primality for n < PRIME_BOUND (about 3.3 * 10^24); a
+    larger n raises BoundExceeded."""
+    if n >= PRIME_BOUND:
+        raise BoundExceeded(f"primality is decided below {PRIME_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -77,7 +80,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = nu2(d)
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -34,7 +34,7 @@ from .errors import (
     OddM,
     UsageError,
 )
-from .fields import FieldLike, require_two_regular, resolve
+from .fields import FieldSpec, require_spec, require_two_regular
 from .numtheory import nu2, val2_q_power
 from .record import Record
 
@@ -215,12 +215,12 @@ def _eval_row(rows: tuple, n: int, r: int, a: int) -> FgAb2:
     return rows[n % 8](n, n // 8, r, a)
 
 
-def _stored(table: str, params: Callable[[FieldLike, int | None], tuple[int, int]]):
+def _stored(table: str, params: Callable[[FieldSpec, int | None], tuple[int, int]]):
     """The reader builder of a stored table, the one reader of the row store.
     ``params(field, q)`` checks what the table needs of the field and q and
     returns the r and a its rows read; the reader reads the table as it is
     stored when the column is built."""
-    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+    def build(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
         r, a = params(field, q)
         rows = _ROWS[table]
         return lambda n: _eval_row(rows, n, r, a)
@@ -267,24 +267,24 @@ def k_bar_uses_resolved_order(n: int) -> bool:
 # Witt-type groups and square classes
 
 
-def witt(spec: FieldLike) -> FgAb2:
+def witt(spec: FieldSpec) -> FgAb2:
     """Witt group of the 2-integers: Z^r + Z/2 for 2-regular fields."""
     return direct_sum(Z(require_two_regular(spec).r), C(2))
 
 
-def cowitt(spec: FieldLike) -> FgAb2:
+def cowitt(spec: FieldSpec) -> FgAb2:
     """CoWitt group; isomorphic to the Witt group in the 2-regular case."""
     return witt(spec)
 
 
-def w1(spec: FieldLike) -> FgAb2:
+def w1(spec: FieldSpec) -> FgAb2:
     """Degree-1 Witt group: the 2-torsion of Pic plus Z/2, and Pic is odd
     for 2-regular fields."""
     require_two_regular(spec)
     return C(2)
 
 
-def square_classes(spec: FieldLike) -> FgAb2:
+def square_classes(spec: FieldSpec) -> FgAb2:
     """Square classes of the 2-unit group: (Z/2)^(r+1)."""
     return C2(require_two_regular(spec).r + 1)
 
@@ -293,7 +293,7 @@ def square_classes(spec: FieldLike) -> FgAb2:
 # Low degrees
 
 
-def low_dim(spec: FieldLike, eps: int) -> dict[int, FgAb2]:
+def low_dim(spec: FieldSpec, eps: int) -> dict[int, FgAb2]:
     """Hermitian K-groups in degrees -1, 0, 1 from first principles, for
     eps = +1 or -1: the orthogonal group in degree 0 is Z + W(R_F)."""
     field = require_two_regular(spec)
@@ -311,11 +311,11 @@ _ALIASES = {"WPRIME": "W'", "W′": "W'"}
 class TheoryTag(Record):
     """One theory of the registry: its name, ``build(field, q)``, its sign,
     and its q and degree rules.  ``build`` checks what the theory needs of
-    the field (a spec or its resolved record) and returns the theory's
-    unmemoized ``n -> group`` reader; ``column`` calls it."""
+    the field spec and returns the theory's unmemoized ``n -> group``
+    reader; ``column`` calls it."""
 
     name: str
-    build: Callable[[FieldLike, int | None], Callable[[int | None], FgAb2]]
+    build: Callable[[FieldSpec, int | None], Callable[[int | None], FgAb2]]
     eps: int | None = None
     needs_q: bool = False
     needs_degree: bool = True
@@ -336,13 +336,13 @@ class TheoryTag(Record):
             raise UsageError(f"theory {self.name} needs a degree")
 
 
-def _on_field(field: FieldLike, q: int | None) -> tuple[int, int]:
+def _on_field(field: FieldSpec, q: int | None) -> tuple[int, int]:
     """The params of a table over R_F: the r and a of a 2-regular field."""
     field = require_two_regular(field)
     return field.r, field.a
 
 
-def _on_q(field: FieldLike, q: int | None) -> tuple[int, int]:
+def _on_q(field: FieldSpec, q: int | None) -> tuple[int, int]:
     """The params of a building block KQbar: r = 1 and a = v2(q^2 - 1) - 1.
     For q admissible for the field this is the field's a, by lifting the
     exponent: v2(q^(4k+2) - 1) = a + 1 and v2(q^(4k+4) - 1) = a + 2 + e are
@@ -353,7 +353,7 @@ def _on_q(field: FieldLike, q: int | None) -> tuple[int, int]:
 def _shifted(source: str, name: str):
     """The reader builder of U: THEORIES[source] one degree down, from
     degree 1."""
-    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+    def build(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
         read = THEORIES[source].build(field, q)
 
         def shifted(n: int) -> FgAb2:
@@ -366,15 +366,15 @@ def _shifted(source: str, name: str):
 
 def _constant(group_of):
     """The reader builder of a theory without a degree axis."""
-    def build(field: FieldLike, q: int | None) -> Callable[[int | None], FgAb2]:
+    def build(field: FieldSpec, q: int | None) -> Callable[[int | None], FgAb2]:
         g = group_of(field)
         return lambda n: g
     return build
 
 
-def _ko_copies(copies: Callable[[FieldLike], int]):
+def _ko_copies(copies: Callable[[FieldSpec], int]):
     """The reader builder of copies(field) copies of KO: V+ and Vbar+."""
-    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+    def build(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
         m, ko = copies(field), THEORIES["KO"].build(field, q)
         return lambda n: n_copies(m, ko(n))
     return build
@@ -400,7 +400,7 @@ def _adams_fiber(source: str, shift: int, weight: Callable[[int], int]):
     does not decide the extension, and the split sum is kept as the
     tabulated choice.  The eight pi_m are read when the column is built, so
     a fault on a ko or ku row reaches the derived columns built under it."""
-    def build(field: FieldLike, q: int | None) -> Callable[[int], FgAb2]:
+    def build(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
         read = THEORIES[source].build(field, q)
         pi = tuple(read(m + shift) for m in range(8))  # pi_m X at m mod 8
 
@@ -423,7 +423,7 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("W", _constant(witt), needs_degree=False),
     TheoryTag("W'", _constant(cowitt), needs_degree=False),
     TheoryTag("W1", _constant(w1), needs_degree=False),
-    TheoryTag("Kbar", _stored("k_bar", lambda field, q: (1, resolve(field).a))),
+    TheoryTag("Kbar", _stored("k_bar", lambda field, q: (1, require_spec(field).a))),
     TheoryTag("KQbar+", _stored("kq_rf+", _on_q), 1, needs_q=True),
     TheoryTag("KQbar-", _stored("kq_bar-", _on_q), -1, needs_q=True),
     TheoryTag("Vbar+", _ko_copies(lambda field: 2), 1),
@@ -436,36 +436,46 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
 )}
 
 
-def column(tag: TheoryTag, field: FieldLike, q: int | None) -> Callable[[int | None], FgAb2]:
+def column(tag: TheoryTag, field: FieldSpec, q: int | None) -> Callable[[int | None], FgAb2]:
     """The groups of one theory on one field as a function of the degree:
     ``column(tag, field, q)(n)``.
 
     The theory's rules are checked here, once per column and not once per
     cell: q must be given where the theory reads it, and the tables over the
     2-integers need a 2-regular field.  Each period class of degrees (see
-    period_degree) is evaluated once per column, at its period degree; a
-    negative degree of a theory with a degree axis raises NegativeDegree,
-    which names the theory.  The column reads the row store as it stood
-    when the column was built (see fault_injection)."""
+    period_degree) is evaluated once per column, at its period degree, and
+    a degree read again is one dict lookup; a negative degree of a theory
+    with a degree axis raises NegativeDegree, which names the theory.  The
+    column reads the row store as it stood when it was built (see
+    fault_injection)."""
     if tag.needs_q and q is None:
         raise UsageError(f"theory {tag.name} needs q")
     read = tag.build(field, q)
     if not tag.needs_degree:
         return read
-    memo: dict[int, FgAb2] = {}
+    return _Column(tag.name, read)
 
-    def cell(n: int) -> FgAb2:
+
+class _Column(dict):
+    """The groups of one theory by degree, filled as they are read.  The
+    reader does not refer back to the column, so no reference cycle leaves
+    a column to the cyclic garbage collector."""
+
+    def __init__(self, name: str, read: Callable[[int], FgAb2]) -> None:
+        super().__init__()
+        self.name, self.read = name, read
+
+    def __missing__(self, n: int) -> FgAb2:
         if n < 0:
-            raise NegativeDegree(f"theory {tag.name} needs n >= 0, got {n}")
+            raise NegativeDegree(f"theory {self.name} needs n >= 0, got {n}")
         p = period_degree(n)
-        g = memo.get(p)
-        if g is None:
-            g = memo[p] = read(p)
+        g = self[n] = self.read(n) if p == n else self[p]
         return g
-    return cell
+
+    __call__ = dict.__getitem__
 
 
-def query(tag: TheoryTag, n: int | None, spec: FieldLike, q: int | None) -> FgAb2:
+def query(tag: TheoryTag, n: int | None, spec: FieldSpec, q: int | None) -> FgAb2:
     """Evaluate one theory at one degree, under the degree and q rules of
     its registry entry; n = -1 goes to the low-degree computation."""
     tag.check_degree(n)

@@ -40,7 +40,7 @@ from .abgroup import (
     n_copies,
     ses_consistent,
 )
-from .fields import FieldLike, ResolvedField, choose_q, require_two_regular
+from .fields import FieldSpec, choose_q, require_two_regular
 from .record import Record
 
 TYPE_CHECKING = False
@@ -137,7 +137,7 @@ def _first_degrees(first: int, shift: int, n_max: int) -> dict[tuple[int, int], 
     return firsts
 
 
-def check_splittings(field: ResolvedField, col: dict, n_max: int) -> list[CheckReport]:
+def check_splittings(field: FieldSpec, col: dict, n_max: int) -> list[CheckReport]:
     """The nine identities of _IDENTITIES over the degrees n <= n_max: the
     five wedge splittings of the R_F tables into the one-real-place
     building block plus topological copies, and four more of the same
@@ -194,7 +194,7 @@ def _mv_window(col: dict, r: int, eps: int, n_lo: int, n_hi: int) -> tuple[FgAb2
     return tuple(groups)
 
 
-def check_les(field: ResolvedField, col: dict) -> list[CheckReport]:
+def check_les(field: FieldSpec, col: dict) -> list[CheckReport]:
     """Exact-sequence necessary conditions, on a 2-regular field and its
     columns (see run_all).
 
@@ -282,7 +282,7 @@ def check_t_w(a: int, q: int, n_max: int) -> CheckReport:
     return CheckReport(name, True, f"all n = 3 (mod 4), n <= {n_max} ({len(degrees)} cases)")
 
 
-def _check_low_degrees(field: ResolvedField, col: dict) -> CheckReport:
+def _check_low_degrees(field: FieldSpec, col: dict) -> CheckReport:
     low = {eps: tb.low_dim(field, eps) for eps in (1, -1)}
     points = {(n, eps): (n, eps) for eps in (1, -1) for n in (0, 1)}
     return _equality_report("low-degree computations agree with the table", points, len(points),
@@ -290,7 +290,7 @@ def _check_low_degrees(field: ResolvedField, col: dict) -> CheckReport:
                             lambda n, eps: {"n": n, "eps": eps}, "degrees 0 and 1, both signs")
 
 
-def run_all(spec: FieldLike, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
+def run_all(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> list[CheckReport]:
     """Full consistency suite for one 2-regular field: the field, q and
     n_max are checked here once, and every check reads the one column of
     each theory with a degree axis built here."""

@@ -348,15 +348,24 @@ def _patch_everywhere(monkeypatch, target, name, fn):
     (("table", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), tb, "column"),
     (("verify", "--n-max", str(N_MAX_BOUND + 1), "--field", "Q"), verify, "run_all"),
     (("adams", "--q", str(Q_BOUND + 2), "--dump-coeffs"), adams, "_expand"),
-    (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "resolve"),
-    (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "resolve"),
+    (("regular", "--json", "--field", f"Q(zeta 2^{fields.B_BOUND + 1})+"), fields, "_resolved"),
+    (("regular", "--json", "--field", "Q(zeta 2^20000)+"), fields, "_resolved"),
     (("group", "--theory", "KQ+", "--n", "1", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"),
      tb, "_eval_row"),
     (("table", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
     (("verify", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
-    (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "resolve"),
+    (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "_resolved"),
     (("find-q", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "find_q_for_a"),
     (("adams", "--q", str(Q_BOUND + 2)), adams, "_coefficient"),
+    # is_prime decides q below psi_12 only; q = psi_12 = 1287836182261 * 2575672364521
+    (("group", "--theory", "KFq", "--n", "1", "--field", "Q", "--q", str(nt.PRIME_BOUND)), tb, "column"),
+    (("group", "--json", "--theory", "KFq", "--n", "1", "--field", "Q", "--q", str(nt.PRIME_BOUND)),
+     tb, "column"),
+    (("group", "--theory", "K", "--n", str(cli.N_BOUND + 1), "--field", "Q"), fields, "parse_field"),
+    (("group", "--json", "--theory", "K", "--n", str(cli.N_BOUND + 1), "--field", "Q"), fields, "parse_field"),
+    # 4,300 digits, which int() still reads and whose torsion order str() could not print
+    (("group", "--theory", "K", "--n", str(8 * 2**14280 - 1), "--field", "generic r=1 a=64 regular"),
+     fields, "parse_field"),
 ])
 def test_input_bounds_exit_2_before_work(capsys, monkeypatch, argv, target, name):
     _patch_everywhere(monkeypatch, target, name, _refuse)
@@ -463,22 +472,31 @@ def test_each_command_factorizes_m_once(capsys, monkeypatch, argv):
     assert _factorize_calls(capsys, monkeypatch, *argv, "--field", "Q(zeta 11)+") == {11: 1, 10: 1}
 
 
-# every usage check runs before the field is parsed or resolved
+# every usage check runs before the field is parsed, which resolves it
 @pytest.mark.parametrize("argv, refused", [
-    (("group", "--theory", "K", "--n", "-1", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
-    (("group", "--theory", "K", "--n", "-1", "--field", "Q", "--q", "7"), ("parse_field", "resolve")),
-    (("group", "--theory", "K", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
-    (("group", "--theory", "BOGUS", "--n", "1", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
-    (("table", "--n-max", "8", "--theories", "W", "--field", "Q", "--q", "7"), ("parse_field", "resolve")),
-    (("table", "--n-max", "-1", "--field", "Q(zeta 7)+"), ("parse_field", "resolve")),
-    # --oracle needs the family, so the field is parsed but not resolved
-    (("regular", "--oracle", "--field", "Q(zeta 7)+"), ("resolve",)),
+    (("group", "--theory", "K", "--n", "-1", "--field", "Q(zeta 7)+"), ("parse_field",)),
+    (("group", "--theory", "K", "--n", "-1", "--field", "Q", "--q", "7"), ("parse_field",)),
+    (("group", "--theory", "K", "--field", "Q(zeta 7)+"), ("parse_field",)),
+    (("group", "--theory", "BOGUS", "--n", "1", "--field", "Q(zeta 7)+"), ("parse_field",)),
+    (("table", "--n-max", "8", "--theories", "W", "--field", "Q", "--q", "7"), ("parse_field",)),
+    (("table", "--n-max", "-1", "--field", "Q(zeta 7)+"), ("parse_field",)),
+    # --oracle needs the family, so the field is parsed but the oracle not run
+    (("regular", "--oracle", "--field", "Q(zeta 9)+"), ("two_regular_oracle",)),
 ])
 def test_usage_errors_come_before_field_work(capsys, monkeypatch, argv, refused):
     for name in refused:
         _patch_everywhere(monkeypatch, fields, name, _refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and err.startswith("usage error: ")
+
+
+# a spec that fails its own checks is refused when it is parsed, before the
+# --oracle family check: 2 is no primitive root modulo 7
+def test_oracle_on_an_invalid_family_member_is_a_domain_error(capsys, monkeypatch):
+    _patch_everywhere(monkeypatch, fields, "two_regular_oracle", _refuse)
+    code, out, err = run(capsys, "regular", "--oracle", "--field", "Q(zeta 7)+")
+    assert (code, out) == (2, "")
+    assert err == "error: NotPrimitiveRoot: 2 is not a primitive root modulo 7\n"
 
 
 # each command chooses q once; verify's run_all checks the q it is handed
@@ -491,24 +509,23 @@ def test_usage_errors_come_before_field_work(capsys, monkeypatch, argv, refused)
     (("verify", "--n-max", "16"), 2),
 ])
 def test_each_command_resolves_the_field_and_chooses_q_once(capsys, monkeypatch, argv, choices, q):
-    resolved, chosen = [], []
-    resolve, choose_q = fields.resolve, fields.choose_q
+    parsed, chosen = [], []
+    parse_field, choose_q = fields.parse_field, fields.choose_q
 
-    def counting_resolve(spec):
-        if not isinstance(spec, fields.ResolvedField):
-            resolved.append(spec)
-        return resolve(spec)
+    def counting_parse_field(text):
+        parsed.append(text)
+        return parse_field(text)
 
     def counting_choose_q(field, given):
         chosen.append((field, given))
         return choose_q(field, given)
 
-    _patch_everywhere(monkeypatch, fields, "resolve", counting_resolve)
+    _patch_everywhere(monkeypatch, fields, "parse_field", counting_parse_field)
     _patch_everywhere(monkeypatch, fields, "choose_q", counting_choose_q)
     code, out, _ = run(capsys, *argv, "--field", "Q(sqrt 5)", *(["--q", q] if q else []))
     assert code == 0
-    assert resolved == [fields.RealQuadratic(5)]
-    field = resolve(resolved[0])
+    assert parsed == ["Q(sqrt 5)"]
+    field = fields.RealQuadratic(5)
     assert chosen == [(field, None if q is None else 5)] + [(field, int(q or 3))] * (choices - 1)
 
 

@@ -19,19 +19,19 @@ SQUAREFREE_60 = [d for d in range(2, 61) if nt.squarefree_part(d)[0]]
 
 
 def test_real_embeddings():
-    assert f.resolve(Q).r == 1
-    assert f.resolve(f.MaxRealCyclo2(4)).r == 4
-    assert f.resolve(f.MaxRealCycloOdd(11)).r == 5
-    assert f.resolve(f.RealQuadratic(6)).r == 2
-    assert f.resolve(f.Generic(r=8, a=2)).r == 8
+    assert Q.r == 1
+    assert f.MaxRealCyclo2(4).r == 4
+    assert f.MaxRealCycloOdd(11).r == 5
+    assert f.RealQuadratic(6).r == 2
+    assert f.Generic(r=8, a=2).r == 8
 
 
 def test_a_param():
-    assert f.resolve(Q).a == 2
-    assert f.resolve(f.RealQuadratic(2)).a == 3
-    assert f.resolve(f.RealQuadratic(7)).a == 2
-    assert f.resolve(f.MaxRealCyclo2(5)).a == 5
-    assert f.resolve(f.MaxRealCycloOdd(11)).a == 2
+    assert Q.a == 2
+    assert f.RealQuadratic(2).a == 3
+    assert f.RealQuadratic(7).a == 2
+    assert f.MaxRealCyclo2(5).a == 5
+    assert f.MaxRealCycloOdd(11).a == 2
 
 
 def test_validate_spec():
@@ -61,7 +61,7 @@ def test_two_regular_criterion_examples():
 @pytest.mark.parametrize("m", [83, 107])
 def test_cyclotomic_criterion_sophie_germain_row(m):
     # phi(m) > 66, and m = 3 (mod 8) with (m-1)/2 prime
-    field = f.resolve(f.MaxRealCycloOdd(m))
+    field = f.MaxRealCycloOdd(m)
     assert field.regular
     assert field.reason == f"m = {m} and (m-1)/2 both prime with m != 7 (mod 8)"
 
@@ -71,7 +71,7 @@ def test_cyclotomic_criterion_outside_the_certified_list():
     # certifies m = 101 and it is reported as not 2-regular; this pins the
     # current verdict, which deciding the cyclotomic verdict (ROADMAP item
     # 9) will change, and this test with it
-    field = f.resolve(f.MaxRealCycloOdd(101))
+    field = f.MaxRealCycloOdd(101)
     assert not field.regular
     assert field.reason == "m = 101 is outside the certified list"
 
@@ -85,10 +85,8 @@ def test_generic_claims():
     assert f.is_two_regular(f.Generic(r=2, a=2, regular_claim=True))[0]
     assert not f.is_two_regular(f.Generic(r=2, a=2, regular_claim=False))[0]
     assert f.is_unverified_generic(f.Generic(r=2, a=2))
-    assert f.is_unverified_generic(f.resolve(f.Generic(r=2, a=2)))
     assert not f.is_unverified_generic(f.Generic(r=2, a=2, regular_claim=True))
     assert not f.is_unverified_generic(f.Generic(r=2, a=2, regular_claim=False))
-    assert not f.is_unverified_generic(f.resolve(f.Generic(r=2, a=2, regular_claim=True)))
     assert not f.is_unverified_generic(f.Rationals())
     assert f.is_two_regular(f.Generic(r=2, a=2))[0]  # unverified but usable
 
@@ -194,12 +192,12 @@ def test_admissible_q():
     assert not f.is_admissible_q(7, 2)  # 7 = -1 mod 8 violates the exclusion
     assert not f.is_admissible_q(2, 2)
     assert not f.is_admissible_q(9, 2)  # not prime
-    assert f.is_admissible_q(7, f.resolve(f.RealQuadratic(2)).a)
+    assert f.is_admissible_q(7, f.RealQuadratic(2).a)
 
 
 def test_find_q():
-    assert f.choose_q(f.resolve(Q), None) == 3
-    assert f.choose_q(f.resolve(f.RealQuadratic(2)), None) == 7
+    assert f.choose_q(Q, None) == 3
+    assert f.choose_q(f.RealQuadratic(2), None) == 7
     assert [f.find_q_for_a(a) for a in (2, 3, 4, 5)] == [3, 7, 17, 31]
     for a in range(2, 8):
         q = f.find_q_for_a(a)
@@ -210,7 +208,7 @@ def test_find_q():
 
 
 def test_choose_q_checks_a_given_q():
-    field = f.resolve(f.RealQuadratic(2))
+    field = f.RealQuadratic(2)
     assert f.choose_q(field, 7) == 7
     with pytest.raises(InadmissibleQ, match=r"^q = 3 is not congruence-admissible for Q\(sqrt 2\) \(a = 3\)$"):
         f.choose_q(field, 3)
@@ -220,7 +218,7 @@ def test_require_two_regular():
     with pytest.raises(NotTwoRegular):
         f.require_two_regular(f.RealQuadratic(34))
     with pytest.raises(InadmissibleQ):
-        f.choose_q(f.resolve(Q), 7)
+        f.choose_q(Q, 7)
 
 
 def test_parse_field_round_trips():
@@ -284,38 +282,39 @@ def test_find_q_without_a_residue_below_the_limit_tests_no_prime(monkeypatch):
         f.find_q_for_a(40)
 
 
-# one spec of every family
-FAMILY_SPECS = [
-    Q,
-    f.RealQuadratic(6),
-    f.RealQuadratic(34),
-    f.MaxRealCyclo2(4),
-    f.MaxRealCycloOdd(11),
-    f.Generic(r=3, a=2, regular_claim=True),
-    f.Generic(r=2, a=3),
-]
+# one spec of every family, and its (r, a, regular, reason)
+FAMILY_SPECS = {
+    Q: (1, 2, True, "the rationals are 2-regular"),
+    f.RealQuadratic(6): (2, 2, True, "d = 2*3 with 3 = 3 (mod 8)"),
+    f.RealQuadratic(34): (2, 2, False, "d = 2*17 but 17 = 1 (mod 8) is not +-3 (mod 8)"),
+    f.MaxRealCyclo2(4): (4, 4, True, "maximal real 2-power cyclotomic fields are 2-regular"),
+    f.MaxRealCycloOdd(11): (5, 2, True, "phi(11) = 10 <= 66"),
+    f.Generic(r=3, a=2, regular_claim=True): (3, 2, True, "caller claims 2-regular"),
+    f.Generic(r=2, a=3): (2, 3, True, "generic spec without verification data (treated as claimed regular)"),
+}
 
 
+# a spec resolves itself when it is built; what it resolves is no field of
+# the record
 @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=str)
 def test_resolve_reads_the_spec_once(spec):
-    field = f.resolve(spec)
-    assert f.resolve(field) is field
-    assert str(field) == str(spec)
-    assert field.spec is spec
-    assert (field.regular, field.reason) == f.is_two_regular(spec)
+    assert (spec.r, spec.a, spec.regular, spec.reason) == FAMILY_SPECS[spec]
+    assert (spec.regular, spec.reason) == f.is_two_regular(spec)
+    assert {"regular", "reason"}.isdisjoint(spec._fields)
 
 
 def test_resolve_keeps_the_errors_of_the_criterion():
     with pytest.raises(InvalidSpec):
-        f.resolve(f.RealQuadratic(12))
+        f.RealQuadratic(12)
+    # 2^3 = 1 (mod 7): the spec itself refuses m = 7
     with pytest.raises(NotPrimitiveRoot):
-        f.resolve(f.MaxRealCycloOdd(7))
+        f.MaxRealCycloOdd(7)
 
 
 def test_require_two_regular_on_a_record():
     with pytest.raises(NotTwoRegular, match=r"^Q\(sqrt 34\) is not 2-regular: "):
-        f.require_two_regular(f.resolve(f.RealQuadratic(34)))
-    field = f.resolve(f.RealQuadratic(6))
+        f.require_two_regular(f.RealQuadratic(34))
+    field = f.RealQuadratic(6)
     assert f.require_two_regular(field) is field
 
 
@@ -354,7 +353,7 @@ def test_a_spec_is_checked_on_replace():
         f.RealQuadratic(12)
 
 
-@pytest.mark.parametrize("fn", [f.is_two_regular, f.resolve],
+@pytest.mark.parametrize("fn", [f.is_two_regular, f.require_two_regular],
                          ids=lambda fn: fn.__name__)
 def test_a_non_spec_is_an_invalid_spec(fn):
     with pytest.raises(InvalidSpec, match="unknown field spec"):
@@ -362,14 +361,14 @@ def test_a_non_spec_is_an_invalid_spec(fn):
 
 
 def test_b_bound_comes_before_the_embedding_count():
-    assert f.resolve(f.MaxRealCyclo2(f.B_BOUND)).r == 2 ** (f.B_BOUND - 2)
+    assert f.MaxRealCyclo2(f.B_BOUND).r == 2 ** (f.B_BOUND - 2)
     with pytest.raises(BoundExceeded, match=f"b must be <= {f.B_BOUND}"):
         f.MaxRealCyclo2(f.B_BOUND + 1)
 
 
 def test_generic_a_bound_comes_before_any_power_of_two():
     at = f.Generic(r=1, a=f.B_BOUND, regular_claim=True)
-    assert f.resolve(at).a == f.B_BOUND and not f.is_admissible_q(3, f.B_BOUND)
+    assert at.a == f.B_BOUND and not f.is_admissible_q(3, f.B_BOUND)
     with pytest.raises(BoundExceeded, match=f"a <= {f.B_BOUND}"):
         f.Generic(r=1, a=f.B_BOUND + 1)
 
@@ -377,7 +376,7 @@ def test_generic_a_bound_comes_before_any_power_of_two():
 def test_r_bound_holds_for_tables_only():
     at, above = (f.Generic(r=r, a=2, regular_claim=True) for r in (f.R_BOUND, f.R_BOUND + 1))
     assert f.require_two_regular(at).r == f.R_BOUND
-    assert f.resolve(above).regular and f.choose_q(f.resolve(above), None) == 3
+    assert above.regular and f.choose_q(above, None) == 3
     with pytest.raises(BoundExceeded, match=f"r <= {f.R_BOUND}"):
         f.require_two_regular(above)
     with pytest.raises(BoundExceeded):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from kq2 import cli, numtheory as nt
 from kq2.errors import BadModulus, BoundExceeded, EvenQ, NonPositive
-from kq2.fields import MaxRealCycloOdd, resolve
+from kq2.fields import MaxRealCycloOdd
 
 
 def slow_two_part(n):
@@ -86,6 +86,20 @@ def test_is_prime_large():
     assert not nt.is_prime((2**31 - 1) * (2**19 - 1))
 
 
+# the twelve witnesses decide every n below psi_12 (Sorenson & Webster,
+# 2017); psi_12 itself is a strong pseudoprime to all of them
+def test_is_prime_stops_at_psi_12():
+    psi_12 = nt.PRIME_BOUND
+    assert psi_12 == 3317044064679887385961981 == 1287836182261 * 2575672364521
+    with pytest.raises(BoundExceeded, match="primality is decided below"):
+        nt.is_prime(psi_12)
+    with pytest.raises(BoundExceeded):
+        nt.is_prime(2**89 - 1)
+    assert not nt.is_prime(psi_12 - 2)  # 17 * 1709 * 1366183751 * 83570142193
+    assert not nt.is_prime(psi_12 - 14)  # 560159927 * 5921601858320521
+    assert nt.is_prime(psi_12 - 168)  # the largest prime below psi_12
+
+
 def test_squarefree_part_examples():
     assert nt.squarefree_part(34) == (True, (2, 17))
     assert nt.squarefree_part(12) == (False, (2, 2, 3))
@@ -94,7 +108,7 @@ def test_squarefree_part_examples():
 
 def test_euler_phi_and_primitive_roots():
     # phi(m) = m / p * (p - 1) from the prime p that the spec keeps; r = phi / 2
-    assert [resolve(MaxRealCycloOdd(m)).r for m in (29, 25, 27)] == [14, 10, 9]
+    assert [MaxRealCycloOdd(m).r for m in (29, 25, 27)] == [14, 10, 9]
     assert nt.is_primitive_root(2, 5, 5)
     assert not nt.is_primitive_root(2, 7, 7)
     assert nt.is_primitive_root(2, 9, 3)

@@ -26,7 +26,6 @@ SAMPLES = {
     f.MaxRealCycloOdd: lambda: [f.MaxRealCycloOdd(11), f.MaxRealCycloOdd(9)],
     f.Generic: lambda: [f.Generic(r=2, a=3), f.Generic(2, 3, regular_claim=True)],
     f.FieldInvariants: lambda: [f.two_regular_oracle(f.RealQuadratic(d)) for d in (5, 34)],
-    f.ResolvedField: lambda: [f.resolve(f.RealQuadratic(5)), f.resolve(f.Rationals())],
     tb.TheoryTag: lambda: [tb.TheoryTag("KO", tb.THEORIES["KO"].build),
                            tb.TheoryTag("KQFq+", tb.THEORIES["KQFq+"].build, 1, needs_q=True)],
     vf.CheckReport: lambda: [vf.CheckReport("a", True, "x"), vf.CheckReport("b", True, "x")],

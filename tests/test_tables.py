@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import pytest
 
@@ -14,7 +15,7 @@ from kq2.errors import (
     UsageError,
 )
 from kq2.cli import N_MAX_BOUND
-from kq2.fields import Generic, Rationals, RealQuadratic, choose_q, parse_field, resolve
+from kq2.fields import Generic, Rationals, RealQuadratic, choose_q, parse_field
 
 Q = Rationals()
 D6 = RealQuadratic(6)
@@ -142,20 +143,20 @@ def test_witt_groups():
 
 
 def test_not_two_regular_is_loud():
-    for bad in (RealQuadratic(34), resolve(RealQuadratic(34))):
-        for fn in (
-            lambda: cell("K", 1, bad),
-            lambda: cell("KQ+", 1, bad),
-            lambda: cell("V+", 1, bad),
-            lambda: tb.witt(bad),
-            lambda: tb.w1(bad),
-            lambda: tb.square_classes(bad),
-            lambda: tb.low_dim(bad, 1),
-        ):
-            with pytest.raises(NotTwoRegular):
-                fn()
-        # the building block does not read the regularity verdict
-        assert tb.query(tb.THEORIES["Kbar"], 3, bad, 3) == cell("Kbar", 3, Q)
+    bad = RealQuadratic(34)
+    for fn in (
+        lambda: cell("K", 1, bad),
+        lambda: cell("KQ+", 1, bad),
+        lambda: cell("V+", 1, bad),
+        lambda: tb.witt(bad),
+        lambda: tb.w1(bad),
+        lambda: tb.square_classes(bad),
+        lambda: tb.low_dim(bad, 1),
+    ):
+        with pytest.raises(NotTwoRegular):
+            fn()
+    # the building block does not read the regularity verdict
+    assert tb.query(tb.THEORIES["Kbar"], 3, bad, 3) == cell("Kbar", 3, Q)
 
 
 def test_low_dim():
@@ -170,7 +171,7 @@ def test_low_dim():
 
 def test_t_equals_w_on_admissible_pairs():
     for a in (2, 3, 4):
-        q = choose_q(resolve(Generic(r=1, a=a, regular_claim=True)), None)
+        q = choose_q(Generic(r=1, a=a, regular_claim=True), None)
         for n in range(3, 120, 4):
             assert tb.t(n, q) == tb.w((n + 1) // 2, a)
     # also a non-minimal admissible prime: 5 = -3 (mod 8) works for a = 2
@@ -296,7 +297,7 @@ def _golden_lines():
     of the exception query raised."""
     for text in GOLDEN_FIELDS:
         spec = parse_field(text)
-        for q in (choose_q(resolve(spec), None), None):
+        for q in (choose_q(spec, None), None):
             for name, tag in sorted(tb.THEORIES.items()):
                 degrees = [None] if not tag.needs_degree else []
                 for n in degrees + list(range(-1, 41)):
@@ -315,8 +316,9 @@ def test_query_golden_digest():
 
 @pytest.mark.parametrize("text", GOLDEN_FIELDS)
 def test_table_functions_agree_on_spec_and_record(text):
+    # unpickling builds no spec anew: the copy reads what the spec resolved
     spec = parse_field(text)
-    field = resolve(spec)
+    field = pickle.loads(pickle.dumps(spec))
     q = choose_q(field, None)
     for fn in (tb.witt, tb.cowitt, tb.w1, tb.square_classes):
         assert fn(field) == fn(spec)
@@ -445,7 +447,7 @@ def _outcome(read, *args):
 
 @pytest.mark.parametrize("text", REFERENCE_FIELDS)
 def test_every_column_matches_the_stored_rows(text):
-    field = resolve(parse_field(text))
+    field = parse_field(text)
     q = choose_q(field, None)
     names = [name for name, tag in tb.THEORIES.items() if tag.needs_degree]
     assert len(names) == 17
@@ -493,7 +495,7 @@ def test_period_degree_is_a_degree_of_the_same_class():
 
 @pytest.mark.parametrize("text", PERIOD_FIELDS)
 def test_columns_match_the_unmemoized_readers_at_every_degree(text):
-    field = resolve(parse_field(text))
+    field = parse_field(text)
     degrees = range(N_MAX_BOUND + 1)
     for tag in DEGREE_THEORIES:
         for q in (3, 7, 1021) if tag.needs_q else (3,):  # the other theories read no q
@@ -502,7 +504,7 @@ def test_columns_match_the_unmemoized_readers_at_every_degree(text):
 
 
 def test_raw_readers_read_the_period_degree_under_every_fault():
-    field = resolve(parse_field("generic r=3 a=4 regular"))
+    field = parse_field("generic r=3 a=4 regular")
     for site in tb.fault_sites():
         with tb.fault_injection(*site):  # a reader built outside would read no fault
             for name, read in [(tag.name, tag.build(field, 7)) for tag in DEGREE_THEORIES]:
@@ -536,7 +538,7 @@ def test_table_matches_the_unmemoized_readers_at_every_degree(text, theories, ca
     from kq2.abgroup import group_to_json
     assert cli.main(["table", "--json", "--n-max", "300", "--theories", theories, "--field", text]) == 0
     payload = json.loads(capsys.readouterr().out)
-    field, q = resolve(parse_field(text)), payload["q"]
+    field, q = parse_field(text), payload["q"]
     reads = {name: tb.THEORIES[name].build(field, q) for name in theories.split(",")}
 
     def expected(read, n):
