@@ -94,79 +94,107 @@ def _kbar_note(tags, degrees, notes: list[str]) -> None:
 
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for trees of
-    str-keyed dicts, lists, tuples, str, int, bool and None.  A container met
-    again at the same nesting depth reuses the text rendered the first
-    time, joined into one string when it is met again, so a table that
-    repeats a few group dicts in every row pays per group.  Each distinct
-    key tuple of a dict is checked, sorted and encoded once, so a table's
-    per-degree wrappers, which share their keys, pay for them once.
+    str-keyed dicts, lists, tuples, str, int, bool and None.  Each dict key
+    layout is checked, sorted and rendered once per nesting depth, so a
+    table's per-degree wrappers, which share their keys, pay for them once.
+    A container met again at the same depth reuses the text rendered the
+    first time, so a table that repeats a few group dicts in every row pays
+    per group.  The state lives in arguments, not in a closure, so no
+    reference cycle outlives the call.
 
     Strings go through json.dumps's own C encoder; the json package is not
     imported, because it imports re, enum, functools and collections."""
-    from _json import encode_basestring_ascii as string
     out: list[str] = []
-    # (id, depth) -> (o, its pieces in out, or their text once joined);
-    # holding o keeps its id unique
-    memo: dict[tuple[int, int], tuple[object, slice | str]] = {}
-    # the keys of a dict in insertion order -> its sorted (label, key) pairs
-    layouts: dict[tuple, list[tuple[str, str]]] = {}
+    _encode(obj, 0, out, {}, {})
+    return "".join(out)
 
-    def scalar(o) -> str:
-        if o is None:
-            return "null"
-        if o is True or o is False:
-            return "true" if o else "false"
-        if isinstance(o, str):
-            return string(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    def enc(o, depth: int) -> None:
-        if type(o) is int:  # not isinstance: a bool goes the scalar way
-            out.append(int.__repr__(o))
-            return
-        if not isinstance(o, (dict, list, tuple)):
-            out.append(scalar(o))
-            return
-        if not o:
-            out.append("{}" if isinstance(o, dict) else "[]")
-            return
-        key = (id(o), depth)
-        if key in memo:
-            text = memo[key][1]
-            if type(text) is slice:  # met again for the first time: join its pieces once
-                text = "".join(out[text])
-                memo[key] = (o, text)
-            out.append(text)
-            return
-        start, pad = len(out), "\n" + "  " * (depth + 1)
-        if isinstance(o, dict):
-            keys = tuple(o)
-            layout = layouts.get(keys)
-            if layout is None:
-                if not all(isinstance(k, str) for k in keys):
-                    raise TypeError("JSON object keys must be str")
-                layout = layouts[keys] = [(string(k) + ": ", k) for k in sorted(keys)]
-            items, brackets = [(label, o[k]) for label, k in layout], "{}"
-        else:
-            items, brackets = [("", v) for v in o], "[]"
-        for i, (label, v) in enumerate(items):
-            out.append(("," if i else brackets[0]) + pad + label)
-            enc(v, depth + 1)
-        out.append(pad[:-2] + brackets[1])
+def _encode(o, depth: int, out: list[str], memo: dict, frames: dict) -> None:
+    """Append the rendering of the container or scalar o at ``depth`` to out.
+
+    memo maps (id, depth) of a container that may be met again to (the
+    container, its pieces in out, or their text once it is met again);
+    holding the container keeps its id unique.  frames maps (key tuple,
+    depth) of a dict layout to its frame (see _frame)."""
+    if not isinstance(o, (dict, list, tuple)):
+        out.append(_scalar(o))
+        return
+    if not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+        return
+    # Held only by its parent, the caller's v, o and getrefcount's argument,
+    # o occurs once in the tree and gets no memo entry (a table's per-degree
+    # wrappers).  An interpreter that counts fewer of these references only
+    # renders a rarely shared container again, to the same text.
+    key = (id(o), depth) if sys.getrefcount(o) > 4 else None
+    seen = memo.get(key)
+    if seen is not None:
+        text = seen[1]
+        if type(text) is slice:  # met again for the first time: join its pieces once
+            text = "".join(out[text])
+            memo[key] = (o, text)
+        out.append(text)
+        return
+    start, inner = len(out), depth + 1
+    if isinstance(o, dict):
+        keys = tuple(o)
+        frame = frames.get((keys, depth))
+        if frame is None:
+            frame = frames[keys, depth] = _frame(keys, depth)
+        heads, close = frame
+        for head, k in heads:
+            out.append(head)
+            v = o[k]
+            if type(v) is int:  # not isinstance: a bool goes the scalar way
+                out.append(int.__repr__(v))
+            else:
+                _encode(v, inner, out, memo, frames)
+    else:
+        pad = "\n" + "  " * inner
+        head = "[" + pad
+        for v in o:
+            out.append(head)
+            head = "," + pad
+            if type(v) is int:
+                out.append(int.__repr__(v))
+            else:
+                _encode(v, inner, out, memo, frames)
+        close = pad[:-2] + "]"
+    out.append(close)
+    if key is not None:
         memo[key] = (o, slice(start, len(out)))
 
-    enc(obj, 0)
-    return "".join(out)
+
+def _frame(keys: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
+    """The frame of a dict with ``keys`` at ``depth``: its (head, key) pairs
+    in sorted key order, each head the opening bracket or comma, the
+    indent and the key's label, and its closing bracket."""
+    if not all(isinstance(k, str) for k in keys):
+        raise TypeError("JSON object keys must be str")
+    from _json import encode_basestring_ascii as string
+    pad = "\n" + "  " * (depth + 1)
+    heads = [(("," if i else "{") + pad + string(k) + ": ", k) for i, k in enumerate(sorted(keys))]
+    return heads, pad[:-2] + "}"
+
+
+def _scalar(o) -> str:
+    if o is None:
+        return "null"
+    if o is True or o is False:
+        return "true" if o else "false"
+    if isinstance(o, str):
+        from _json import encode_basestring_ascii as string
+        return string(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
         print(_dumps(payload))
     else:
-        for line in human_lines:
-            print(line)
+        print("\n".join(human_lines))
 
 
 def _cmd_group(args) -> int:

@@ -145,9 +145,11 @@ def check_splittings(field: FieldSpec, col: dict, n_max: int) -> list[CheckRepor
     the 2-regular ``field`` (see run_all).  A point (n, eps) has the key
     (period degree of n, of n + s, eps), with eps None where no sign is."""
     reports = []
+    walks: dict[tuple[int, int], dict] = {}  # four distinct (first, shift) among the nine rows
     for name, first, theories, copies, shift, fields in _IDENTITIES:
-        firsts = {(*key, eps): (n, eps) for key, n in _first_degrees(first, shift, n_max).items()
-                  for eps in theories}
+        if (first, shift) not in walks:
+            walks[first, shift] = _first_degrees(first, shift, n_max)
+        firsts = {(*key, eps): (n, eps) for key, n in walks[first, shift].items() for eps in theories}
         compare, params = _identity_checks(field.r, col, theories, copies, fields)
         details = f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}"
         count = len(theories) * (n_max - first + 1)

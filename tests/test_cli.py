@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -679,6 +680,35 @@ def test_dumps_matches_json_dumps(tree, shared):
 def test_dumps_rejects_non_str_keys(key):
     with pytest.raises(TypeError):
         _dumps({"groups": [{key: "Z"}]})
+
+
+def test_dumps_leaves_no_reference_cycle(monkeypatch):
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", lambda args, payload, human: payloads.append(payload))
+    assert main(["table", "--json", "--n-max", "300", "--theories", "K,KQ+,KO", "--field", "Q"]) == 0
+    gc.collect()
+    flags, before = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what any collection finds unreachable stays in gc.garbage
+    try:
+        text = _dumps(payloads[0])
+        gc.collect()
+        unreachable = len(gc.garbage) - before
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+    assert unreachable == 0
+    assert text == json.dumps(payloads[0], indent=2, sort_keys=True)
+
+
+def test_dumps_keeps_a_memo_entry_only_for_a_shared_container():
+    body = {"K": {"rank": 1, "torsion": []}, "KO": {"rank": 0, "torsion": [2]}}
+    out: list[str] = []
+    memo: dict = {}
+    # fresh wrappers around one body, as a table's rows; the group dicts
+    # and their torsion lists are met only inside the body, rendered once
+    cli._encode([{"n": n, "groups": body} for n in range(50)], 0, out, memo, {})
+    assert "".join(out) == json.dumps([{"n": n, "groups": body} for n in range(50)], indent=2, sort_keys=True)
+    assert [entry[0] for entry in memo.values()] == [body]
 
 
 def test_a_failed_self_check_is_an_internal_error(capsys, monkeypatch):
