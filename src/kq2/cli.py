@@ -92,6 +92,9 @@ def _kbar_note(tags, degrees, notes: list[str]) -> None:
         notes.append(_KBAR_NOTE)
 
 
+_string = None  # json's C string encoder, imported by the first _dumps call
+
+
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for trees of
     str-keyed dicts, lists, tuples, str, int, bool and None.  Each dict key
@@ -104,6 +107,9 @@ def _dumps(obj) -> str:
 
     Strings go through json.dumps's own C encoder; the json package is not
     imported, because it imports re, enum, functools and collections."""
+    global _string
+    if _string is None:
+        from _json import encode_basestring_ascii as _string
     out: list[str] = []
     _encode(obj, 0, out, {}, {})
     return "".join(out)
@@ -112,21 +118,17 @@ def _dumps(obj) -> str:
 def _encode(o, depth: int, out: list[str], memo: dict, frames: dict) -> None:
     """Append the rendering of the container or scalar o at ``depth`` to out.
 
-    memo maps (id, depth) of a container that may be met again to (the
-    container, its pieces in out, or their text once it is met again);
-    holding the container keeps its id unique.  frames maps (key tuple,
-    depth) of a dict layout to its frame (see _frame)."""
+    memo maps (id, depth) of a container to (the container, its pieces in
+    out, or their text once it is met again); holding the container keeps
+    its id unique.  frames maps (key tuple, depth) of a dict layout to its
+    frame (see _frame)."""
     if not isinstance(o, (dict, list, tuple)):
         out.append(_scalar(o))
         return
     if not o:
         out.append("{}" if isinstance(o, dict) else "[]")
         return
-    # Held only by its parent, the caller's v, o and getrefcount's argument,
-    # o occurs once in the tree and gets no memo entry (a table's per-degree
-    # wrappers).  An interpreter that counts fewer of these references only
-    # renders a rarely shared container again, to the same text.
-    key = (id(o), depth) if sys.getrefcount(o) > 4 else None
+    key = (id(o), depth)
     seen = memo.get(key)
     if seen is not None:
         text = seen[1]
@@ -161,8 +163,7 @@ def _encode(o, depth: int, out: list[str], memo: dict, frames: dict) -> None:
                 _encode(v, inner, out, memo, frames)
         close = pad[:-2] + "]"
     out.append(close)
-    if key is not None:
-        memo[key] = (o, slice(start, len(out)))
+    memo[key] = (o, slice(start, len(out)))
 
 
 def _frame(keys: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
@@ -171,9 +172,8 @@ def _frame(keys: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
     indent and the key's label, and its closing bracket."""
     if not all(isinstance(k, str) for k in keys):
         raise TypeError("JSON object keys must be str")
-    from _json import encode_basestring_ascii as string
     pad = "\n" + "  " * (depth + 1)
-    heads = [(("," if i else "{") + pad + string(k) + ": ", k) for i, k in enumerate(sorted(keys))]
+    heads = [(("," if i else "{") + pad + _string(k) + ": ", k) for i, k in enumerate(sorted(keys))]
     return heads, pad[:-2] + "}"
 
 
@@ -183,8 +183,7 @@ def _scalar(o) -> str:
     if o is True or o is False:
         return "true" if o else "false"
     if isinstance(o, str):
-        from _json import encode_basestring_ascii as string
-        return string(o)
+        return _string(o)
     if isinstance(o, int):
         return int.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -700,17 +700,6 @@ def test_dumps_leaves_no_reference_cycle(monkeypatch):
     assert text == json.dumps(payloads[0], indent=2, sort_keys=True)
 
 
-def test_dumps_keeps_a_memo_entry_only_for_a_shared_container():
-    body = {"K": {"rank": 1, "torsion": []}, "KO": {"rank": 0, "torsion": [2]}}
-    out: list[str] = []
-    memo: dict = {}
-    # fresh wrappers around one body, as a table's rows; the group dicts
-    # and their torsion lists are met only inside the body, rendered once
-    cli._encode([{"n": n, "groups": body} for n in range(50)], 0, out, memo, {})
-    assert "".join(out) == json.dumps([{"n": n, "groups": body} for n in range(50)], indent=2, sort_keys=True)
-    assert [entry[0] for entry in memo.values()] == [body]
-
-
 def test_a_failed_self_check_is_an_internal_error(capsys, monkeypatch):
     def broken(D):
         raise RuntimeError(f"cycle through (1, 1, -1) ran into another cycle (D={D})")
