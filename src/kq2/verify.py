@@ -2,18 +2,20 @@
 constraint.
 
 A passing suite certifies that the stored tables are mutually consistent as
-isomorphism classes: nine identities over the degrees (the five
-splittings, the wedge description of the orthogonal V-theory, U as the
-sign-swapped V-theory one degree down, the 8-periodicity of V and KQFq+ as
-the complement of KO in the building block), the Mayer-Vietoris rank count
-for the pullback defining the barred theories, short-exact-sequence and
-order-telescoping necessary conditions, the valuation identity
-t(n, q) = w((n+1)/2, a), and the low-degree computations.  Boundary maps
-are not modeled, so the checks are necessary-condition checks; they do not
-by themselves prove the tables correct.  Fault injection in the tests adds
-one Z/2 to each of the 72 stored rows of tables.fault_sites() in turn, KO
-and KU included, and on the fields of the tests the suite rejects every one
-but the 8 KU rows on Q.
+isomorphism classes: nine identities over the degrees (the five splittings,
+the wedge description of the orthogonal V-theory, U as the sign-swapped
+V-theory one degree down, the 8-periodicity of V and KQFq+ as the complement
+of KO in the building block), seven exact-sequence reports, the valuation
+identity t(n, q) = w((n+1)/2, a), and the low-degree computations.  The
+exact sequences are the rows of _SEQUENCES, each naming the theories and
+degrees it reads and one of three rules: "ranks" (the rank Euler
+characteristic of a Mayer-Vietoris period vanishes), "orders" (an all-finite
+window telescopes) and "ses" (a short exact sequence is rank/order
+consistent).  Boundary maps are not modeled, so the checks are
+necessary-condition checks; they do not by themselves prove the tables
+correct.  Fault injection in the tests adds one Z/2 to each of the 72 stored
+rows of tables.fault_sites() in turn, KO and KU included, and on the fields
+of the tests the suite rejects every one but the 8 KU rows on Q.
 KFq, KQFq+ and KQFq- are derived from the KO and KU rows, and the building
 block KQbar+ is the kq_rf+ table on r = 1, so the report that KQFq+
 complements KO in the building block checks the stored kq_rf+ rows against
@@ -87,11 +89,6 @@ def _equality_report(name: str, firsts: dict[tuple, tuple], count: int, compare:
             return CheckReport(name, False, f"first failure at {at}",
                                {**at, "expected": format_group(expected), "actual": format_group(actual)})
     return CheckReport(name, True, f"{details} ({count} cases)")
-
-
-def _report(name: str, passed: bool, details: str, counterexample: Callable[[], dict]) -> CheckReport:
-    """A report whose counterexample is built only when the check fails."""
-    return CheckReport(name, passed, details, None if passed else counterexample())
 
 
 _SIGN = {1: "+", -1: "-"}
@@ -177,97 +174,80 @@ def _identity_checks(r: int, col: dict, theories: dict, copies: Callable[[int], 
     return compare, params
 
 
-def _mv_window(col: dict, r: int, eps: int, n_lo: int, n_hi: int) -> tuple[FgAb2, ...]:
-    """One stretch of the Mayer-Vietoris sequence for the pullback that
-    defines the barred theory, ordered as it appears in the sequence:
-
-        ... -> r * KQ_{n+1}(C) -> KQbar_n -> KQ_n(Fq) + r * KQ_n(R)
-            -> r * KQ_n(C) -> ...
-    """
-    block, finite = col["KQbar" + _SIGN[eps]], col["KQFq" + _SIGN[eps]]
-    ko, ku = col["KO"], col["KU"]
-    groups: list[FgAb2] = []
-    for n in range(n_hi, n_lo - 1, -1):
-        # KQ of R is KO + KO (eps = +1) or KU (eps = -1); KQ of C is KO,
-        # four degrees up for eps = -1
-        groups.append(n_copies(r, ko(n + 1) if eps == 1 else ko(n + 5)))
-        groups.append(direct_sum(block(n), n_copies(r - 1, ko(n) if eps == 1 else ko(n + 6))))
-        groups.append(direct_sum(finite(n), n_copies(2 * r, ko(n)) if eps == 1 else n_copies(r, ku(n))))
-    return tuple(groups)
+# The exact-sequence reports, one row each: the report name, its rule, its
+# details and its windows (at, degrees, positions), each the positions laid
+# out at each degree n of degrees in turn.  A position is the direct sum of
+# its terms (source, shift, (a, b)), each a*r + b copies of a group: the
+# theory named source in degree n + shift, or, with shift None, the group
+# source or, for a function of the field, source(field).  The rule tests the
+# windows in order, and the first to fail is the counterexample, at and its
+# groups: "ranks" asks that the rank Euler characteristic vanish, "orders"
+# asks exact_window_check, and "ses" asks ses_consistent of 0 -> a -> b -> c
+# -> 0 and names the groups a, b and c.  The details are formatted with the
+# groups of the last window tested.
+_ONE, _R, _SES = (0, 1), (1, 0), "0 -> {} -> {} -> {} -> 0"
+_SEQUENCES = (
+    # Mayer-Vietoris for the pullback that defines the barred theory, as the
+    # sequence runs, over full periods:
+    #   ... -> r KQ_{n+1}(C) -> KQbar_n -> KQ_n(Fq) + r KQ_n(R) -> r KQ_n(C) -> ...
+    # KQ of R is KO + KO (eps = +1) or KU (eps = -1); KQ of C is KO, four degrees
+    # up for eps = -1; and KQbar_n comes with (r-1) KO_n, six degrees up for eps = -1
+    *((f"Mayer-Vietoris rank Euler characteristic (eps = {eps:+d})", "ranks",
+       "full periods, degrees 1..8 and 9..16",
+       tuple(({"eps": eps, "degrees": f"{lo}..{lo + 7}"}, range(lo + 7, lo - 1, -1), positions)
+             for lo in (1, 9)))
+      for eps, positions in (
+          (1, ((("KO", 1, _R),), (("KQbar+", 0, _ONE), ("KO", 0, (1, -1))),
+               (("KQFq+", 0, _ONE), ("KO", 0, (2, 0))))),
+          (-1, ((("KO", 5, _R),), (("KQbar-", 0, _ONE), ("KO", 6, (1, -1))),
+                (("KQFq-", 0, _ONE), ("KU", 0, _R)))))),
+    # 0 -> r*K_2(C) -> K_1(R_F) -> r*K_1(R) + K_1(Fq) -> 0
+    ("K_1 short exact sequence rank/order consistency", "ses", _SES,
+     (({}, (1,), ((("KU", 1, _R),), (("K", 0, _ONE),), ((C2(1), None, _R), ("KFq", 0, _ONE)))),)),
+    # the coWitt discriminant rows, with no degree axis: 0 -> Z^r -> Z^r + Z/2 -> (Z/2)^(r+1) -> 0
+    ("coWitt discriminant sequence (2-integers row)", "ses", _SES,
+     (({}, (None,), (((Z(1), None, _R),), ((tb.cowitt, None, _ONE),), ((tb.square_classes, None, _ONE),))),)),
+    ("coWitt discriminant sequence (archimedean/residue row)", "ses", _SES,
+     (({}, (None,), (((Z(1), None, _R),), ((Z(1), None, _R), (C2(1), None, _ONE)),
+                     ((C2(1), None, _R), (C2(1), None, _ONE)))),)),
+    # the all-finite vertical window 0 -> KQbar-(n+2) -> ... -> KQFq-(n) -> 0 through
+    # degree n = 3 mod 8; its right boundary map lands in a free group, so is zero on torsion
+    *((f"vertical sequence telescoping through degree {n3}", "orders",
+       "alternating product of orders equals 1",
+       (({"n": n3}, (n3,), tuple(((source, shift, _ONE),) for source, shift in (
+           (ZERO, None), ("KQbar-", 2), ("KQFq-", 2), ("KO", 7), ("KQbar-", 1), ("KQFq-", 1),
+           ("KO", 6), ("KQbar-", 0), ("KQFq-", 0), (ZERO, None)))),))
+      for n3 in (3, 11)),
+)
 
 
 def check_les(field: FieldSpec, col: dict) -> list[CheckReport]:
-    """Exact-sequence necessary conditions, on a 2-regular field and its
-    columns (see run_all).
-
-    (a) the Mayer-Vietoris rank Euler characteristic vanishes over a full
-        period, for both signs;
-    (b) the K_1 sequence and the two coWitt sequences pass the rank/order
-        consistency test for short exact sequences;
-    (c) the all-finite vertical window in degrees 3 mod 8 telescopes.
-    """
+    """The exact-sequence necessary conditions of _SEQUENCES, on a 2-regular
+    field and its columns (see run_all)."""
     r = field.r
-    reports: list[CheckReport] = []
-
-    for eps in (1, -1):
+    reports = []
+    for name, rule, details, windows in _SEQUENCES:
         failure = None
-        for n_lo in (1, 9):
-            window = _mv_window(col, r, eps, n_lo, n_lo + 7)
-            if alternating_rank_sum(window) != 0:
-                failure = {
-                    "eps": eps,
-                    "degrees": f"{n_lo}..{n_lo + 7}",
-                    "groups": [format_group(g) for g in window],
-                }
+        for at, degrees, positions in windows:
+            groups = []
+            for n in degrees:
+                for terms in positions:
+                    total = None
+                    for source, shift, (a, b) in terms:
+                        group = (col[source](n + shift) if shift is not None
+                                 else source if isinstance(source, FgAb2) else source(field))
+                        copies = a * r + b
+                        group = group if copies == 1 else n_copies(copies, group)
+                        total = group if total is None else direct_sum(total, group)
+                    groups.append(total)
+            groups = tuple(groups)
+            passed = (ses_consistent(*groups) if rule == "ses" else exact_window_check(groups)
+                      if rule == "orders" else alternating_rank_sum(groups) == 0)
+            if not passed:
+                formatted = [format_group(g) for g in groups]
+                failure = dict(zip("abc", formatted)) if rule == "ses" else {**at, "groups": formatted}
                 break
-        reports.append(
-            CheckReport(
-                f"Mayer-Vietoris rank Euler characteristic (eps = {eps:+d})",
-                failure is None,
-                "full periods, degrees 1..8 and 9..16",
-                failure,
-            )
-        )
-
-    # K_1: 0 -> r*K_2(C) -> K_1(R_F) -> r*K_1(R) + K_1(Fq) -> 0
-    # coWitt discriminant rows: 0 -> Z^r -> Z^r + Z/2 -> (Z/2)^(r+1) -> 0
-    for name, a, b, c in (
-        ("K_1 short exact sequence rank/order consistency",
-         n_copies(r, col["KU"](2)), col["K"](1), direct_sum(C2(r), col["KFq"](1))),
-        ("coWitt discriminant sequence (2-integers row)",
-         Z(r), tb.cowitt(field), tb.square_classes(field)),
-        ("coWitt discriminant sequence (archimedean/residue row)",
-         Z(r), direct_sum(Z(r), C2(1)), direct_sum(C2(r), C2(1))),
-    ):
-        reports.append(_report(name, ses_consistent(a, b, c), f"0 -> {a} -> {b} -> {c} -> 0",
-                               lambda: {"a": format_group(a), "b": format_group(b), "c": format_group(c)}))
-
-    # vertical window through degree 3 mod 8 (all groups finite):
-    # 0 -> KQbar-(8k+5) -> KQFq-(8k+5) -> KO(8k+10) -> KQbar-(8k+4)
-    #   -> KQFq-(8k+4) -> KO(8k+9) -> KQbar-(8k+3) -> KQFq-(8k+3) -> 0
-    # the right boundary map lands in a free group, hence is zero on torsion.
-    for k in (0, 1):
-        n3 = 8 * k + 3
-        groups = (
-            ZERO,
-            col["KQbar-"](n3 + 2),
-            col["KQFq-"](n3 + 2),
-            col["KO"](n3 + 7),
-            col["KQbar-"](n3 + 1),
-            col["KQFq-"](n3 + 1),
-            col["KO"](n3 + 6),
-            col["KQbar-"](n3),
-            col["KQFq-"](n3),
-            ZERO,
-        )
-        reports.append(
-            _report(
-                f"vertical sequence telescoping through degree {n3}",
-                exact_window_check(groups),
-                "alternating product of orders equals 1",
-                lambda: {"n": n3, "groups": [format_group(g) for g in groups]},
-            )
-        )
+        reports.append(CheckReport(name, failure is None, details.format(*groups), failure))
     return reports
 
 

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -184,6 +186,27 @@ def test_reports_match_a_per_degree_reference_under_every_fault(text, monkeypatc
     assert escapes == PAIRED_ESCAPES
 
 
+# the reports of 6 fields x 3 n_max x 97 fault sets, pinned as one digest
+FAULT_DIGEST_TEXTS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+", "generic r=3 a=4 regular")
+FAULT_DIGEST = "236550e71bfd450cc7f0976e9a3fb7d80b88b7cff16572291ec2cfe0d7eb7a5a"
+
+
+def test_reports_under_every_fault_match_a_pinned_digest():
+    # no fault, each single fault in fault_sites() order, then each paired
+    # fault by row; each run hashed with its field text, n_max and sites
+    faults = [()] + [(site,) for site in tb.fault_sites()] + [
+        ((table, row), (bar, row)) for table, bar in PAIRED_TABLES.items() for row in range(8)]
+    digest = hashlib.sha256()
+    for text in FAULT_DIGEST_TEXTS:
+        spec = parse_field(text)
+        for n_max in (8, 64, 350):
+            for sites in faults:
+                reports = vf.reports_to_json(run_faulty(spec, n_max, *sites))
+                digest.update(json.dumps([text, n_max, sites, reports], sort_keys=True).encode())
+    assert len(faults) == 97
+    assert digest.hexdigest() == FAULT_DIGEST
+
+
 @pytest.mark.parametrize("sites", [(), (("k_rf", 7),), (("v_rf-", 3),)], ids=str)
 @pytest.mark.parametrize("text", ["Q", "Q(zeta 2^5)+"])
 def test_reports_match_a_per_degree_reference_up_to_e_5(text, sites, monkeypatch):
@@ -349,6 +372,19 @@ def test_failing_ses_reports_name_their_own_groups(monkeypatch):
     for rep in failed:
         groups = rep.counterexample
         assert rep.details == f"0 -> {groups['a']} -> {groups['b']} -> {groups['c']} -> 0"
+
+
+def test_failing_vertical_windows_name_their_degree(monkeypatch):
+    monkeypatch.setattr(vf, "exact_window_check", lambda groups: False)
+    failed = {rep.name: rep for rep in vf.run_all(Q, None, 16) if not rep.passed}
+    assert sorted(failed) == ["vertical sequence telescoping through degree 11",
+                              "vertical sequence telescoping through degree 3"]
+    for n3 in (3, 11):
+        rep = failed[f"vertical sequence telescoping through degree {n3}"]
+        assert rep.details == "alternating product of orders equals 1"
+        # on Q the windows through degrees 3 and 11 hold the same groups
+        assert rep.counterexample == {"n": n3, "groups": [
+            "0", "Z/2", "Z/2 + Z/2", "Z/2", "Z/2", "Z/2", "Z/2", "Z/16", "Z/8", "0"]}
 
 
 def test_failing_mayer_vietoris_reports_name_their_window(monkeypatch):
