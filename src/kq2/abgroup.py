@@ -69,10 +69,6 @@ class FgAb2(Record):
         return FgAb2, (self.rank, self.torsion)
 
     @property
-    def is_zero(self) -> bool:
-        return self is ZERO
-
-    @property
     def is_finite(self) -> bool:
         return self.rank == 0
 

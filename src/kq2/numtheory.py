@@ -1,10 +1,12 @@
 """Exact integer number theory for real quadratic fields.
 
 Everything here is exact arithmetic on Python integers: 2-adic valuations,
-deterministic primality, continued fractions of quadratic irrationals,
-fundamental units, and class numbers of real quadratic fields via cycles of
-reduced indefinite binary quadratic forms.  This layer is the independent
-oracle against which the closed-form regularity criteria are checked.
+deterministic primality, continued fractions of quadratic irrationals, and
+the invariants of a real quadratic field that ``quadratic_data(d)``, the one
+validated entry point, returns: its fundamental unit, and its class numbers
+via cycles of the reduced indefinite binary quadratic forms that
+``_reduced_form_keys`` enumerates.  This layer is the independent oracle
+against which the closed-form regularity criteria are checked.
 """
 
 from __future__ import annotations
@@ -174,14 +176,6 @@ class QuadUnit(Record):
             )
 
 
-def _require_squarefree_d(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    squarefree, _ = squarefree_part(d)
-    if not squarefree:
-        raise ValueError(f"d must be squarefree, got {d}")
-
-
 def _cf_reduced_period(P0: int, Q0: int, d: int) -> tuple[list[int], list[int]]:
     """Partial quotients a_i over one period of the purely periodic continued
     fraction of the reduced irrational (P0 + sqrt(d))/Q0, and the Q_(i+1).
@@ -204,18 +198,13 @@ def _cf_reduced_period(P0: int, Q0: int, d: int) -> tuple[list[int], list[int]]:
             raise BoundExceeded(f"continued-fraction period of ({P0}+sqrt({d}))/{Q0} exceeds {CF_STEP_BOUND}")
 
 
-def fundamental_unit(d: int) -> QuadUnit:
-    """Fundamental unit > 1 of the maximal order of Q(sqrt(d)).
+def _fundamental_unit(d: int) -> tuple[QuadUnit, list[int], list[int]]:
+    """Fundamental unit > 1 of the maximal order of Q(sqrt(d)), and its period.
 
     Expands the continued fraction of a reduced generator of the maximal
     order; the automorph over one period is the fundamental unit and its
     norm is (-1)^(period length).
     """
-    _require_squarefree_d(d)
-    return _fundamental_unit(d)[0]
-
-
-def _fundamental_unit(d: int) -> tuple[QuadUnit, list[int], list[int]]:
     s = isqrt(d)
     if d % 4 == 1:
         # reduced element (P0 + sqrt(d))/2 of Z[(1+sqrt(d))/2]: P0 odd in (sqrt(d)-2, sqrt(d))
@@ -235,7 +224,7 @@ def _fundamental_unit(d: int) -> tuple[QuadUnit, list[int], list[int]]:
     else:
         x, y, denom = q_curr * P0 + q_prev, q_curr, 1
     norm = -1 if len(quotients) % 2 == 1 else 1
-    return QuadUnit(x, y, denom, d, norm), quotients, denominators  # and the period it was read from
+    return QuadUnit(x, y, denom, d, norm), quotients, denominators
 
 
 def _norm_two_element(d: int, quotients: list[int], denominators: list[int]) -> QuadUnit | None:
@@ -366,21 +355,11 @@ def _two_power_roots(D: int):
         a *= 2
 
 
-def _form(key: int, D: int, W: int) -> Form:
-    a, b = divmod(key, W)
-    return (a, b, (b * b - D) // (4 * a))
-
-
-def reduced_forms(D: int) -> set[Form]:
-    """The reduced indefinite forms (a, b, c) with a > 0 of (nonsquare)
-    discriminant D > 0; every other is the negation (-a, b, -c) of one."""
-    W = isqrt(D) + 1
-    return {_form(key, D, W) for key in _reduced_form_keys(D)}
-
-
 def _reduced_form_keys(D: int) -> set[int]:
-    """The reduced forms (a, b, c) of reduced_forms(D), each as the key
-    a*W + b, with W = isqrt(D) + 1 > b; c is (b*b - D) // (4a).
+    """The reduced indefinite forms (a, b, c) with a > 0 of (nonsquare)
+    discriminant D > 0, each as the key a*W + b, with W = isqrt(D) + 1 > b;
+    c is (b*b - D) // (4a).  Every other reduced form is the negation
+    (-a, b, -c) of one.
 
     (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
     sqrt(D) + b.  Since 2|a| * 2|c| = (sqrt(D) - b)(sqrt(D) + b), |a| lies
@@ -499,10 +478,10 @@ def _form_cycles(D: int) -> tuple[dict[int, int], list[int]]:
             orbit.append(g)
             a, b = _sigma(a, b, D, s)
             g = a * W + b
-        if label is None:
-            raise RuntimeError(f"cycle through {_form(f, D, W)} left the reduced-form set (D={D})")
-        if g != f:
-            raise RuntimeError(f"cycle through {_form(f, D, W)} ran into another cycle (D={D})")
+        if label is None or g != f:
+            a, b = divmod(f, W)
+            fault = "left the reduced-form set" if label is None else "ran into another cycle"
+            raise RuntimeError(f"cycle through {(a, b, (b * b - D) // (4 * a))} {fault} (D={D})")
         if len(orbit) % 2:
             negation.append(count)
         else:
@@ -613,7 +592,10 @@ def quadratic_data(d: int) -> QuadraticData:
     the fundamental unit; the dyadic data reads the cycle index.
     """
     check_class_number_bound(d)
-    _require_squarefree_d(d)
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if not squarefree_part(d)[0]:
+        raise ValueError(f"d must be squarefree, got {d}")
     return _quadratic_data(d)
 
 

@@ -117,7 +117,7 @@ def test_identity_window_passes(g):
 @given(groups)
 def test_lonely_nonzero_group_fails(g):
     window = (ZERO, g, ZERO)
-    assert exact_window_check(window) == g.is_zero
+    assert exact_window_check(window) == (g is ZERO)
 
 
 def test_mixed_window_checks_rank_only():

@@ -6,6 +6,7 @@ to a passing test that asserts the value forced by the cross-checked tables
 and documents why the alternative number cannot hold.
 """
 
+import random
 import time
 from contextlib import contextmanager
 
@@ -80,12 +81,21 @@ def test_criterion_1_literal_orthogonal_degree_3():
 
 
 def test_criterion_2_regularity_criterion_vs_oracle():
-    """Criterion and class-group oracle agree for every squarefree d <= 200."""
+    """Criterion and class-group oracle agree on 2,732 fields: each of the
+    2,432 squarefree d < 4000, and 300 squarefree d in (4000, 10^6] drawn
+    log-uniformly with seed 2009."""
+    rng = random.Random(2009)
+    sample = set()
+    while len(sample) < 300:
+        d = round(4000 * 250 ** rng.random())
+        if d > 4000 and nt.squarefree_part(d)[0]:
+            sample.add(d)
+    fields = [d for d in range(2, 4000) if nt.squarefree_part(d)[0]] + sorted(sample)
+    assert len(fields) == 2732
     with budget("2", 30.0):
-        for d in SQUAREFREE_200:
-            crit, _ = is_two_regular(RealQuadratic(d))
-            inv = two_regular_oracle(RealQuadratic(d))
-            assert inv.two_regular == crit, d
+        for d in fields:
+            spec = RealQuadratic(d)
+            assert two_regular_oracle(spec).two_regular == is_two_regular(spec)[0], d
         for d in (2, 3, 5, 6, 10, 11, 13):
             assert is_two_regular(RealQuadratic(d))[0], d
         for d in (7, 17, 33, 34):
@@ -207,7 +217,7 @@ def test_criterion_10_number_theory_oracles():
     d <= 200; class numbers match the reduced-forms enumeration."""
     with budget("10", 30.0):
         for d in SQUAREFREE_200:
-            u = nt.fundamental_unit(d)
+            u = nt.quadratic_data(d).unit
             assert u.x * u.x - d * u.y * u.y == u.norm * u.denom**2, d
             assert u.norm in (1, -1)
             if u.denom == 2:

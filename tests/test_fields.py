@@ -162,8 +162,7 @@ def test_oracle_computes_each_invariant_once(monkeypatch, d):
         monkeypatch.setattr(nt, name, counted)
 
     spec = f.RealQuadratic(d)  # the one squarefree test of d
-    names = ("_quadratic_data", "_reduced_form_keys", "fundamental_unit", "_cf_reduced_period",
-             "_norm_two_element", "factorize")
+    names = ("_quadratic_data", "_reduced_form_keys", "_cf_reduced_period", "_norm_two_element", "factorize")
     for name in names:
         count(name)
     f.two_regular_oracle(spec)
@@ -171,7 +170,6 @@ def test_oracle_computes_each_invariant_once(monkeypatch, d):
     assert "factorize" not in calls  # the spec was checked on construction
     assert len(calls["_reduced_form_keys"]) == 1  # the enumeration the cycle walk reads
     assert len(calls["_cf_reduced_period"]) == 1  # the one period expansion
-    assert len(calls.get("fundamental_unit", [])) <= 1
     if d % 4 in (2, 3):
         # 2 ramified: sqrt(d) is expanded once, as s + sqrt(d), and the norm
         # +-2 search reads that very period instead of walking its own

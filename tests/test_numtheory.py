@@ -126,15 +126,15 @@ def test_sophie_germain_type():
 
 
 def test_fundamental_unit_examples():
-    u2 = nt.fundamental_unit(2)
+    u2 = nt.quadratic_data(2).unit
     assert (u2.x, u2.y, u2.denom, u2.norm) == (1, 1, 1, -1)
-    u3 = nt.fundamental_unit(3)
+    u3 = nt.quadratic_data(3).unit
     assert (u3.x, u3.y, u3.denom, u3.norm) == (2, 1, 1, 1)
-    u5 = nt.fundamental_unit(5)
+    u5 = nt.quadratic_data(5).unit
     assert (u5.x, u5.y, u5.denom, u5.norm) == (1, 1, 2, -1)
     for d in (1, 0, -2, 12):  # d < 2 or not squarefree
         with pytest.raises(ValueError):
-            nt.fundamental_unit(d)
+            nt.quadratic_data(d)
 
 
 def brute_force_fundamental_unit(d):
@@ -161,7 +161,7 @@ def brute_force_fundamental_unit(d):
 @pytest.mark.parametrize("d", [d for d in range(2, 40) if nt.squarefree_part(d)[0]])
 def test_fundamental_unit_is_minimal(d):
     x, y, denom, norm = brute_force_fundamental_unit(d)
-    u = nt.fundamental_unit(d)
+    u = nt.quadratic_data(d).unit
     assert (u.x, u.y, u.denom, u.norm) == (x, y, denom, norm)
 
 
@@ -169,7 +169,7 @@ def test_fundamental_unit_norm_equation_exact():
     for d in range(2, 201):
         if not nt.squarefree_part(d)[0]:
             continue
-        u = nt.fundamental_unit(d)
+        u = nt.quadratic_data(d).unit
         assert u.x * u.x - d * u.y * u.y == u.norm * u.denom**2
         assert u.norm in (1, -1)
 
@@ -209,7 +209,7 @@ def analytic_class_number(d):
     """Dirichlet class number formula for real quadratic fields:
     h = -sum(chi(a) log(2 sin(pi a / D))) / (2 log eps)."""
     D = d if d % 4 == 1 else 4 * d
-    u = nt.fundamental_unit(d)
+    u = nt.quadratic_data(d).unit
     eps = (u.x + u.y * math.sqrt(d)) / u.denom
     total = 0.0
     for a in range(1, D):
@@ -246,7 +246,7 @@ def test_class_numbers_against_analytic_formula():
         approx = analytic_class_number(d)
         assert abs(approx - cd.h) < 1e-6, (d, cd.h, approx)
         # narrow/wide relation driven by the unit norm
-        if nt.fundamental_unit(d).norm == -1:
+        if nt.quadratic_data(d).unit.norm == -1:
             assert cd.h_narrow == cd.h
         else:
             assert cd.h_narrow == 2 * cd.h
@@ -264,11 +264,17 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+def reduced_forms(D):
+    """The reduced forms (a, b, c) with a > 0 that the oracle enumerates, decoded from their keys."""
+    W = math.isqrt(D) + 1
+    return {(a, b, (b * b - D) // (4 * a)) for a, b in (divmod(key, W) for key in nt._reduced_form_keys(D))}
+
+
 @functools.cache
 def reference_reduced_forms(D):
     """Every reduced form, of both signs of a, by trial division of each
     (D - b^2)/4: a brute-force reference for the walk over the leading
-    coefficient a in reduced_forms."""
+    coefficient a in numtheory._reduced_form_keys."""
     s = math.isqrt(D)
     forms = set()
     for b in range(1, s + 1):
@@ -297,7 +303,7 @@ def assert_positive_half_of_reference(D):
     ref = reference_reduced_forms(D)
     # closed under negation, so the forms with a > 0 determine all of them
     assert {negate(f) for f in ref} == ref
-    assert nt.reduced_forms(D) == {f for f in ref if f[0] > 0}
+    assert reduced_forms(D) == {f for f in ref if f[0] > 0}
 
 
 def test_reduced_forms_match_reference_small():
@@ -327,7 +333,7 @@ LIFTED_LEADS = {999961: {2**8, 9, 25, 27}, 999983: {2, 169, 289}}
 def test_reduced_forms_match_reference_large(d):
     D = field_discriminant(d)
     assert_positive_half_of_reference(D)
-    assert LIFTED_LEADS.get(d, set()) <= {min(a, -c) for a, _, c in nt.reduced_forms(D)}
+    assert LIFTED_LEADS.get(d, set()) <= {min(a, -c) for a, _, c in reduced_forms(D)}
 
 
 def test_reduced_forms_match_reference_every_discriminant():
@@ -350,7 +356,7 @@ def test_reduced_forms_take_one_square_root_per_odd_prime(monkeypatch):
     for d in (999961, 999983, 5 * 7 * 11 * 13 * 17):
         D = field_discriminant(d)
         calls.clear()
-        nt.reduced_forms(D)
+        reduced_forms(D)
         amax = math.isqrt((D - (2 - D % 2) ** 2) // 4)
         assert len(calls) == len(set(calls))
         assert all(2 < p <= amax and nt.is_prime(p) for p in calls)
@@ -391,7 +397,7 @@ def assert_cycles_match_reference(D):
     for k, i in keyed.items():
         a, b = divmod(k, W)
         cycle_of[(a, b, (b * b - D) // (4 * a))] = i
-    assert set(cycle_of) == nt.reduced_forms(D)
+    assert set(cycle_of) == reduced_forms(D)
 
     def label(f):
         return cycle_of[f] if f[0] > 0 else negation[cycle_of[negate(f)]]
@@ -486,7 +492,7 @@ def test_cycles_are_self_negative_exactly_for_norm_minus_one():
     for d in [d for d in range(2, 3000) if nt.squarefree_part(d)[0]] + seeded_large_d():
         _, negation = nt._form_cycles(field_discriminant(d))
         self_negative = [negation[i] == i for i in range(len(negation))]
-        assert all(self_negative) if nt.fundamental_unit(d).norm == -1 else not any(self_negative), d
+        assert all(self_negative) if nt.quadratic_data(d).unit.norm == -1 else not any(self_negative), d
 
 
 def _leaves_the_set(real):
@@ -645,7 +651,7 @@ def test_bound_errors(monkeypatch):
         nt.factorize(0)
     monkeypatch.setattr(nt, "CF_STEP_BOUND", 3)
     with pytest.raises(BoundExceeded):
-        nt.fundamental_unit(94)  # period 16 exceeds the cap
+        nt.quadratic_data(94)  # period 16 exceeds the cap
 
 
 def test_class_number_bound_checked_before_any_work(monkeypatch):
@@ -659,13 +665,13 @@ def test_class_number_bound_checked_before_any_work(monkeypatch):
         with pytest.raises(BoundExceeded):
             nt.quadratic_data(d)
     with pytest.raises(BoundExceeded):
-        nt.reduced_forms(4 * nt.CLASS_NUMBER_BOUND + 1)
+        reduced_forms(4 * nt.CLASS_NUMBER_BOUND + 1)
 
 
 def test_reduced_forms_rejects_non_discriminants():
     for D in (-4, 0, 1, 4, 7, 10, 16):
         with pytest.raises(ValueError):
-            nt.reduced_forms(D)
+            reduced_forms(D)
 
 
 def test_quad_unit_validation():

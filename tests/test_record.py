@@ -155,7 +155,7 @@ def test_fgab2_copies_and_pickles_to_the_interned_object(g):
     copies += [pickle.loads(pickle.dumps(g, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for c in copies:
         assert c is g
-    assert str(abgroup.ZERO) == "0" and abgroup.ZERO.torsion == () and abgroup.ZERO.is_zero
+    assert str(abgroup.ZERO) == "0" and abgroup.ZERO.torsion == () and abgroup.FgAb2() is abgroup.ZERO
 
 
 @pytest.mark.parametrize("rank, torsion, message", [

@@ -1,7 +1,8 @@
 """Keep test-only code out of the library: every public top-level function
-or class of kq2 is used somewhere in kq2 itself (called, read as an
-attribute, subclassed or imported), apart from a few names kept on purpose
-as library entry points.  A re-export in ``__init__.py`` is not a use."""
+or class of kq2, and every public method or property of such a class, is
+used somewhere in kq2 itself (called, read as an attribute, subclassed or
+imported), apart from a few names kept on purpose as library entry points.
+A re-export in ``__init__.py`` is not a use."""
 
 import ast
 from pathlib import Path
@@ -14,12 +15,10 @@ SRC = Path(kq2.__file__).resolve().parent
 ENTRY_POINTS = {
     "fault_injection": "the switch the verification suite's fault-injection tests drive",
     "fault_sites": "lists every row that fault_injection can perturb",
-    "fundamental_unit": "validated numtheory entry point; the README documents its bound",
     "is_two_regular": "the 2-regularity criterion's library entry point; the benchmark's oracle sweep calls it",
     "parse_group": "reads the canonical group grammar; the round-trip tests use it, and rows stored as "
                    "formula text (ROADMAP item 6) build on it",
     "quadratic_data": "validated numtheory entry point; the README documents its bound",
-    "reduced_forms": "bounded numtheory entry point; decodes the keys of the oracle's cycle walk",
 }
 
 
@@ -28,10 +27,17 @@ def _trees():
 
 
 def _public_definitions(trees):
-    return {f"{module}.{node.name}": node.name
-            for module, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    """module.name of each public top-level function and class, and
+    module.Class.name of each public method and property of such a class."""
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[f"{module}.{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    found.update((f"{module}.{node.name}.{sub.name}", sub.name) for sub in node.body
+                                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+    return found
 
 
 def _referenced_names(trees):
