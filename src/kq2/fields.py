@@ -277,13 +277,9 @@ def two_regular_oracle(spec: RealQuadratic) -> FieldInvariants:
 
 def is_admissible_q(q: int, a: int) -> bool:
     """Congruence admissibility: q prime, q = +-1 (mod 2^a) but not
-    (mod 2^(a+1)), where a is the field's 2-adic size parameter."""
-    if q < 3 or not nt.is_prime(q):
-        return False
-    m, m2 = 1 << a, 1 << (a + 1)
-    if q % m not in (1, m - 1):
-        return False
-    return q % m2 not in (1, m2 - 1)
+    (mod 2^(a+1)), where a is the field's 2-adic size parameter; that is,
+    the larger of v2(q - 1) and v2(q + 1) is a."""
+    return q >= 3 and nt.is_prime(q) and max(nt.nu2(q - 1), nt.nu2(q + 1)) == a
 
 
 def find_q_for_a(a: int) -> int:
@@ -292,9 +288,10 @@ def find_q_for_a(a: int) -> int:
 
     For a >= 2 the admissible residues are 2^a - 1 and 2^a + 1 modulo
     2^(a+1); only those are tried, in increasing order.  For a < 2 no
-    residue is admissible."""
-    m, m2 = 1 << a, 1 << (a + 1)
-    if a >= 2:
+    residue is admissible, and for 2^a - 1 >= Q_SEARCH_BOUND none lies
+    below the bound."""
+    if 2 <= a < Q_SEARCH_BOUND.bit_length():
+        m, m2 = 1 << a, 1 << (a + 1)
         for low in range(m - 1, Q_SEARCH_BOUND, m2):
             for q in (low, low + 2):
                 if q < Q_SEARCH_BOUND and nt.is_prime(q):

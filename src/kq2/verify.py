@@ -7,11 +7,13 @@ the wedge description of the orthogonal V-theory, U as the sign-swapped
 V-theory one degree down, the 8-periodicity of V and KQFq+ as the complement
 of KO in the building block), seven exact-sequence reports, the valuation
 identity t(n, q) = w((n+1)/2, a), and the low-degree computations.  The
-exact sequences are the rows of _SEQUENCES, each naming the theories and
-degrees it reads and one of three rules: "ranks" (the rank Euler
-characteristic of a Mayer-Vietoris period vanishes), "orders" (an all-finite
-window telescopes) and "ses" (a short exact sequence is rank/order
-consistent).  Boundary maps are not modeled, so the checks are
+identities are the rows of _IDENTITIES and the exact sequences the rows of
+_SEQUENCES, data that name the theories and degree shifts they read and
+write the copies of a theory as (a, b), a*r + b copies; each table is
+walked by one loop.  A sequence has one of three rules: "ranks" (the
+rank Euler characteristic of a Mayer-Vietoris period vanishes), "orders"
+(an all-finite window telescopes) and "ses" (a short exact sequence is
+rank/order consistent).  Boundary maps are not modeled, so the checks are
 necessary-condition checks; they do not by themselves prove the tables
 correct.  Fault injection in the tests adds one Z/2 to each of the 72 stored
 rows of tables.fault_sites() in turn, KO and KU included, and on the fields
@@ -20,11 +22,12 @@ KFq, KQFq+ and KQFq- are derived from the KO and KU rows, and the building
 block KQbar+ is the kq_rf+ table on r = 1, so the report that KQFq+
 complements KO in the building block checks the stored kq_rf+ rows against
 that derivation.
-The low-degree computations read no stored row, so the low-degree report
-compares two independent derivations.  A group reads its degree only
-through its period degree (tables.period_degree), so each equality report
-over the degrees compares the cells of a point at their period degrees,
-its key, once per distinct key, and counts its points arithmetically.
+The low-degree computations (tables.low_dim) read no stored row and no
+column, so the low-degree report compares two independent derivations, in a
+loop of its own.  A group reads its degree only through its period degree
+(tables.period_degree), so each identity report compares the cells of a
+point at their period degrees, its key, once per distinct key, stops at the
+first failing key, and counts its points arithmetically.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .record import Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # collections.abc is not imported at run time, to keep start-up short
-    from collections.abc import Callable, Iterable
+    from collections.abc import Iterable
 
 REPORT_HEADER = (
     "consistency suite: compares isomorphism classes only; connecting maps "
@@ -75,48 +78,30 @@ class CheckReport(Record):
         return out
 
 
-def _equality_report(name: str, firsts: dict[tuple, tuple], count: int, compare: Callable,
-                     params: Callable[..., dict], details: str) -> CheckReport:
-    """Check ``compare(*key) = (expected, actual)`` for equality at each key
-    of ``firsts``, which maps the distinct keys (the period degrees and sign
-    of the cells compared) of ``count`` points to their first points, in
-    point order; the counterexample holds ``params(*point)`` of the first
-    failing key's point, the first failing point."""
-    for key, point in firsts.items():
-        expected, actual = compare(*key)
-        if expected != actual:
-            at = params(*point)
-            return CheckReport(name, False, f"first failure at {at}",
-                               {**at, "expected": format_group(expected), "actual": format_group(actual)})
-    return CheckReport(name, True, f"{details} ({count} cases)")
-
-
 _SIGN = {1: "+", -1: "-"}
 
 
-# The nine identities lhs(n) = block(n) + m(r) top(n + s), first <= n <= n_max,
+# The nine identities lhs(n) = block(n) + m top(n + s), first <= n <= n_max,
 # one report each: the report name, the first degree, the theories (lhs,
 # block or None, top) of each sign (the key None for a report with no sign
-# axis), the copies m of top as a function of r, the shift s, and the
+# axis), the copies m = a*r + b of top as (a, b), the shift s, and the
 # counterexample fields ahead of expected and actual ("identity" names lhs).
+_ONE, _R, _R1 = (0, 1), (1, 0), (1, -1)  # 1, r and r - 1 copies
 _IDENTITIES = (
-    ("splitting KQ+ = KQbar+ + (r-1) KO", 0, {None: ("KQ+", "KQbar+", "KO")},
-     lambda r: r - 1, 0, ("identity", "n", "r")),
-    ("splitting KQ- = KQbar- + (r-1) KO[6]", 0, {None: ("KQ-", "KQbar-", "KO")},
-     lambda r: r - 1, 6, ("identity", "n", "r")),
-    ("splitting V+ = Vbar+ + 2(r-1) KO", 0, {None: ("V+", "Vbar+", "KO")},
-     lambda r: 2 * (r - 1), 0, ("identity", "n", "r")),
-    ("splitting V- = Vbar- + (r-1) KU", 0, {None: ("V-", "Vbar-", "KU")},
-     lambda r: r - 1, 0, ("identity", "n", "r")),
+    ("splitting KQ+ = KQbar+ + (r-1) KO", 0, {None: ("KQ+", "KQbar+", "KO")}, _R1, 0, ("identity", "n", "r")),
+    ("splitting KQ- = KQbar- + (r-1) KO[6]", 0,
+     {None: ("KQ-", "KQbar-", "KO")}, _R1, 6, ("identity", "n", "r")),
+    ("splitting V+ = Vbar+ + 2(r-1) KO", 0,
+     {None: ("V+", "Vbar+", "KO")}, (2, -2), 0, ("identity", "n", "r")),
+    ("splitting V- = Vbar- + (r-1) KU", 0, {None: ("V-", "Vbar-", "KU")}, _R1, 0, ("identity", "n", "r")),
     ("splitting K = Kbar + (r-1) KO[-1] (fixes the degree 7 mod 8 order as w(4k+4))", 1,
-     {None: ("K", "Kbar", "KO")}, lambda r: r - 1, -1, ("identity", "n", "r")),
-    ("V+ is 2r copies of KO", 0, {None: ("V+", None, "KO")}, lambda r: 2 * r, 0, ("n", "r")),
+     {None: ("K", "Kbar", "KO")}, _R1, -1, ("identity", "n", "r")),
+    ("V+ is 2r copies of KO", 0, {None: ("V+", None, "KO")}, (2, 0), 0, ("n", "r")),
     ("U-theory is sign-swapped V-theory shifted by one", 1,
-     {1: ("U+", None, "V-"), -1: ("U-", None, "V+")}, lambda r: 1, -1, ("n", "eps")),
-    ("V-theory 8-periodicity", 0,
-     {1: ("V+", None, "V+"), -1: ("V-", None, "V-")}, lambda r: 1, 8, ("n", "eps")),
+     {1: ("U+", None, "V-"), -1: ("U-", None, "V+")}, _ONE, -1, ("n", "eps")),
+    ("V-theory 8-periodicity", 0, {1: ("V+", None, "V+"), -1: ("V-", None, "V-")}, _ONE, 8, ("n", "eps")),
     ("orthogonal finite-field groups complement KO in the building block", 0,
-     {None: ("KQbar+", "KQFq+", "KO")}, lambda r: 1, 0, ("n",)),
+     {None: ("KQbar+", "KQFq+", "KO")}, _ONE, 0, ("n",)),
 )
 
 
@@ -140,38 +125,31 @@ def check_splittings(field: FieldSpec, col: dict, n_max: int) -> list[CheckRepor
     building block plus topological copies, and four more of the same
     shape.  ``col`` maps each theory with a degree axis to its column on
     the 2-regular ``field`` (see run_all).  A point (n, eps) has the key
-    (period degree of n, of n + s, eps), with eps None where no sign is."""
-    reports = []
+    (period degree of n, of n + s, eps), with eps None where no sign is;
+    each key is compared once, at its first point, in point order."""
+    r, reports = field.r, []
     walks: dict[tuple[int, int], dict] = {}  # four distinct (first, shift) among the nine rows
-    for name, first, theories, copies, shift, fields in _IDENTITIES:
+    for name, first, theories, (a, b), shift, fields in _IDENTITIES:
         if (first, shift) not in walks:
             walks[first, shift] = _first_degrees(first, shift, n_max)
-        firsts = {(*key, eps): (n, eps) for key, n in walks[first, shift].items() for eps in theories}
-        compare, params = _identity_checks(field.r, col, theories, copies, fields)
-        details = f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}"
-        count = len(theories) * (n_max - first + 1)
-        reports.append(_equality_report(name, firsts, count, compare, params, details))
+        cols = [(eps, lhs, col[lhs], None if block is None else col[block], col[top])
+                for eps, (lhs, block, top) in theories.items()]
+        points = ((n, p, p_top, *c) for (p, p_top), n in walks[first, shift].items() for c in cols)
+        failure = None
+        for n, p, p_top, eps, identity, lhs, block, top in points:
+            expected, added = lhs(p), n_copies(a * r + b, top(p_top))
+            actual = added if block is None else direct_sum(block(p), added)
+            if expected != actual:
+                at = {"identity": identity, "n": n, "r": r, "eps": eps}
+                failure = {key: at[key] for key in fields}
+                details = f"first failure at {failure}"
+                failure.update(expected=format_group(expected), actual=format_group(actual))
+                break
+        else:
+            bounds = f"n <= {n_max}" if first == 0 else f"{first} <= n <= {n_max}"
+            details = f"{bounds} ({len(theories) * (n_max - first + 1)} cases)"
+        reports.append(CheckReport(name, failure is None, details, failure))
     return reports
-
-
-def _identity_checks(r: int, col: dict, theories: dict, copies: Callable[[int], int],
-                     fields: tuple[str, ...]) -> tuple[Callable, Callable]:
-    """compare and params of one row of _IDENTITIES, each sign's columns
-    looked up once."""
-    m = copies(r)
-    cols = {eps: (col[lhs], None if block is None else col[block], col[top])
-            for eps, (lhs, block, top) in theories.items()}
-
-    def compare(p: int, p_top: int, eps: int | None) -> tuple[FgAb2, FgAb2]:
-        lhs, block, top = cols[eps]
-        added = n_copies(m, top(p_top))
-        return lhs(p), added if block is None else direct_sum(block(p), added)
-
-    def params(n: int, eps: int | None) -> dict:
-        at = {"identity": theories[eps][0], "n": n, "r": r, "eps": eps}
-        return {key: at[key] for key in fields}
-
-    return compare, params
 
 
 # The exact-sequence reports, one row each: the report name, its rule, its
@@ -185,7 +163,7 @@ def _identity_checks(r: int, col: dict, theories: dict, copies: Callable[[int], 
 # asks exact_window_check, and "ses" asks ses_consistent of 0 -> a -> b -> c
 # -> 0 and names the groups a, b and c.  The details are formatted with the
 # groups of the last window tested.
-_ONE, _R, _SES = (0, 1), (1, 0), "0 -> {} -> {} -> {} -> 0"
+_SES = "0 -> {} -> {} -> {} -> 0"
 _SEQUENCES = (
     # Mayer-Vietoris for the pullback that defines the barred theory, as the
     # sequence runs, over full periods:
@@ -265,11 +243,17 @@ def check_t_w(a: int, q: int, n_max: int) -> CheckReport:
 
 
 def _check_low_degrees(field: FieldSpec, col: dict) -> CheckReport:
-    low = {eps: tb.low_dim(field, eps) for eps in (1, -1)}
-    points = {(n, eps): (n, eps) for eps in (1, -1) for n in (0, 1)}
-    return _equality_report("low-degree computations agree with the table", points, len(points),
-                            lambda n, eps: (low[eps][n], col["KQ" + _SIGN[eps]](n)),
-                            lambda n, eps: {"n": n, "eps": eps}, "degrees 0 and 1, both signs")
+    """KQ of each sign in degrees 0 and 1 against tables.low_dim, which
+    reads no stored row."""
+    name = "low-degree computations agree with the table"
+    for eps in (1, -1):
+        low, kq = tb.low_dim(field, eps), col["KQ" + _SIGN[eps]]
+        for n in (0, 1):
+            if low[n] != kq(n):
+                at = {"n": n, "eps": eps}
+                return CheckReport(name, False, f"first failure at {at}",
+                                   {**at, "expected": format_group(low[n]), "actual": format_group(kq(n))})
+    return CheckReport(name, True, "degrees 0 and 1, both signs (4 cases)")
 
 
 def run_all(spec: FieldSpec, q: int | None = None, n_max: int = 64) -> list[CheckReport]:

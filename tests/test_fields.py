@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -193,6 +194,20 @@ def test_admissible_q():
     assert f.is_admissible_q(7, f.RealQuadratic(2).a)
 
 
+def test_admissible_q_is_the_congruence_definition():
+    # max(v2(q - 1), v2(q + 1)) = a exactly when q = +-1 (mod 2^a) but not
+    # (mod 2^(a+1)); a = 0 and a = 1 admit no prime
+    for q in range(3, 20000, 2):
+        if nt.is_prime(q):
+            for a in range(20):
+                m, m2 = 1 << a, 1 << (a + 1)
+                congruence = q % m in (1, m - 1) and q % m2 not in (1, m2 - 1)
+                assert f.is_admissible_q(q, a) == congruence, (q, a)
+    # no 2^a is built: a negative a is no error, and a huge one costs no memory
+    assert not f.is_admissible_q(5, -1)
+    assert not f.is_admissible_q(5, 10**9)
+
+
 def test_find_q():
     assert f.choose_q(Q, None) == 3
     assert f.choose_q(f.RealQuadratic(2), None) == 7
@@ -278,6 +293,23 @@ def test_find_q_without_a_residue_below_the_limit_tests_no_prime(monkeypatch):
     monkeypatch.setattr(nt, "is_prime", refuse)
     with pytest.raises(InadmissibleQ, match="for a = 40"):
         f.find_q_for_a(40)
+
+
+@pytest.mark.parametrize("a", [-1, 10**9])
+def test_find_q_rejects_an_a_out_of_range_before_any_search(monkeypatch, a):
+    # no residue is admissible for a < 2, and 2^a - 1 passes the bound for
+    # a >= 24, so neither tests a prime or builds 2^a (125 MB at a = 10^9)
+    def refuse(n):
+        raise AssertionError("is_prime called")
+
+    monkeypatch.setattr(nt, "is_prime", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InadmissibleQ, match=rf"^no admissible prime below 10000000 for a = {a}$"):
+            f.find_q_for_a(a)
+        assert tracemalloc.get_traced_memory()[1] < 10**6
+    finally:
+        tracemalloc.stop()
 
 
 # one spec of every family, and its (r, a, regular, reason)

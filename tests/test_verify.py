@@ -261,56 +261,101 @@ def test_v_periodicity_compares_each_degree_with_the_degree_eight_up(eps, monkey
     assert found["expected"] != found["actual"]
 
 
-def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
-    report, seen = vf._equality_report, {}
+def run_reading(monkeypatch, text, n_max, off=None):
+    """run_all on the field of text at n_max, with each column read logged
+    as (theory, degree); with off = (theory, p), that theory gains a Z/2 on
+    the period class of degree p."""
+    from kq2.abgroup import C2, direct_sum
+    reads, column, period_degree = [], tb.column, tb.period_degree
 
-    def recording(name, firsts, count, compare, params, details):
-        calls = []
+    def reading(tag, field, q):
+        col = column(tag, field, q)
 
-        def counted(*key):
-            calls.append(key)
-            return compare(*key)
+        def read(n):
+            reads.append((tag.name, n))
+            return direct_sum(col(n), C2(1)) if (tag.name, period_degree(n)) == off else col(n)
+        return read
 
-        seen[name] = firsts, count, calls
-        return report(name, firsts, count, counted, params, details)
+    monkeypatch.setattr(tb, "column", reading)
+    return {rep.name: rep for rep in vf.run_all(parse_field(text), None, n_max)}, reads
 
-    monkeypatch.setattr(vf, "_equality_report", recording)
-    n_max = 350
-    reports = {rep.name: rep for rep in vf.run_all(parse_field("Q(zeta 2^5)+"), None, n_max)}
-    assert len(seen) == 10  # the five splittings, four reports over the degrees, the low degrees
-    pd = tb.period_degrees(n_max + 9)
+
+def identity_walks(n_max, broken=None):
+    """Per row of _IDENTITIES, by brute force: its name, its points (n, eps)
+    for first <= n <= n_max, eps None for a row with no sign axis, the cells
+    (theory, period degree) of the first point of each distinct key
+    (pd(n), pd(n + s), eps), sorted, in point order, and the first point
+    that reads the cell broken (None if none does); no key past it is read."""
+    pd, rows = tb.period_degrees(n_max + 9), []
     for name, first, theories, _, shift, _ in vf._IDENTITIES:
-        firsts, count, calls = seen[name]
-        # the first point of each distinct key of the per-degree points (n,
-        # eps), eps None for a report with no sign axis, in point order, and
-        # compare receives each key once, in that order
         points = [(n, eps) for n in range(first, n_max + 1) for eps in theories]
-        expected = {}
+        keys, failing = {}, None
         for n, eps in points:
-            expected.setdefault((pd[n], pd[n + shift], eps), (n, eps))
-        assert list(firsts.items()) == list(expected.items()), name
-        assert calls == list(firsts), name
-        assert count == len(points)
+            lhs, block, top = theories[eps]
+            cells = [(lhs, pd[n]), (top, pd[n + shift])] + ([] if block is None else [(block, pd[n])])
+            keys.setdefault((pd[n], pd[n + shift], eps), sorted(cells))
+            if broken in cells:
+                failing = n, eps
+                break
+        rows.append((name, points, list(keys.values()), failing))
+    return rows
+
+
+def assert_reads_follow_the_keys(reads, rows):
+    """The first column reads of run_all are, row by row, the cells of each
+    key of identity_walks, each key's cells read together."""
+    at = 0
+    for name, _, keys, _ in rows:
+        for cells in keys:
+            assert sorted(reads[at:at + len(cells)]) == cells, name
+            at += len(cells)
+
+
+def test_each_equality_report_evaluates_each_distinct_key_once(monkeypatch):
+    n_max = 350
+    reports, reads = run_reading(monkeypatch, "Q(zeta 2^5)+", n_max)
+    rows = identity_walks(n_max)
+    assert_reads_follow_the_keys(reads, rows)
+    for name, points, keys, _ in rows:
         assert reports[name].passed
         assert reports[name].details.endswith(f" ({len(points)} cases)")
         # the degrees n <= 350 share cells
-        assert 3 * len(calls) < len(points)
+        assert 3 * sum(map(len, keys)) < len(points), name
 
 
-def test_an_equality_report_counts_its_points_and_names_its_first_failing_point():
-    from kq2.abgroup import C2, ZERO
-    firsts = {("a",): (2,), ("b",): (5,), ("c",): (7,)}
-    calls = []
+def test_an_equality_report_counts_its_points_and_names_its_first_failing_point(monkeypatch):
+    # KO gains a Z/2 on the period class of degree 255 only: each report
+    # that reads KO (r = 8, so the splittings do) fails at its first point
+    # that reads the class and reads no key after it
+    n_max = 350
+    reports, reads = run_reading(monkeypatch, "Q(zeta 2^5)+", n_max, ("KO", 255))
+    rows = identity_walks(n_max, ("KO", 255))
+    assert_reads_follow_the_keys(reads, rows)
+    for name, points, _, failing in rows:
+        rep = reports[name]
+        if failing is None:
+            assert rep.passed and rep.details.endswith(f" ({len(points)} cases)"), name
+            continue
+        *at, expected, actual = rep.counterexample.items()
+        assert (rep.counterexample["n"], rep.counterexample.get("eps")) == failing
+        assert rep.details == f"first failure at {dict(at)}"
+        assert expected[0] == "expected" and actual[0] == "actual" and expected[1] != actual[1]
+    assert {name for name, *_, failing in rows if failing} == set(KO_4095_FIRST_FAILURES)
 
-    def compare(key):
-        calls.append(key)
-        return ZERO, C2(1) if key != "a" else ZERO
 
-    failed = vf._equality_report("r", firsts, 9, compare, lambda n: {"n": n}, "")
-    assert (failed.passed, failed.counterexample) == (False, {"n": 5, "expected": "0", "actual": "Z/2"})
-    assert calls == ["a", "b"]
-    passed = vf._equality_report("r", firsts, 9, lambda key: (ZERO, ZERO), lambda n: {"n": n}, "n <= 8")
-    assert (passed.passed, passed.details) == (True, "n <= 8 (9 cases)")
+def test_identity_rows_are_data():
+    # a script can read each row's theories, shift and copies (a, b), for
+    # a*r + b copies, without calling code
+    def leaves(x):
+        if isinstance(x, dict):
+            x = (*x, *x.values())
+        return [leaf for y in x for leaf in leaves(y)] if isinstance(x, tuple) else [x]
+
+    for row in vf._IDENTITIES:
+        assert not any(callable(leaf) for leaf in leaves(row)), row[0]
+        name, first, theories, (a, b), shift, fields = row
+        assert all(type(v) is int for v in (first, a, b, shift)), name
+        assert {t for cells in theories.values() for t in cells} - {None} <= set(tb.THEORIES), name
 
 
 def _first_occurrences(first, shift, stop):
