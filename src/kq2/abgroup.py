@@ -173,7 +173,12 @@ def exact_window_check(groups: tuple[FgAb2, ...]) -> bool:
 
 
 def format_group(g: FgAb2) -> str:
-    """Canonical text form, e.g. "Z^2 + Z/2 + Z/16"; "0" for the zero group."""
+    """Canonical text form, e.g. "Z^2 + Z/2 + Z/16"; "0" for the zero group.
+    One shared text per group, like direct_sum."""
+    return _TEXTS(g)
+
+
+def _text(g: FgAb2) -> str:
     parts: list[str] = []
     if g.rank == 1:
         parts.append("Z")
@@ -181,6 +186,9 @@ def format_group(g: FgAb2) -> str:
         parts.append(f"Z^{g.rank}")
     parts.extend(f"Z/{t}" for t in g.torsion)
     return " + ".join(parts) if parts else "0"
+
+
+_TEXTS = _Memo(_text)
 
 
 def parse_group(text: str) -> FgAb2:

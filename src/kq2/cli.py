@@ -98,12 +98,12 @@ _string = None  # json's C string encoder, imported by the first _dumps call
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for trees of
     str-keyed dicts, lists, tuples, str, int, bool and None.  Each dict key
-    layout is checked, sorted and rendered once per nesting depth, so a
-    table's per-degree wrappers, which share their keys, pay for them once.
-    A container met again at the same depth reuses the text rendered the
-    first time, so a table that repeats a few group dicts in every row pays
-    per group.  The state lives in arguments, not in a closure, so no
-    reference cycle outlives the call.
+    layout is checked, sorted and rendered once per nesting depth, so dicts
+    that share their keys, such as verify's reports, pay for them once.  A
+    container met again at the same depth reuses the text rendered the
+    first time, so a table that repeats a few group dicts in every period
+    class pays per group.  The state lives in arguments, not in a closure,
+    so no reference cycle outlives the call.
 
     Strings go through json.dumps's own C encoder; the json package is not
     imported, because it imports re, enum, functools and collections."""
@@ -260,25 +260,62 @@ def _cmd_table(args) -> int:
     text = {g: "-" if g is None else format_group(g) for g in distinct}
     if args.json:
         as_json = {g: None if g is None else {**group_to_json(g), "formatted": text[g]} for g in distinct}
-        # one dict per class, which _dumps renders once
-        bodies = {p: {tag.name: as_json[g] for tag, g in zip(tags, groups)} for p, groups in rows.items()}
-        _emit(args, {
+        envelope = {
             "query": {"command": "table", "theories": [t.name for t in tags],
                       "n_max": args.n_max, "field": args.field},
             "field": _field_meta(field),
             "q": q,
-            "results": [{"n": n, "groups": bodies[p]} for n, p in enumerate(pd)],
             "notes": notes,
-        }, [])
+        }
+        # one dict per class, which _write_results renders once
+        bodies = {p: {tag.name: as_json[g] for tag, g in zip(tags, groups)} for p, groups in rows.items()}
+        _write_results(envelope, bodies, pd)
         return EXIT_OK
     # the header row is keyed "n", the class rows by their period degrees
     cells = {"n": [tag.name for tag in tags], **{p: [text[g] for g in groups] for p, groups in rows.items()}}
     widths = [max(map(len, column)) for column in zip(*cells.values())]
-    padded = {p: "  ".join(c.ljust(w) for c, w in zip(row, widths)) for p, row in cells.items()}
+    # each row after the degree column, right-stripped: its first cell is never blank
+    ends = {p: "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for p, row in cells.items()}
     first = len(str(args.n_max))  # the width of the degree column, which "n" never exceeds
-    human = [f"{n:<{first}}  {padded[p]}".rstrip() for n, p in [("n", "n"), *enumerate(pd)]]
-    _emit(args, {}, human + [f"# {note}" for note in notes])
+    # a class's text is written as it is, not copied into each line
+    write = sys.stdout.write
+    write("n".ljust(first) + ends["n"])
+    for n, p in enumerate(pd):
+        write(str(n).ljust(first))
+        write(ends[p])
+    write("".join(f"# {note}\n" for note in notes))
     return EXIT_OK
+
+
+def _write_results(envelope: dict, bodies: dict, pd: list[int]) -> None:
+    """Write ``_dumps({**envelope, "results": rows})`` and a newline to
+    stdout, rows being ``{"n": n, "groups": bodies[p]}`` for each degree n
+    and its period degree p = pd[n].  "results" sorts after every key of the
+    envelope, so the envelope is rendered without it and the rows follow
+    it, degree by degree.  Each class's body is rendered once, at the depth
+    of a row's "groups", with one memo, so a group dict shared by several
+    classes is rendered once too."""
+    head = _dumps(envelope)[:-2]  # without its closing "\n}"; _frame needs _dumps's import
+    heads, close = _frame(("groups", "n"), 2)
+    (opening, _), (n_key, _) = heads
+    out: list[str] = []
+    memo: dict = {}
+    frames: dict = {}
+    rows = {}
+    for p, body in bodies.items():
+        start = len(out)
+        _encode(body, 3, out, memo, frames)
+        rows[p] = "".join([opening, *out[start:], n_key])
+    # a class's text is written as it is, not copied into each row
+    write = sys.stdout.write
+    write(head + ',\n  "results": [\n    ')
+    between = close + ",\n    "
+    for n, p in enumerate(pd):
+        if n:
+            write(between)
+        write(rows[p])
+        write(str(n))
+    write(close + "\n  ]\n}\n")
 
 
 def _cmd_regular(args) -> int:

@@ -1,9 +1,11 @@
 import doctest
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 import kq2.abgroup
+from kq2 import tables
 from kq2.abgroup import (
     C,
     C2,
@@ -19,6 +21,7 @@ from kq2.abgroup import (
     parse_group,
     ses_consistent,
 )
+from kq2.cli import main
 from kq2.errors import EmptyWindow
 
 groups = st.builds(
@@ -129,6 +132,21 @@ def test_mixed_window_checks_rank_only():
 def test_unbounded_window_checks_rank():
     assert alternating_rank_sum((Z(1), Z(2), Z(1))) == 0
     assert alternating_rank_sum((Z(1), Z(2))) != 0
+
+
+def test_memoized_format_group_returns_the_same_text(capsys):
+    theories = ",".join(name for name, tag in tables.THEORIES.items() if tag.needs_degree)
+    assert main(["table", "--json", "--n-max", "300", "--theories", theories, "--field", "Q(zeta 11)+"]) == 0
+    printed = {(g["rank"], tuple(g["torsion"])): g["formatted"]
+               for row in json.loads(capsys.readouterr().out)["results"]
+               for g in row["groups"].values() if g is not None}
+    assert len(printed) > 10
+    for (rank, torsion), text in printed.items():
+        free = [] if rank == 0 else ["Z"] if rank == 1 else [f"Z^{rank}"]
+        expected = " + ".join(free + [f"Z/{t}" for t in torsion]) or "0"
+        g = FgAb2(rank, torsion)
+        assert format_group(g) == str(g) == text == expected
+        assert format_group(g) is format_group(g)
 
 
 def test_format_examples():

@@ -1,9 +1,11 @@
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -682,22 +684,61 @@ def test_dumps_rejects_non_str_keys(key):
         _dumps({"groups": [{key: "Z"}]})
 
 
-def test_dumps_leaves_no_reference_cycle(monkeypatch):
-    payloads = []
-    monkeypatch.setattr(cli, "_emit", lambda args, payload, human: payloads.append(payload))
-    assert main(["table", "--json", "--n-max", "300", "--theories", "K,KQ+,KO", "--field", "Q"]) == 0
+def _table_payload(n_max, theories, field, q, notes=()):
+    """The payload of ``table --json``, shaped as the command builds it:
+    one body per period class, and one dict per distinct group, shared by
+    its cells."""
+    spec = fields.parse_field(field)
+    columns = {name: tb.column(tb.THEORIES[name], spec, q) for name in theories}
+    pd = tb.period_degrees(n_max + 1)
+    as_json = {}
+    for g in {col(p) for col in columns.values() for p in pd}:
+        as_json[g] = {**abgroup.group_to_json(g), "formatted": abgroup.format_group(g)}
+    bodies = {p: {name: as_json[col(p)] for name, col in columns.items()} for p in set(pd)}
+    return {
+        "query": {"command": "table", "theories": list(theories), "n_max": n_max, "field": field},
+        "field": {"label": str(spec), "r": spec.r, "a_F": spec.a, "two_regular": spec.regular},
+        "q": q,
+        "results": [{"n": n, "groups": bodies[p]} for n, p in enumerate(pd)],
+        "notes": list(notes),
+    }
+
+
+def _unreachable_after(fn):
+    """fn's result, and the number of objects that a garbage collection
+    after fn finds unreachable."""
     gc.collect()
     flags, before = gc.get_debug(), len(gc.garbage)
     gc.set_debug(gc.DEBUG_SAVEALL)  # what any collection finds unreachable stays in gc.garbage
     try:
-        text = _dumps(payloads[0])
+        result = fn()
         gc.collect()
         unreachable = len(gc.garbage) - before
     finally:
         gc.set_debug(flags)
         del gc.garbage[before:]
+    return result, unreachable
+
+
+def test_dumps_leaves_no_reference_cycle():
+    payload = _table_payload(300, ("K", "KQ+", "KO"), "Q", 3)
+    text, unreachable = _unreachable_after(lambda: _dumps(payload))
     assert unreachable == 0
-    assert text == json.dumps(payloads[0], indent=2, sort_keys=True)
+    assert text == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_table_json_leaves_no_reference_cycle():
+    argv = ["table", "--json", "--n-max", "300", "--theories", "K,KQ+,KO", "--field", "Q", "--q", "3"]
+    out = io.StringIO()
+
+    def table():
+        with redirect_stdout(out):
+            return main(argv)
+
+    code, unreachable = _unreachable_after(table)
+    assert (code, unreachable) == (0, 0)
+    payload = _table_payload(300, ("K", "KQ+", "KO"), "Q", 3, ["q = 3 (congruence-admissible)"])
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_a_failed_self_check_is_an_internal_error(capsys, monkeypatch):
@@ -721,14 +762,16 @@ def test_an_internal_value_error_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: no 2-part for q = 3, m = 2\n"
 
 
-def test_a_closed_output_pipe_ends_quietly():
-    # the console script on a pipe whose reader is gone, as after `| head -n 1`
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_closed_output_pipe_ends_quietly(json_flag):
+    # the console script on a pipe whose reader is gone, as after `| head -n 1`;
+    # table writes as it goes, so a JSON table breaks off mid-document
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from kq2.cli import entrypoint; sys.exit(entrypoint())",
-             "table", "--n-max", str(N_MAX_BOUND), "--theories", "K,KO", "--field", "Q"],
+             "table", *json_flag, "--n-max", str(N_MAX_BOUND), "--theories", "K,KO", "--field", "Q"],
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(SRC)})
     finally:
@@ -736,3 +779,75 @@ def test_a_closed_output_pipe_ends_quietly():
     assert "Traceback" not in proc.stderr
     assert proc.stderr == ""
     assert proc.returncode == cli.EXIT_OK
+
+
+# table writes each degree as it goes, but only once every cell exists
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_table_writes_nothing_before_every_cell_exists(capsys, monkeypatch, json_flag):
+    last = list(dict.fromkeys(tb.period_degrees(301)))[-1]  # the class whose cells are read last
+    original = tb.column
+
+    def failing_last(tag, field, q):
+        cell = original(tag, field, q)
+        if tag.name != "KO":
+            return cell
+
+        def read(n):
+            if n == last:
+                raise ValueError(f"no {tag.name} cell in degree {n}")
+            return cell(n)
+        return read
+
+    monkeypatch.setattr(tb, "column", failing_last)
+    code, out, err = run(capsys, "table", *json_flag, "--n-max", "300", "--theories", "K,KQ+,KO", "--field", "Q")
+    assert (code, out) == (cli.EXIT_VERIFY, "")
+    assert err == f"internal error: no KO cell in degree {last}\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_table_stdout_is_the_same_unbuffered(capsys, json_flag):
+    argv = ["table", *json_flag, "--n-max", "300", "--theories", DEGREE_THEORIES,
+            "--field", "Q(zeta 2^4)+", "--q", "17"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # the first run is buffered whatever the caller's environment says
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for flags in ((), ("-u",)):
+        proc = subprocess.run([sys.executable, *flags, "-m", "kq2.cli", *argv], capture_output=True, timeout=60,
+                              env={**env, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.encode()
+
+
+# The corner of each size bound, in a child process with stdout to
+# /dev/null, stays below this peak resident set size (VmHWM).  The
+# interpreter alone takes about 10 MB, each corner about 16 MB; a table
+# built whole before it is written took 1,282 MB (text) or 793 MB (--json).
+CORNER_LIMIT_KB = 64 * 1024
+_CORNER_FIELD = f"Q(zeta 2^{fields.R_BOUND.bit_length() + 1})+"  # r = R_BOUND
+_CORNER_CHILD = """import sys
+from kq2.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from /proc/self/status")
+@pytest.mark.parametrize("argv", [
+    ("table", "--n-max", str(N_MAX_BOUND), "--theories", DEGREE_THEORIES, "--field", _CORNER_FIELD),
+    ("table", "--json", "--n-max", str(N_MAX_BOUND), "--theories", DEGREE_THEORIES, "--field", _CORNER_FIELD),
+    ("verify", "--n-max", str(N_MAX_BOUND), "--field", _CORNER_FIELD),
+    ("group", "--theory", "K", "--n", str(cli.N_BOUND), "--field", _CORNER_FIELD),
+], ids=["table", "table-json", "verify", "group"])
+def test_the_corner_of_each_bound_runs_in_bounded_memory(argv):
+    assert fields.parse_field(_CORNER_FIELD).r == fields.R_BOUND
+    proc = subprocess.run([sys.executable, "-c", _CORNER_CHILD, *argv], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    label, kb, unit = proc.stderr.split()
+    assert (label, unit) == ("VmHWM:", "kB")
+    assert int(kb) < CORNER_LIMIT_KB
