@@ -1,12 +1,13 @@
 """Exact integer number theory for real quadratic fields.
 
 Everything here is exact arithmetic on Python integers: 2-adic valuations,
-deterministic primality, continued fractions of quadratic irrationals, and
-the invariants of a real quadratic field that ``quadratic_data(d)``, the one
-validated entry point, returns: its fundamental unit, and its class numbers
-via cycles of the reduced indefinite binary quadratic forms that
-``_reduced_form_keys`` enumerates.  This layer is the independent oracle
-against which the closed-form regularity criteria are checked.
+deterministic primality, and the invariants of a real quadratic field that
+``quadratic_data(d)``, the one validated entry point, returns.  One walk over
+the reduced indefinite binary quadratic forms that ``_reduced_form_keys``
+enumerates gives them: its cycles give the class numbers, and the principal
+form's orbit, the continued-fraction period of the maximal order, gives the
+fundamental unit.  This layer is the independent oracle against which the
+closed-form regularity criteria are checked.
 """
 
 from __future__ import annotations
@@ -176,60 +177,10 @@ class QuadUnit(Record):
             )
 
 
-def _cf_reduced_period(P0: int, Q0: int, d: int) -> tuple[list[int], list[int]]:
-    """Partial quotients a_i over one period of the purely periodic continued
-    fraction of the reduced irrational (P0 + sqrt(d))/Q0, and the Q_(i+1).
-
-    Requires Q0 | d - P0^2; the recurrence preserves that invariant.
-    """
-    s = isqrt(d)
-    P, Q = P0, Q0
-    quotients: list[int] = []
-    denominators: list[int] = []
-    while True:
-        a = (P + s) // Q
-        quotients.append(a)
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        denominators.append(Q)
-        if (P, Q) == (P0, Q0):
-            return quotients, denominators
-        if len(quotients) >= CF_STEP_BOUND:
-            raise BoundExceeded(f"continued-fraction period of ({P0}+sqrt({d}))/{Q0} exceeds {CF_STEP_BOUND}")
-
-
-def _fundamental_unit(d: int) -> tuple[QuadUnit, list[int], list[int]]:
-    """Fundamental unit > 1 of the maximal order of Q(sqrt(d)), and its period.
-
-    Expands the continued fraction of a reduced generator of the maximal
-    order; the automorph over one period is the fundamental unit and its
-    norm is (-1)^(period length).
-    """
-    s = isqrt(d)
-    if d % 4 == 1:
-        # reduced element (P0 + sqrt(d))/2 of Z[(1+sqrt(d))/2]: P0 odd in (sqrt(d)-2, sqrt(d))
-        P0 = s if s % 2 == 1 else s - 1
-        Q0 = 2
-    else:
-        P0, Q0 = s, 1
-    quotients, denominators = _cf_reduced_period(P0, Q0, d)
-    q_prev, q_curr = 1, 0  # q_{-2}, q_{-1}
-    for a in quotients:
-        q_prev, q_curr = q_curr, a * q_curr + q_prev
-    # unit = q_{l-1} * omega + q_{l-2} with omega = (P0 + sqrt(d))/Q0
-    if Q0 == 2:
-        x, y, denom = q_curr * P0 + 2 * q_prev, q_curr, 2
-        if x % 2 == 0 and y % 2 == 0:
-            x, y, denom = x // 2, y // 2, 1
-    else:
-        x, y, denom = q_curr * P0 + q_prev, q_curr, 1
-    norm = -1 if len(quotients) % 2 == 1 else 1
-    return QuadUnit(x, y, denom, d, norm), quotients, denominators
-
-
 def _norm_two_element(d: int, quotients: list[int], denominators: list[int]) -> QuadUnit | None:
     """An integral element of norm +-2, or None if none exists, of Q(sqrt(d))
-    for a squarefree d = 2, 3 (mod 4), read off the period of s + sqrt(d).
+    for a squarefree d = 2, 3 (mod 4), read off the first half of the period
+    of s + sqrt(d), up to its centre, which holds every Q_i (Q_i = Q_(l-i)).
 
     That period walks the states of sqrt(d)'s, so with a_0 = s it gives the
     convergents p_i/q_i of sqrt(d): p_i^2 - d q_i^2 = (-1)^(i+1) Q_(i+1).
@@ -285,12 +236,6 @@ def _rho(f: Form, D: int, s: int) -> Form:
     return (c, b2, c2)
 
 
-def _sigma(a: int, b: int, D: int, s: int) -> tuple[int, int]:
-    """sigma(f) = -rho(f) of a reduced f = (a, b, c) with a > 0, on (a, b)."""
-    a = (D - b * b) // (4 * a)  # -c
-    return a, s - (s + b) % (2 * a)  # the largest b' = -b (mod 2a) up to s
-
-
 def _reduce_form(f: Form, D: int, s: int) -> Form:
     for _ in range(CF_STEP_BOUND):
         if _is_reduced(f, D):
@@ -300,17 +245,22 @@ def _reduce_form(f: Form, D: int, s: int) -> Form:
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int | None:
-    """A square root of n modulo the odd prime p, or None for a non-residue.
-
-    Tonelli-Shanks, as in Cohen, GTM 138, Alg. 1.5.1.
+    """A square root of n modulo the odd prime p, or None for a non-residue:
+    one power, checked, for p = 3 (mod 4) and, by Atkin's formula, p = 5
+    (mod 8); Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) for p = 1 (mod 8).
     """
     n %= p
     if n == 0:
         return 0
+    if p % 4 == 3:
+        x = pow(n, (p + 1) // 4, p)
+    elif p % 8 == 5:  # 2n v^2 = (2n)^((p-1)/4) is a square root of -1
+        v = pow(2 * n, (p - 5) // 8, p)
+        x = n * v * (2 * n * v * v - 1) % p
+    if p % 8 != 1:
+        return x if x * x % p == n else None
     if pow(n, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
     e = nu2(p - 1)
     q = (p - 1) >> e
     z = 2
@@ -355,30 +305,27 @@ def _two_power_roots(D: int):
         a *= 2
 
 
-def _reduced_form_keys(D: int) -> set[int]:
+def _reduced_form_keys(D: int) -> dict[int, int]:
     """The reduced indefinite forms (a, b, c) with a > 0 of (nonsquare)
-    discriminant D > 0, each as the key a*W + b, with W = isqrt(D) + 1 > b;
-    c is (b*b - D) // (4a).  Every other reduced form is the negation
-    (-a, b, -c) of one.
+    discriminant D > 0, each as the key a*W + b, with W = isqrt(D) + 1 > b,
+    of a dict that maps each to -1, not yet walked; c is (b*b - D) // (4a).
+    Every other reduced form is the negation (-a, b, -c) of one.
 
     (a, b, c) is reduced iff 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
     sqrt(D) + b.  Since 2|a| * 2|c| = (sqrt(D) - b)(sqrt(D) + b), |a| lies
     in that interval exactly when |c| does, so each form pair (a, b, -c),
-    (c, b, -a) is found once, from the smaller leading coefficient
-    a <= c.  For a given a that leaves b in [max(b0, s - 2a + 1),
-    isqrt(D - 4a^2)], with s = isqrt(D) and b0 in {1, 2} the least b = D
-    (mod 2), and b must solve b^2 = D (mod 4a).  The window is at most 2a
-    long and the roots are periodic mod 2a, so each root class mod 2a
-    gives at most one b.
+    (c, b, -a) is found once, from the smaller leading coefficient a <= c:
+    then s - 2a < b <= isqrt(D - 4a^2), with s = isqrt(D), and b^2 = D (mod
+    4a).  That window is at most 2a long and the roots are periodic mod 2a,
+    so each root class mod 2a gives at most one b.
 
-    The a are walked depth first over their factorizations, from the
-    2-power parts (roots of b^2 = D modulo 2^(k+2), lifted bit by bit) by
-    powers of the odd primes up to amax = isqrt((D - b0^2)/4).  Each odd
-    prime's roots come from one square root modulo p, lifted to p^k as in
-    Cohen, GTM 138, Sec. 1.5, and are joined to those of a by the Chinese
-    remainder theorem.  A prime with (D/p) = -1 divides no a that leads a
-    form, so its subtree is never entered.  D is at most the discriminant
-    4 * CLASS_NUMBER_BOUND.
+    The a up to amax = isqrt((D - b0^2)/4) are walked depth first over
+    their factorizations 2a = 2^(k+1) p_1^e_1 ... (odd p_1 < p_2 < ...),
+    joining the roots of each factor to the parent's by the Chinese
+    remainder theorem: the 2^(k+1) with the roots of b^2 = D (mod 2^(k+2)),
+    lifted bit by bit; each p^e from one square root mod p, lifted as in
+    Cohen, GTM 138, Sec. 1.5, and only for (D/p) != -1, as no other p
+    divides an a that leads a form.  D is at most 4 * CLASS_NUMBER_BOUND.
     """
     if D > 4 * CLASS_NUMBER_BOUND:
         raise BoundExceeded(f"discriminant {D} exceeds the bound {4 * CLASS_NUMBER_BOUND}")
@@ -388,16 +335,11 @@ def _reduced_form_keys(D: int) -> set[int]:
     b0 = 2 - D % 2
     amax = isqrt((D - b0 * b0) >> 2)
 
-    # (a, the classes mod 2a of the roots of b^2 = D (mod 4a), index of the
-    # next odd prime to multiply in), seeded with the a = 2^k
-    stack: list[tuple[int, list[int], int]] = []
+    chains: list[list[tuple[int, list[int]]]] = [[]]
     for a, roots in _two_power_roots(D):
         if a > amax:
             break
-        stack.append((a, roots, 0))
-
-    # for each odd prime p <= amax with (D/p) != -1: [(p^k, roots mod p^k)]
-    chains: list[list[tuple[int, list[int]]]] = []
+        chains[0].append((2 * a, roots))
     if not _ODD_PRIMES:
         n = isqrt(CLASS_NUMBER_BOUND)
         prime = bytearray([1]) * (n + 1)
@@ -419,25 +361,34 @@ def _reduced_form_keys(D: int) -> set[int]:
             chain.append((q * p, roots))
         chains.append(chain)
 
+    tmax = 2 * amax
+    heads = [chain[0][0] for chain in chains] + [tmax + 1]
     W = s + 1
-    keys: set[int] = set()
+    keys: dict[int, int] = {}
+    stack = [(1, [0], 0)]  # (t, its root classes mod t, index of its next chain)
+    pop, push = stack.pop, stack.append
     while stack:
-        a, roots, i = stack.pop()
-        t = 2 * a
-        lo, hi = max(b0, s - t + 1), isqrt(D - t * t)
-        for r in roots:
-            b = lo + (r - lo) % t
-            if b <= hi:
-                keys.add(a * W + b)
-                keys.add((D - b * b) // (2 * t) * W + b)
-        for j in range(i, len(chains)):
-            if a * chains[j][0][0] > amax:
+        t, roots, i = pop()
+        limit = tmax // t
+        for j in range(i, len(chains) if i else 1):  # the start takes the 2^(k+1)
+            if heads[j] > limit:
                 break
             for q, qroots in chains[j]:
-                if a * q > amax:
+                if q > limit:
                     break
-                u = pow(t, -1, q)  # CRT: b = x (mod 2a), b = y (mod q)
-                stack.append((a * q, [x + t * ((y - x) * u % q) for x in roots for y in qroots], j + 1))
+                tq = t * q
+                e = t * pow(t, -1, q)  # CRT: x + (y - x) e = x (mod t), = y (mod q)
+                lo, hi = s - tq + 1, isqrt(D - tq * tq)  # lo >= 1 as tq <= s; b = D (mod 2)
+                aW, t2 = tq // 2 * W, 2 * tq
+                for x in roots:
+                    xo = x - lo
+                    for y in qroots:
+                        b = lo + ((y - x) * e + xo) % tq
+                        if b <= hi:
+                            keys[aW + b] = -1
+                            keys[(D - b * b) // t2 * W + b] = -1
+                if tq * heads[j + 1] <= tmax:
+                    push((tq, [(x + (y - x) * e) % tq for x in roots for y in qroots], j + 1))
     return keys
 
 
@@ -458,29 +409,35 @@ def _form_cycles(D: int) -> tuple[dict[int, int], list[int]]:
     steps).  An orbit of odd length meets -f, so its cycle is its own
     negation.
 
-    Returns the index (key of a form with a > 0) -> cycle number, and for
-    each cycle the number of its negation; the number of cycles is the
-    narrow class number.
+    Returns the index (key of a form with a > 0) -> cycle number, in walk
+    order from the principal form, and for each cycle the number of its
+    negation; the number of cycles is the narrow class number.
     """
     s = isqrt(D)
     W = s + 1
-    cycle_of = dict.fromkeys(_reduced_form_keys(D), -1)  # -1: not yet walked
+    unwalked = _reduced_form_keys(D)
+    cycle_of: dict[int, int] = {}
     negation: list[int] = []
-    for f in cycle_of:
-        if cycle_of[f] >= 0:
-            continue
+    f = W + principal_form(D)[1]
+    start = unwalked.pop(f, None)  # None: f is not among the reduced forms
+    while True:
         count = len(negation)
         orbit = []
         a, b = divmod(f, W)
         g = f
-        while (label := cycle_of.get(g)) == -1:
-            cycle_of[g] = count
-            orbit.append(g)
-            a, b = _sigma(a, b, D, s)
-            g = a * W + b
-        if label is None or g != f:
+        try:
+            while True:
+                cycle_of[g] = count
+                orbit.append(g)
+                a = (D - b * b) // (4 * a)  # sigma: a' = -c, and b' the
+                b = s - (s + b) % (2 * a)  # largest b' = -b (mod 2a') up to s
+                g = a * W + b
+                del unwalked[g]
+        except KeyError:
+            pass
+        if start is None or g != f:
             a, b = divmod(f, W)
-            fault = "left the reduced-form set" if label is None else "ran into another cycle"
+            fault = "ran into another cycle" if g != f and g in cycle_of else "left the reduced-form set"
             raise RuntimeError(f"cycle through {(a, b, (b * b - D) // (4 * a))} {fault} (D={D})")
         if len(orbit) % 2:
             negation.append(count)
@@ -488,7 +445,50 @@ def _form_cycles(D: int) -> tuple[dict[int, int], list[int]]:
             for g in orbit[1::2]:
                 cycle_of[g] = count + 1
             negation += (count + 1, count)
-    return cycle_of, negation
+        if not unwalked:
+            return cycle_of, negation
+        f, start = unwalked.popitem()
+
+
+def _fundamental_unit(d: int, D: int, cycle_of: dict[int, int]) -> tuple[QuadUnit, list[int], list[int]]:
+    """Fundamental unit > 1 of the maximal order of Q(sqrt(d)), and the first
+    half of its period.
+
+    The keys of ``cycle_of`` start with the orbit f_i = (a_i, b_i), i < l,
+    of the principal form: the period of omega = (b_0 + sqrt(D))/2, with
+    partial quotients q_0 = b_0, q_i = (b_(i-1) + b_i)/2a_i, and Q_i = a_i
+    (2a_i for D = d).  As (a, b, -c) -> (c, b, -a) maps f_i to f_(l-1-i), the
+    orbit is read to its centre, a_(i+1) = a_i (l odd) or b_(i+1) = b_i; the
+    product of the [[q_i, 1], [1, 0]], 0 < i < l, is N N^T or N [[q_(m+1),
+    1], [1, 0]] N^T, N the product up to m = (l-1) // 2, and its top row
+    (y, y') gives the fundamental unit y*omega + y', of norm (-1)^l.
+    """
+    W = isqrt(D) + 1
+    keys = iter(cycle_of)
+    b0 = next(keys) - W
+    a_prev, b_prev, quotients, denominators = 1, b0, [b0], []
+    even = False  # l = 1 iff the principal form is its own sigma: D = b_0^2 + 4
+    for key in keys if D - b0 * b0 != 4 else ():
+        a, b = divmod(key, W)
+        if a == a_prev:
+            break
+        quotients.append((b_prev + b) // (2 * a))
+        denominators.append(a if D != d else 2 * a)
+        if even := b == b_prev:
+            break
+        a_prev, b_prev = a, b
+    if 2 * len(quotients) - 1 - even > CF_STEP_BOUND:  # l
+        raise BoundExceeded(f"continued-fraction period of ({b0}+sqrt({D}))/2 exceeds {CF_STEP_BOUND}")
+    n00, n01, n10, n11 = 1, 0, 0, 1
+    for q in quotients[1 : len(quotients) - even]:
+        n00, n01, n10, n11 = q * n00 + n01, n00, q * n10 + n11, n10
+    r0, r1 = (quotients[-1] * n00 + n01, n00) if even else (n00, n01)
+    y, y_prev = r0 * n00 + r1 * n01, r0 * n10 + r1 * n11
+    # y*omega + y' = (x + y sqrt(D))/2, with sqrt(D) = 2 sqrt(d) for D = 4d
+    x, y, norm = y * b0 + 2 * y_prev, y if D == d else 2 * y, 1 if even else -1
+    if x % 2 or y % 2:
+        return QuadUnit(x, y, 2, d, norm), quotients, denominators
+    return QuadUnit(x // 2, y // 2, 1, d, norm), quotients, denominators
 
 
 class DyadicData(Record):
@@ -538,8 +538,7 @@ def _dyadic_data(d: int, D: int, cycle_of: dict[int, int], negation: list[int], 
 
     s = isqrt(D)
     W = s + 1
-    princ = cycle_of[W + principal_form(D)[1]]
-    neg = negation[princ]
+    princ, neg = 0, negation[0]  # the principal form's orbit is walked first
 
     def cycle(a: int, b: int) -> int:
         f = (a, b, (b * b - D) // (4 * a))
@@ -585,11 +584,11 @@ def quadratic_data(d: int) -> QuadraticData:
     """Fundamental unit, class numbers and dyadic data of Q(sqrt(d)).
 
     Each invariant is computed once: d is validated (2 <= d <=
-    CLASS_NUMBER_BOUND, then squarefree), the continued-fraction period is
-    expanded for the fundamental unit, and the reduced forms of the field
-    discriminant are enumerated and split into cycles.  The narrow class
-    number is the number of cycles; the wide one follows from the norm of
-    the fundamental unit; the dyadic data reads the cycle index.
+    CLASS_NUMBER_BOUND, then squarefree), and the reduced forms of the field
+    discriminant are enumerated and walked once.  The number of cycles is
+    the narrow class number; the principal form's orbit, walked first, is
+    the period that gives the fundamental unit, whose norm gives the wide
+    class number; the dyadic data reads the cycle index.
     """
     check_class_number_bound(d)
     if d < 2:
@@ -608,8 +607,8 @@ def check_class_number_bound(d: int) -> None:
 def _quadratic_data(d: int) -> QuadraticData:
     """quadratic_data for a d already known to be squarefree and in bounds."""
     D = d if d % 4 == 1 else 4 * d
-    unit, *period = _fundamental_unit(d)
     cycle_of, negation = _form_cycles(D)
+    unit, *period = _fundamental_unit(d, D, cycle_of)
     h_narrow = len(negation)
     # Cl+ = Cl exactly when the unit has norm -1: then every cycle is its
     # own negation, and otherwise none is.

@@ -323,12 +323,10 @@ class TheoryTag(Record):
 
     @classmethod
     def parse(cls, text: str) -> "TheoryTag":
-        key = text.strip().upper()
-        key = _ALIASES.get(key, key)
-        for name, tag in THEORIES.items():
-            if name.upper() == key:
-                return tag
-        raise UsageError(f"unknown theory {text!r}; expected one of {', '.join(THEORIES)}")
+        tag = _PARSED.get(text.strip().upper())
+        if tag is None:
+            raise UsageError(f"unknown theory {text!r}; expected one of {', '.join(THEORIES)}")
+        return tag
 
     def check_degree(self, n: int | None) -> None:
         """Raise UsageError if the theory has a degree axis and n is None."""
@@ -434,6 +432,8 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("KQFq+", _adams_fiber("KO", 0, lambda m: m // 4 * 2), 1, needs_q=True),
     TheoryTag("KQFq-", _adams_fiber("KO", 4, lambda m: m // 4 * 2), -1, needs_q=True),
 )}
+_PARSED = {name.upper(): tag for name, tag in THEORIES.items()}
+_PARSED.update((alias, THEORIES[name]) for alias, name in _ALIASES.items())
 
 
 def column(tag: TheoryTag, field: FieldSpec, q: int | None) -> Callable[[int | None], FgAb2]:

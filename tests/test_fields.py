@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 
 import pytest
@@ -163,21 +162,25 @@ def test_oracle_computes_each_invariant_once(monkeypatch, d):
         monkeypatch.setattr(nt, name, counted)
 
     spec = f.RealQuadratic(d)  # the one squarefree test of d
-    names = ("_quadratic_data", "_reduced_form_keys", "_cf_reduced_period", "_norm_two_element", "factorize")
+    names = ("_quadratic_data", "_reduced_form_keys", "_form_cycles", "_fundamental_unit", "_norm_two_element",
+             "factorize")
     for name in names:
         count(name)
     f.two_regular_oracle(spec)
     assert len(calls["_quadratic_data"]) == 1
     assert "factorize" not in calls  # the spec was checked on construction
     assert len(calls["_reduced_form_keys"]) == 1  # the enumeration the cycle walk reads
-    assert len(calls["_cf_reduced_period"]) == 1  # the one period expansion
+    [(_, (cycle_of, _))] = calls["_form_cycles"]  # the one walk
+    # the unit is read off the walk's own index, whose keys start with the period
+    [((_, D, index), (_, *period))] = calls["_fundamental_unit"]
+    assert D == (d if d % 4 == 1 else 4 * d) and index is cycle_of
     if d % 4 in (2, 3):
-        # 2 ramified: sqrt(d) is expanded once, as s + sqrt(d), and the norm
-        # +-2 search reads that very period instead of walking its own
-        [(args, period)] = calls["_cf_reduced_period"]
-        assert args == (math.isqrt(d), 1, d)
+        # 2 ramified: the norm +-2 search reads the period lists the unit
+        # was built from instead of expanding sqrt(d) again
         [((d_arg, *read), _)] = calls["_norm_two_element"]
-        assert d_arg == d and len(read) == len(period) and all(x is y for x, y in zip(read, period))
+        assert d_arg == d and len(read) == len(period) == 2 and all(x is y for x, y in zip(read, period))
+    else:
+        assert "_norm_two_element" not in calls
 
 
 def test_oracle_rejects_non_quadratic():

@@ -174,6 +174,35 @@ def test_fundamental_unit_norm_equation_exact():
         assert u.norm in (1, -1)
 
 
+def reference_fundamental_unit(d):
+    """(x, y, denom, norm) of the automorph over one period of the continued
+    fraction of the reduced generator (P0 + sqrt(d))/Q0 of the maximal
+    order, expanded in states (P, Q) until the first state comes back."""
+    s = math.isqrt(d)
+    P0, Q0 = (s - 1 + s % 2, 2) if d % 4 == 1 else (s, 1)
+    P, Q = P0, Q0
+    q_prev, q_curr, length = 1, 0, 0  # q_{-2}, q_{-1}
+    while length == 0 or (P, Q) != (P0, Q0):
+        a = (P + s) // Q
+        q_prev, q_curr, length = q_curr, a * q_curr + q_prev, length + 1
+        P = a * Q - P
+        Q = (d - P * P) // Q
+    # q_{l-1} (P0 + sqrt d)/Q0 + q_{l-2} = (x + y sqrt d)/Q0
+    x, y = q_curr * P0 + Q0 * q_prev, q_curr
+    if Q0 == 2 and x % 2 == 0 and y % 2 == 0:
+        x, y, Q0 = x // 2, y // 2, 1
+    return x, y, Q0, (-1) ** length
+
+
+def test_fundamental_unit_matches_the_continued_fraction():
+    # the unit is read off half the orbit of the principal form; the full
+    # continued-fraction period checks the rotation of its partial quotients
+    # and the half-integer units of d = 1 (mod 4)
+    for d in [d for d in range(2, 3000) if nt.squarefree_part(d)[0]] + seeded_large_d():
+        u = nt.quadratic_data(d).unit
+        assert (u.x, u.y, u.denom, u.norm) == reference_fundamental_unit(d), d
+
+
 def kronecker(a, n):
     """Kronecker symbol (a | n); test-local oracle helper."""
     if n == 0:
@@ -495,26 +524,55 @@ def test_cycles_are_self_negative_exactly_for_norm_minus_one():
         assert all(self_negative) if nt.quadratic_data(d).unit.norm == -1 else not any(self_negative), d
 
 
-def _leaves_the_set(real):
-    def sigma(a, b, D, s):
-        a, b = real(a, b, D, s)
-        return 7 * a, b
-    return sigma, "left the reduced-form set"
+def sigma_key(key, D):
+    """The key of sigma(f) = -rho(f) for the form f = (a, b, c), a > 0, keyed
+    a*W + b: the next a is -c, the next b the largest one = -b (mod 2a) up
+    to isqrt(D)."""
+    s = math.isqrt(D)
+    a, b = divmod(key, s + 1)
+    a = (b * b - D) // (-4 * a)
+    return a * (s + 1) + max(x for x in range(s, s - 2 * a, -1) if (x + b) % (2 * a) == 0)
 
 
-def _merges_cycles(real):
-    # every form steps to the same form, so a second orbit runs into the first
-    return (lambda a, b, D, s: real(*nt.principal_form(D)[:2], D, s)), "ran into another cycle"
+def _leaves_the_set(keys, D):
+    # drop a form that sigma reaches from another one: the walk leaves the set there
+    keys.pop(next(k for k in keys if sigma_key(k, D) != k))
+    return "left the reduced-form set"
+
+
+def _merges_cycles(keys, D):
+    # add a form that is not reduced but whose sigma is: its walk runs into that cycle
+    W = math.isqrt(D) + 1
+    key = next(
+        a * W + b
+        for a in range(1, D)
+        for b in range(W)
+        if (D - b * b) % (4 * a) == 0 and a * W + b not in keys and sigma_key(a * W + b, D) in keys
+    )
+    a, b = divmod(key, W)
+    assert not nt._is_reduced((a, b, (b * b - D) // (4 * a)), D)
+    keys[key] = -1
+    return "ran into another cycle"
 
 
 @pytest.mark.parametrize("d", [10, 3])  # unit norm -1 and +1, each with h+ = 2
 @pytest.mark.parametrize("mutant", [_leaves_the_set, _merges_cycles])
 def test_a_broken_rho_fails_the_self_checks(monkeypatch, capsys, d, mutant):
-    # the cycle walk steps by sigma = -rho, on (a, b)
-    sigma, message = mutant(nt._sigma)
-    monkeypatch.setattr(nt, "_sigma", sigma)
-    with pytest.raises(RuntimeError, match=message):
+    # the cycle walk steps by sigma = -rho over the keys the enumeration
+    # returns; a key set one form short or one form long breaks its cycles
+    real = nt._reduced_form_keys
+    messages = set()
+
+    def broken(D):
+        keys = real(D)
+        messages.add(mutant(keys, D))
+        return keys
+
+    monkeypatch.setattr(nt, "_reduced_form_keys", broken)
+    with pytest.raises(RuntimeError) as raised:
         nt.quadratic_data(d)
+    (message,) = messages
+    assert message in str(raised.value)
     assert cli.main(["regular", "--oracle", "--field", f"Q(sqrt {d})"]) == cli.EXIT_VERIFY
     out = capsys.readouterr()
     assert out.out == "" and message in out.err

@@ -221,10 +221,19 @@ def test_theory_dispatch():
 
 
 def test_registry_names_parse():
+    # every name and alias, in any case; anything else names the choices
     for name, tag in tb.THEORIES.items():
-        assert tb.TheoryTag.parse(name.lower()) is tag
-    for alias in ("WPRIME", "W′", " wprime "):
+        for text in (name, name.lower(), name.upper(), name.swapcase(), f" {name}\t"):
+            assert tb.TheoryTag.parse(text) is tag
+    for alias in ("WPRIME", "W′", " wprime ", "WPrime"):
         assert tb.TheoryTag.parse(alias) is tb.THEORIES["W'"]
+    for text in ("kq", "K Q+", "W''", ""):
+        with pytest.raises(UsageError) as raised:
+            tb.TheoryTag.parse(text)
+        assert str(raised.value) == (
+            f"unknown theory {text!r}; expected one of K, KQ+, KQ-, V+, V-, U+, U-, W, W', W1,"
+            " Kbar, KQbar+, KQbar-, Vbar+, Vbar-, KO, KU, KFq, KQFq+, KQFq-"
+        )
 
 
 def test_fault_injection_is_scoped():
