@@ -8,14 +8,13 @@ operator applied to the standard three-dimensional representation becomes
 
     q^4 (1-u)^(2q) - (1-u)^(q+1) + (q^4 - 1)(1-u)^q - (1-u)^(q-1) + q^4
 
-and the coefficient of u^(2q) must be odd.  The module reads one
-coefficient from its four binomials, or expands the whole bracket exactly,
-in one pass over the degrees 0..2q.
+and the coefficient of u^(2q) must be odd.  Only (1-u)^(2q) reaches u^(2q),
+so that coefficient is q^4, and every binomial is 1 at u^0, so the constant
+term is 3(q^4 - 1): the module gives both in closed form, or expands the
+whole bracket exactly, in one pass over the degrees 0..2q.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import BoundExceeded, EvenQ
 
@@ -26,7 +25,7 @@ Q_BOUND = 5001
 
 
 def _check_q(q: int) -> None:
-    """The one check of q that bracket and coefficient share."""
+    """The one check of q that bracket and ends share."""
     if q % 2 == 0 or q < 3:
         raise (EvenQ if q % 2 == 0 else BoundExceeded)(f"q must be odd and >= 3, got {q}")
     if q > Q_BOUND:
@@ -54,14 +53,6 @@ def _expand(q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _coefficient(q: int, i: int) -> int:
-    """The bracket's coefficient of u^i, read from the binomials C(e, i) of
-    its four powers (1-u)^e."""
-    q4 = q**4
-    c2q, cup, cq, cdown = (math.comb(e, i) for e in (2 * q, q + 1, q, q - 1))
-    return (-1) ** i * (q4 * c2q - cup + (q4 - 1) * cq - cdown) + (q4 if i == 0 else 0)
-
-
 def bracket(q: int) -> tuple[int, ...]:
     """The 2q+1 coefficients of the degree-2q obstruction polynomial, for
     odd 3 <= q <= Q_BOUND."""
@@ -69,8 +60,8 @@ def bracket(q: int) -> tuple[int, ...]:
     return _expand(q)
 
 
-def coefficient(q: int, i: int) -> int:
-    """The coefficient of u^i, 0 <= i <= 2q, of bracket(q), for odd
-    3 <= q <= Q_BOUND."""
+def ends(q: int) -> tuple[int, int]:
+    """The coefficients of u^(2q) and u^0 of bracket(q), for odd
+    3 <= q <= Q_BOUND: q^4 and 3(q^4 - 1)."""
     _check_q(q)
-    return _coefficient(q, i)
+    return q**4, 3 * (q**4 - 1)

@@ -99,11 +99,9 @@ def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for trees of
     str-keyed dicts, lists, tuples, str, int, bool and None.  Each dict key
     layout is checked, sorted and rendered once per nesting depth, so dicts
-    that share their keys, such as verify's reports, pay for them once.  A
-    container met again at the same depth reuses the text rendered the
-    first time, so a table that repeats a few group dicts in every period
-    class pays per group.  The state lives in arguments, not in a closure,
-    so no reference cycle outlives the call.
+    that share their keys, such as verify's reports, pay for them once.  The
+    state lives in arguments, not in a closure, so no reference cycle
+    outlives the call.
 
     Strings go through json.dumps's own C encoder; the json package is not
     imported, because it imports re, enum, functools and collections."""
@@ -111,33 +109,22 @@ def _dumps(obj) -> str:
     if _string is None:
         from _json import encode_basestring_ascii as _string
     out: list[str] = []
-    _encode(obj, 0, out, {}, {})
+    _encode(obj, 0, out, {})
     return "".join(out)
 
 
-def _encode(o, depth: int, out: list[str], memo: dict, frames: dict) -> None:
+def _encode(o, depth: int, out: list[str], frames: dict) -> None:
     """Append the rendering of the container or scalar o at ``depth`` to out.
 
-    memo maps (id, depth) of a container to (the container, its pieces in
-    out, or their text once it is met again); holding the container keeps
-    its id unique.  frames maps (key tuple, depth) of a dict layout to its
-    frame (see _frame)."""
+    frames maps (key tuple, depth) of a dict layout to its frame (see
+    _frame)."""
     if not isinstance(o, (dict, list, tuple)):
         out.append(_scalar(o))
         return
     if not o:
         out.append("{}" if isinstance(o, dict) else "[]")
         return
-    key = (id(o), depth)
-    seen = memo.get(key)
-    if seen is not None:
-        text = seen[1]
-        if type(text) is slice:  # met again for the first time: join its pieces once
-            text = "".join(out[text])
-            memo[key] = (o, text)
-        out.append(text)
-        return
-    start, inner = len(out), depth + 1
+    inner = depth + 1
     if isinstance(o, dict):
         keys = tuple(o)
         frame = frames.get((keys, depth))
@@ -150,7 +137,7 @@ def _encode(o, depth: int, out: list[str], memo: dict, frames: dict) -> None:
             if type(v) is int:  # not isinstance: a bool goes the scalar way
                 out.append(int.__repr__(v))
             else:
-                _encode(v, inner, out, memo, frames)
+                _encode(v, inner, out, frames)
     else:
         pad = "\n" + "  " * inner
         head = "[" + pad
@@ -160,10 +147,9 @@ def _encode(o, depth: int, out: list[str], memo: dict, frames: dict) -> None:
             if type(v) is int:
                 out.append(int.__repr__(v))
             else:
-                _encode(v, inner, out, memo, frames)
+                _encode(v, inner, out, frames)
         close = pad[:-2] + "]"
     out.append(close)
-    memo[key] = (o, slice(start, len(out)))
 
 
 def _frame(keys: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
@@ -224,13 +210,13 @@ def _cmd_group(args) -> int:
 
 def _cmd_table(args) -> int:
     tags: list[TheoryTag] = []
-    names: set[str] = set()  # the names, not the tags, which compare field by field
+    names: list[str] = []  # the names, not the tags, which compare field by field
     for name in args.theories.split(","):
         if name.strip():
             tag = TheoryTag.parse(name)
             if tag.name in names:  # stops at the first repeat, so a long list costs little
                 raise UsageError(f"theory {tag.name} is named twice in --theories")
-            names.add(tag.name)
+            names.append(tag.name)
             tags.append(tag)
     if not tags:
         raise UsageError("no theories given")
@@ -261,18 +247,15 @@ def _cmd_table(args) -> int:
     if args.json:
         as_json = {g: None if g is None else {**group_to_json(g), "formatted": text[g]} for g in distinct}
         envelope = {
-            "query": {"command": "table", "theories": [t.name for t in tags],
-                      "n_max": args.n_max, "field": args.field},
+            "query": {"command": "table", "theories": names, "n_max": args.n_max, "field": args.field},
             "field": _field_meta(field),
             "q": q,
             "notes": notes,
         }
-        # one dict per class, which _write_results renders once
-        bodies = {p: {tag.name: as_json[g] for tag, g in zip(tags, groups)} for p, groups in rows.items()}
-        _write_results(envelope, bodies, pd)
+        _write_results(envelope, names, rows, as_json, pd)
         return EXIT_OK
     # the header row is keyed "n", the class rows by their period degrees
-    cells = {"n": [tag.name for tag in tags], **{p: [text[g] for g in groups] for p, groups in rows.items()}}
+    cells = {"n": names, **{p: [text[g] for g in groups] for p, groups in rows.items()}}
     widths = [max(map(len, column)) for column in zip(*cells.values())]
     # each row after the degree column, right-stripped: its first cell is never blank
     ends = {p: "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for p, row in cells.items()}
@@ -287,25 +270,28 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _write_results(envelope: dict, bodies: dict, pd: list[int]) -> None:
-    """Write ``_dumps({**envelope, "results": rows})`` and a newline to
-    stdout, rows being ``{"n": n, "groups": bodies[p]}`` for each degree n
-    and its period degree p = pd[n].  "results" sorts after every key of the
-    envelope, so the envelope is rendered without it and the rows follow
-    it, degree by degree.  Each class's body is rendered once, at the depth
-    of a row's "groups", with one memo, so a group dict shared by several
-    classes is rendered once too."""
+def _write_results(envelope: dict, names: list[str], rows: dict, as_json: dict, pd: list[int]) -> None:
+    """Write ``_dumps({**envelope, "results": results})`` and a newline to
+    stdout, results being ``{"n": n, "groups": {names[i]: as_json[rows[p][i]]}}``
+    for each degree n and its period degree p = pd[n].  "results" sorts
+    after every key of the envelope, so the envelope is rendered without it
+    and the results follow it, degree by degree.  Each distinct group is
+    rendered once, at the depth of a cell, and each class's row once, from
+    those texts."""
     head = _dumps(envelope)[:-2]  # without its closing "\n}"; _frame needs _dumps's import
     heads, close = _frame(("groups", "n"), 2)
     (opening, _), (n_key, _) = heads
-    out: list[str] = []
-    memo: dict = {}
     frames: dict = {}
-    rows = {}
-    for p, body in bodies.items():
-        start = len(out)
-        _encode(body, 3, out, memo, frames)
-        rows[p] = "".join([opening, *out[start:], n_key])
+    text = {}
+    for g, value in as_json.items():
+        out: list[str] = []
+        _encode(value, 4, out, frames)
+        text[g] = "".join(out)
+    body, body_close = _frame(tuple(names), 3)
+    # each theory's head, in sorted key order, and its column in a class's row
+    cells = [(cell, names.index(name)) for cell, name in body]
+    texts = {p: "".join([opening, *[cell + text[groups[i]] for cell, i in cells], body_close, n_key])
+             for p, groups in rows.items()}
     # a class's text is written as it is, not copied into each row
     write = sys.stdout.write
     write(head + ',\n  "results": [\n    ')
@@ -313,7 +299,7 @@ def _write_results(envelope: dict, bodies: dict, pd: list[int]) -> None:
     for n, p in enumerate(pd):
         if n:
             write(between)
-        write(rows[p])
+        write(texts[p])
         write(str(n))
     write(close + "\n  ]\n}\n")
 
@@ -397,7 +383,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_adams(args) -> int:
     from . import adams
-    coeff = adams.coefficient(args.q, 2 * args.q)
+    coeff, constant = adams.ends(args.q)
     coeffs = adams.bracket(args.q) if args.dump_coeffs else None
     odd = coeff % 2 == 1
     human = [
@@ -412,7 +398,7 @@ def _cmd_adams(args) -> int:
         "result": {
             "obstruction": odd,
             "top_coefficient": coeff,
-            "constant_term": adams.coefficient(args.q, 0),
+            "constant_term": constant,
             "coeffs": list(coeffs) if args.dump_coeffs else None,
         },
         "notes": [],

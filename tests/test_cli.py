@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from kq2 import abgroup, adams, cli, fields, numtheory as nt, tables as tb, verify
 from kq2.adams import Q_BOUND
 from kq2.cli import N_MAX_BOUND, _dumps, main
+from kq2.errors import DegreeOutOfRange
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -359,7 +360,7 @@ def _patch_everywhere(monkeypatch, target, name, fn):
     (("verify", "--n-max", "8", "--field", f"generic r={fields.R_BOUND + 1} a=2 regular"), tb, "_eval_row"),
     (("regular", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "_resolved"),
     (("find-q", "--field", f"generic r=1 a={fields.B_BOUND + 1} regular"), fields, "find_q_for_a"),
-    (("adams", "--q", str(Q_BOUND + 2)), adams, "_coefficient"),
+    (("adams", "--q", str(Q_BOUND + 2)), adams, "_expand"),
     # is_prime decides q below psi_12 only; q = psi_12 = 1287836182261 * 2575672364521
     (("group", "--theory", "KFq", "--n", "1", "--field", "Q", "--q", str(nt.PRIME_BOUND)), tb, "column"),
     (("group", "--json", "--theory", "KFq", "--n", "1", "--field", "Q", "--q", str(nt.PRIME_BOUND)),
@@ -659,8 +660,8 @@ json_trees = st.recursive(
 
 @given(json_trees, json_trees)
 def test_dumps_matches_json_dumps(tree, shared):
-    # shared sits at three depths, three times at depth 2: its second copy
-    # there joins its pieces, and its third appends that text
+    # the same object, shared, sits at depths 1, 2 and 3, three times at
+    # depth 2, and renders at each depth's indent
     obj = {"tree": tree, "a": shared, "b": [shared, {"c": shared}, shared, shared], "empty": [{}, [], ()]}
     # fresh dicts with one key tuple, as a table's per-degree wrappers, and
     # the same keys in other insertion orders, which sort the same way
@@ -687,14 +688,21 @@ def test_dumps_rejects_non_str_keys(key):
 def _table_payload(n_max, theories, field, q, notes=()):
     """The payload of ``table --json``, shaped as the command builds it:
     one body per period class, and one dict per distinct group, shared by
-    its cells."""
+    its cells; a cell where the theory is undefined is None."""
     spec = fields.parse_field(field)
     columns = {name: tb.column(tb.THEORIES[name], spec, q) for name in theories}
     pd = tb.period_degrees(n_max + 1)
-    as_json = {}
-    for g in {col(p) for col in columns.values() for p in pd}:
-        as_json[g] = {**abgroup.group_to_json(g), "formatted": abgroup.format_group(g)}
-    bodies = {p: {name: as_json[col(p)] for name, col in columns.items()} for p in set(pd)}
+
+    def group(col, p):
+        try:
+            return col(p)
+        except DegreeOutOfRange:
+            return None
+
+    cells = {p: {name: group(col, p) for name, col in columns.items()} for p in set(pd)}
+    as_json = {g: None if g is None else {**abgroup.group_to_json(g), "formatted": abgroup.format_group(g)}
+               for g in {g for body in cells.values() for g in body.values()}}
+    bodies = {p: {name: as_json[g] for name, g in body.items()} for p, body in cells.items()}
     return {
         "query": {"command": "table", "theories": list(theories), "n_max": n_max, "field": field},
         "field": {"label": str(spec), "r": spec.r, "a_F": spec.a, "two_regular": spec.regular},
@@ -727,8 +735,13 @@ def test_dumps_leaves_no_reference_cycle():
     assert text == json.dumps(payload, indent=2, sort_keys=True)
 
 
-def test_table_json_leaves_no_reference_cycle():
-    argv = ["table", "--json", "--n-max", "300", "--theories", "K,KQ+,KO", "--field", "Q", "--q", "3"]
+# neither list is in sorted order; the second has undefined cells, which render as null
+@pytest.mark.parametrize("theories, notes", [
+    (("K", "KQ+", "KO"), ["q = 3 (congruence-admissible)"]),
+    (("U+", "Kbar", "KO", "K"), ["q = 3 (congruence-admissible)", cli._KBAR_NOTE]),
+], ids=["no-null", "null-cells"])
+def test_table_json_leaves_no_reference_cycle(theories, notes):
+    argv = ["table", "--json", "--n-max", "300", "--theories", ",".join(theories), "--field", "Q", "--q", "3"]
     out = io.StringIO()
 
     def table():
@@ -737,7 +750,8 @@ def test_table_json_leaves_no_reference_cycle():
 
     code, unreachable = _unreachable_after(table)
     assert (code, unreachable) == (0, 0)
-    payload = _table_payload(300, ("K", "KQ+", "KO"), "Q", 3, ["q = 3 (congruence-admissible)"])
+    payload = _table_payload(300, theories, "Q", 3, notes)
+    assert any(None in row["groups"].values() for row in payload["results"]) == ("Kbar" in theories)
     assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
