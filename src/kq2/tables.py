@@ -1,10 +1,12 @@
 """Closed-form 2-primary group tables.
 
-Nine tables, 72 rows, are stored as shape templates indexed by n mod 8, and
-a row reads the degree n, k = n // 8 and the parameters r (real
-embeddings) and a (2-adic size).  ``_stored(table, params)`` is the one
-reader of the row store, with ``params(field, q) -> (r, a)``: the theories
-over the ring of 2-integers R_F read the field's r and a and require a
+Nine tables, 72 rows, are stored as data indexed by n mod 8 (see _ROWS).
+A row is a tuple of terms, each a number of copies of Z or of a cyclic
+2-group, that read the parameters r (real embeddings) and a (2-adic size),
+and of the degree only [n = 0] and e = nu2(n // 8 + 1).  ``_eval_row`` is
+the one evaluator of a row, and ``_stored(table, params)`` the one reader
+of the row store, with ``params(field, q) -> (r, a)``: the theories over
+the ring of 2-integers R_F read the field's r and a and require a
 2-regular field; the barred building blocks and the topological theories
 read r = 1 and do not.  KQbar+ is the kq_rf+ table on r = 1.  No row reads
 the auxiliary prime q: the building blocks KQbar+- read a = v2(q^2 - 1) - 1,
@@ -21,7 +23,7 @@ degrees 7 mod 8 also read e = nu2(n // 8 + 1): a degree n reads the same
 rows as its period degree ``period_degree(n)``, and a column evaluates each
 period class once.  The verification suite proves its own discriminating
 power with ``fault_injection``, which swaps in a copy of one table with one
-row perturbed by an extra Z/2 summand.
+row given an extra Z/2 term.
 """
 
 from __future__ import annotations
@@ -60,11 +62,11 @@ def t(n: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Stored row templates with fault injection
+# Stored rows with fault injection
 
 
 class fault_injection:
-    """Temporarily corrupt one stored row by an extra Z/2 summand, for the
+    """Temporarily corrupt one stored row by an extra Z/2 term, for the
     columns built inside ``with fault_injection(table, row): ...``."""
 
     def __init__(self, table: str, row: int) -> None:
@@ -76,8 +78,8 @@ class fault_injection:
 
     def __enter__(self) -> None:
         rows = self._clean = _ROWS[self._table]
-        i, clean = self._row, rows[self._row]
-        _ROWS[self._table] = rows[:i] + (lambda *args: direct_sum(clean(*args), C(2)),) + rows[i + 1:]
+        i = self._row
+        _ROWS[self._table] = rows[:i] + (rows[i] + (_Z2,),) + rows[i + 1:]
 
     def __exit__(self, *exc_info) -> None:
         _ROWS[self._table] = self._clean
@@ -88,131 +90,73 @@ def fault_sites() -> list[tuple[str, int]]:
     return [(name, row) for name in sorted(_ROWS) for row in range(8)]
 
 
-def _d0(n: int) -> FgAb2:
-    return Z(1) if n == 0 else ZERO
+# A row is a tuple of summands (order, copies): the order is None for Z, or
+# (x, y, c) for Z/2^(x*a + y*e + c) with e = nu2(n // 8 + 1), and the copies
+# (u, v, z) count u*r + v + z*[n = 0].  So w(4k+2, a) = 2^(a + 1) is
+# (1, 0, 1), 2w(4k+2, a) is (1, 0, 2) and w(4k+4, a) = 2^(a + 2 + e) is
+# (1, 1, 2); e is read in degrees 7 mod 8 and [n = 0] in row 0 alone.
+_Z1 = None, (0, 1, 0)  # Z
+_ZR = None, (1, 0, 0)  # Z^r
+_Z0 = None, (0, 0, 1)  # Z^[n = 0]
+_Z2 = (0, 0, 1), (0, 1, 0)  # Z/2
+_Z2R = (0, 0, 1), (1, 0, 0)  # (Z/2)^r
+_Z2R1 = (0, 0, 1), (1, -1, 0)  # (Z/2)^(r-1)
+_W2 = (1, 0, 1), (0, 1, 0)  # Z/w(4k+2, a)
+_2W2 = (1, 0, 2), (0, 1, 0)  # Z/2w(4k+2, a)
+_W4 = (1, 1, 2), (0, 1, 0)  # Z/w(4k+4, a)
 
-
-def _from_degree_8(n: int) -> FgAb2:
-    if n == 0:  # k_bar is read by Kbar alone
-        raise DegreeOutOfRange(f"theory Kbar needs n >= 1, got {n}")
-    return ZERO
-
-
-# The one row store: every stored table, 8 rows each, indexed by n mod 8;
-# a row reads the degree n, k = n // 8 and the parameters r and a
+# The one row store: every stored table, 8 rows each, indexed by n mod 8
 _ROWS = {
     # hermitian K of R_F, orthogonal column
-    "kq_rf+": (
-        lambda n, k, r, a: direct_sum(_d0(n), Z(r), C(2)),
-        lambda n, k, r, a: C2(r + 2),
-        lambda n, k, r, a: C2(r + 1),
-        lambda n, k, r, a: C(w(4 * k + 2, a)),
-        lambda n, k, r, a: Z(r),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: C(w(4 * k + 4, a)),
-    ),
+    "kq_rf+": (((None, (1, 0, 1)), _Z2), (((0, 0, 1), (1, 2, 0)),), (((0, 0, 1), (1, 1, 0)),),
+               (_W2,), (_ZR,), (), (), (_W4,)),
     # hermitian K of R_F, symplectic column
-    "kq_rf-": (
-        lambda n, k, r, a: _d0(n),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(r),
-        lambda n, k, r, a: direct_sum(C2(r - 1), C(2 * w(4 * k + 2, a))),
-        lambda n, k, r, a: C2(r),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: Z(r),
-        lambda n, k, r, a: C(w(4 * k + 4, a)),
-    ),
+    "kq_rf-": ((_Z0,), (), (_ZR,), (_Z2R1, _2W2), (_Z2R,), (_Z2,), (_ZR,), (_W4,)),
     # algebraic K of R_F
-    "k_rf": (
-        lambda n, k, r, a: _d0(n),
-        lambda n, k, r, a: direct_sum(Z(r), C(2)),
-        lambda n, k, r, a: C2(r),
-        lambda n, k, r, a: direct_sum(C2(r - 1), C(2 * w(4 * k + 2, a))),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(r),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: C(w(4 * k + 4, a)),
-    ),
+    "k_rf": ((_Z0,), (_ZR, _Z2), (_Z2R,), (_Z2R1, _2W2), (), (_ZR,), (), (_W4,)),
     # forgetful-map fiber V- of R_F; its twin v_bar- is the only check of
     # these rows, and V+ is 2r copies of KO
-    "v_rf-": (
-        lambda n, k, r, a: direct_sum(Z(r), C(2)),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(r),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(r),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: direct_sum(Z(r), C(2)),
-        lambda n, k, r, a: C(2),
-    ),
+    "v_rf-": ((_ZR, _Z2), (), (_ZR,), (), (_ZR,), (_Z2,), (_ZR, _Z2), (_Z2,)),
     # one-real-place building block, hermitian symplectic: kq_rf- on r = 1,
     # stored as the only check of kq_rf- rows 2, 6 and 7; KQbar+ is kq_rf+
     # on r = 1
-    "kq_bar-": (
-        lambda n, k, r, a: _d0(n),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: C(2 * w(4 * k + 2, a)),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: C(w(4 * k + 4, a)),
-    ),
-    # one-real-place building block, algebraic (n >= 1): k_rf on r = 1,
-    # stored as the only check of the k_rf rows; the degree 7 mod 8 order
-    # w(4k+4) is the one choice compatible with the K-theory splitting
-    # identity, which the verification suite asserts
-    "k_bar": (
-        lambda n, k, r, a: _from_degree_8(n),
-        lambda n, k, r, a: direct_sum(Z(1), C(2)),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: C(2 * w(4 * k + 2, a)),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: C(w(4 * k + 4, a)),
-    ),
+    "kq_bar-": ((_Z0,), (), (_Z1,), (_2W2,), (_Z2,), (_Z2,), (_Z1,), (_W4,)),
+    # one-real-place building block, algebraic (n >= 1, so row 0 is read
+    # from degree 8): k_rf on r = 1, stored as the only check of the k_rf
+    # rows; the degree 7 mod 8 order w(4k+4) is the one choice compatible
+    # with the K-theory splitting identity, which the verification suite
+    # asserts
+    "k_bar": ((), (_Z1, _Z2), (_Z2,), (_2W2,), (), (_Z1,), (), (_W4,)),
     # one-real-place building block, V-theory: v_rf- on r = 1, stored as the
     # only check of the v_rf- rows; Vbar+ is 2 copies of KO
-    "v_bar-": (
-        lambda n, k, r, a: direct_sum(Z(1), C(2)),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: direct_sum(Z(1), C(2)),
-        lambda n, k, r, a: C(2),
-    ),
+    "v_bar-": ((_Z1, _Z2), (), (_Z1,), (), (_Z1,), (_Z2,), (_Z1, _Z2), (_Z2,)),
     # real topological K-theory, period 8; the finite-field theories are
     # derived from ko and ku (see _adams_fiber)
-    "ko": (
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: C(2),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: ZERO,
-    ),
+    "ko": ((_Z1,), (_Z2,), (_Z2,), (), (_Z1,), (), (), ()),
     # complex topological K-theory, period 2
-    "ku": (
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-        lambda n, k, r, a: Z(1),
-        lambda n, k, r, a: ZERO,
-    ),
+    "ku": ((_Z1,), ()) * 4,
 }
 
 
-def _eval_row(rows: tuple, n: int, r: int, a: int) -> FgAb2:
-    return rows[n % 8](n, n // 8, r, a)
+def _eval_row(row: tuple, n: int, r: int, a: int) -> FgAb2:
+    """The group of one stored row in degree n on the params r and a, summed
+    term by term through the shared values of Z, C, n_copies and
+    direct_sum (Z[m] is Z(m) without the call); e is computed only for an
+    order that reads it."""
+    g = ZERO
+    for order, (u, v, z) in row:
+        copies = u * r + v + (z and n == 0)
+        if order is None:
+            term = Z[copies]
+        else:
+            x, y, c = order
+            if y:
+                c += nu2(n // 8 + 1)
+            term = C[1 << (x * a + c)]
+            if copies != 1:
+                term = n_copies(copies, term)
+        g = term if g is ZERO else direct_sum(g, term)
+    return g
 
 
 def _stored(table: str, params: Callable[[FieldSpec, int | None], tuple[int, int]]):
@@ -223,7 +167,7 @@ def _stored(table: str, params: Callable[[FieldSpec, int | None], tuple[int, int
     def build(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
         r, a = params(field, q)
         rows = _ROWS[table]
-        return lambda n: _eval_row(rows, n, r, a)
+        return lambda n: _eval_row(rows[n % 8], n, r, a)
     return build
 
 
@@ -234,10 +178,11 @@ def period_degree(n: int) -> int:
     e = nu2(n // 8 + 1).  The result is never above n.
 
     The paper's groups are 8-periodic, except that degree 0 is its own
-    class and degrees 7 mod 8 also read e.  Degree 0 is read by the
-    [n = 0] summands and the k_bar degree-0 rule.  With k = n // 8,
-    w(4k + 2, a) = 2^(a + 1) does not depend on k, and w(4k + 4, a) =
-    2^(a + 2 + e).  The cokernels of psi^q - 1 are 2-parts of
+    class and degrees 7 mod 8 also read e.  The stored rows read the degree
+    only through n mod 8, [n = 0] and e: [n = 0] only in copies with z = 1,
+    all in row 0, and e only in orders with y = 1, all in row 7, where
+    w(4k + 4, a) = 2^(a + 2 + e) with k = n // 8; Kbar starts in degree 1.
+    The cokernels of psi^q - 1 are 2-parts of
     q^m - 1 for m >= 1, and for odd q, by lifting the exponent, v2(q^m - 1)
     is v2(q - 1) for odd m and v2(q^2 - 1) for m = 2 (mod 4): it reads k
     only at m = 4(k + 1), that is in degrees 7 mod 8, and there through
@@ -348,18 +293,23 @@ def _on_q(field: FieldSpec, q: int | None) -> tuple[int, int]:
     return 1, val2_q_power(q, 2).bit_length() - 2
 
 
-def _shifted(source: str, name: str):
-    """The reader builder of U: THEORIES[source] one degree down, from
-    degree 1."""
-    def build(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
-        read = THEORIES[source].build(field, q)
+def _from_degree_1(name: str, build, shift: int = 0):
+    """The reader builder of a theory that starts in degree 1: build's
+    reader shift degrees down, and DegreeOutOfRange below degree 1."""
+    def build_from_1(field: FieldSpec, q: int | None) -> Callable[[int], FgAb2]:
+        read = build(field, q)
 
-        def shifted(n: int) -> FgAb2:
+        def from_1(n: int) -> FgAb2:
             if n < 1:
                 raise DegreeOutOfRange(f"theory {name} needs n >= 1, got {n}")
-            return read(n - 1)
-        return shifted
-    return build
+            return read(n - shift)
+        return from_1
+    return build_from_1
+
+
+def _shifted(source: str, name: str):
+    """The reader builder of U: THEORIES[source] one degree down."""
+    return _from_degree_1(name, lambda field, q: THEORIES[source].build(field, q), 1)
 
 
 def _constant(group_of):
@@ -421,7 +371,7 @@ THEORIES: dict[str, TheoryTag] = {tag.name: tag for tag in (
     TheoryTag("W", _constant(witt), needs_degree=False),
     TheoryTag("W'", _constant(cowitt), needs_degree=False),
     TheoryTag("W1", _constant(w1), needs_degree=False),
-    TheoryTag("Kbar", _stored("k_bar", lambda field, q: (1, require_spec(field).a))),
+    TheoryTag("Kbar", _from_degree_1("Kbar", _stored("k_bar", lambda field, q: (1, require_spec(field).a)))),
     TheoryTag("KQbar+", _stored("kq_rf+", _on_q), 1, needs_q=True),
     TheoryTag("KQbar-", _stored("kq_bar-", _on_q), -1, needs_q=True),
     TheoryTag("Vbar+", _ko_copies(lambda field: 2), 1),

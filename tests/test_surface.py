@@ -16,8 +16,8 @@ ENTRY_POINTS = {
     "fault_injection": "the switch the verification suite's fault-injection tests drive",
     "fault_sites": "lists every row that fault_injection can perturb",
     "is_two_regular": "the 2-regularity criterion's library entry point; the benchmark's oracle sweep calls it",
-    "parse_group": "reads the canonical group grammar; the round-trip tests use it, and rows stored as "
-                   "formula text (ROADMAP item 6) build on it",
+    "parse_group": "reads the canonical group grammar; the round-trip tests and the golden-value tests "
+                   "use it",
     "quadratic_data": "validated numtheory entry point; the README documents its bound",
 }
 

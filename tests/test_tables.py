@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 from kq2 import tables as tb
-from kq2.abgroup import C, C2, Z, ZERO, direct_sum, format_group, n_copies, parse_group
+from kq2.abgroup import C, C2, FgAb2, Z, ZERO, direct_sum, format_group, n_copies, parse_group
 from kq2.errors import (
     DegreeOutOfRange,
     EvenN,
@@ -249,6 +249,49 @@ def test_fault_injection_is_scoped():
             tb.fault_injection("ko", row)
 
 
+def _leaves(o):
+    if isinstance(o, tuple):
+        for item in o:
+            yield from _leaves(item)
+    else:
+        yield o
+
+
+def test_every_stored_row_is_data():
+    # a row is a tuple of terms (order, copies): order None for Z or (x, y, c)
+    # for Z/2^(x*a + y*e + c), and copies (u, v, z) for u*r + v + z*[n = 0]
+    for table, rows in tb._ROWS.items():
+        assert len(rows) == 8, table
+        for i, row in enumerate(rows):
+            assert all(type(leaf) is int or leaf is None for leaf in _leaves(row)), (table, i)
+            for order, copies in row:
+                assert order is None or len(order) == 3, (table, i)
+                assert len(copies) == 3, (table, i)
+
+
+def test_only_row_7_reads_e_and_only_row_0_reads_degree_0():
+    # period_degree's contract over the data: degrees 7 mod 8 read e and
+    # degree 0 is its own class, and no other row reads either
+    for table, rows in tb._ROWS.items():
+        for i, row in enumerate(rows):
+            for order, (u, v, z) in row:
+                y = 0 if order is None else order[1]
+                assert y in (0, 1) and z in (0, 1), (table, i)
+                assert not y or i == 7, (table, i)
+                assert not z or i == 0, (table, i)
+
+
+def test_a_fault_appends_one_z2_term_and_restores_the_clean_rows():
+    z2 = ((0, 0, 1), (0, 1, 0))
+    for table, row in tb.fault_sites():
+        clean = tb._ROWS[table]
+        with tb.fault_injection(table, row):
+            faulted = tb._ROWS[table]
+            assert faulted[row] == clean[row] + (z2,), (table, row)
+            assert faulted[:row] + faulted[row + 1:] == clean[:row] + clean[row + 1:], (table, row)
+        assert tb._ROWS[table] is clean, (table, row)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 17, 31, 127, 257])
 def test_the_stored_building_blocks_are_their_rf_tables_on_one_real_place(q):
     # a = v2(q^2 - 1) - 1 takes the values 2, 2, 3, 4, 5, 7 and 8, most of
@@ -347,9 +390,9 @@ def test_table_functions_agree_on_spec_and_record(text):
 
 
 # The column path against a brute-force reader of the stored rows.  The
-# reference calls the rows of a copy of tb._ROWS taken before any fault on
-# their own, and takes the injected fault as an argument; KO, KU and the
-# finite-field theories are the closed forms of CLOSED_FORMS.
+# reference reads the terms of a copy of tb._ROWS taken before any fault
+# with a loop of its own, and takes the injected fault as an argument; KO,
+# KU and the finite-field theories are the closed forms of CLOSED_FORMS.
 
 REFERENCE_FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 6)", "Q(zeta 2^4)+", "Q(zeta 11)+")
 # every degree up to 64, and 8 * 2^j - 1, where w(4k+4) grows, up to the CLI bound
@@ -364,7 +407,20 @@ def _faulted(g, table, n, fault):
 
 
 def _reference_row(table, n, r, a, fault):
-    return _faulted(CLEAN_ROWS[table][n % 8](n, n // 8, r, a), table, n, fault)
+    """The group of a clean stored row in degree n, summed term by term: a
+    term ((x, y, c), (u, v, z)) is u*r + v + z*[n = 0] copies of
+    Z/2^(x*a + y*e + c), with e = nu2(n // 8 + 1), and an order None is Z."""
+    m = n // 8 + 1
+    e = (m & -m).bit_length() - 1
+    rank, torsion = 0, []
+    for order, (u, v, z) in CLEAN_ROWS[table][n % 8]:
+        copies = u * r + v + z * (n == 0)
+        if order is None:
+            rank += copies
+        else:
+            x, y, c = order
+            torsion += [2 ** (x * a + y * e + c)] * copies
+    return _faulted(FgAb2(rank, tuple(torsion)), table, n, fault)
 
 
 def _a_of_q(q):
@@ -390,7 +446,9 @@ def _reference(name, n, field, q, fault):
         if n < 1:
             raise DegreeOutOfRange(n)
         return _reference("V-" if name == "U+" else "V+", n - 1, field, q, fault)
-    if name == "Kbar":
+    if name == "Kbar":  # from degree 1, as U+-
+        if n < 1:
+            raise DegreeOutOfRange(n)
         return _reference_row("k_bar", n, 1, field.a, fault)
     if name in BLOCK_TABLES:
         return _reference_row(BLOCK_TABLES[name], n, 1, _a_of_q(q), fault)
